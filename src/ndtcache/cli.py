@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,10 +69,14 @@ class RunConfig:
             raise UsageError("M and K must be positive")
         if self.grid is not None and self.grid < 1:
             raise UsageError("--grid must be positive")
+        if self.n is not None and self.n < self.m + self.k:
+            raise UsageError(f"need N >= M + K, got N={self.n}, M+K={self.m + self.k}")
         if self.trials < 1:
             raise UsageError("--trials must be positive")
-        if self.tol <= 0:
-            raise UsageError("--tol must be positive")
+        if not 0 < self.tol < 1:
+            raise UsageError(f"--tol must lie in (0, 1), got {self.tol}")
+        if not all(math.isfinite(x) for x in self.snr_db):
+            raise UsageError(f"--snr-db points must be finite, got {list(self.snr_db)}")
         if self.output_format not in ("csv", "json"):
             raise UsageError(f"unknown output format {self.output_format!r}")
 
@@ -157,7 +162,7 @@ def emit(payload: dict, output_format: str, path: Path | None, columns: list[str
     a newline and are byte-deterministic for a fixed payload.
     """
     if output_format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")

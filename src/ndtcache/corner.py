@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import ChannelSet, DegenerateChannel, NetworkConfig, Rational, worst_case_demand
+from .model import ChannelSet, DegenerateChannel, NetworkConfig, Rational, check_tol, worst_case_demand
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,16 @@ class MisoZfPlan:
     nulling_residual: float
 
 
-def _user_rows(ch: ChannelSet, t: int, group: tuple[int, ...]) -> np.ndarray:
-    # row of user k against the antennas (base station, relay 1..M)
-    return np.stack([np.concatenate(([ch.g[t, k - 1]], ch.H[t, k - 1, :])) for k in group])
+def user_rows(g: np.ndarray, H: np.ndarray, group: tuple[int, ...]) -> np.ndarray:
+    """Rows (..., len(group), M + 1) of the group's users against the antennas
+    (base station, relay 1..M) in one slot; g is (..., K), H is (..., K, M)."""
+    cols = [k - 1 for k in group]
+    return np.concatenate([g[..., cols, None], H[..., cols, :]], axis=-1)
+
+
+def user_groups(M: int, K: int) -> tuple[tuple[int, ...], ...]:
+    """Users 1..K in consecutive groups of at most M + 1, one per slot."""
+    return tuple(tuple(range(u, min(u + M + 1, K + 1))) for u in range(1, K + 1, M + 1))
 
 
 def miso_zf_plan(ch: ChannelSet, cfg: NetworkConfig, tol: float = 1e-9) -> MisoZfPlan:
@@ -73,34 +80,42 @@ def miso_zf_plan(ch: ChannelSet, cfg: NetworkConfig, tol: float = 1e-9) -> MisoZ
         raise ValueError(f"MISO zero-forcing applies at mu = 1 only, got mu = {cfg.mu}")
     if ch.M != cfg.M or ch.K != cfg.K:
         raise ValueError("channel dimensions do not match the configuration")
-    size = cfg.M + 1
-    groups = tuple(
-        tuple(range(start, min(start + size, cfg.K + 1)))
-        for start in range(1, cfg.K + 1, size)
-    )
+    groups = user_groups(cfg.M, cfg.K)
     if ch.T < len(groups):
         raise ValueError(f"need at least {len(groups)} slots, got T = {ch.T}")
-
-    beamformers = []
-    residual = 0.0
-    for t, group in enumerate(groups):
-        C = _user_rows(ch, t, group)
-        sv = np.linalg.svd(C, compute_uv=False)
-        if sv[-1] < tol * sv[0]:
-            raise DegenerateChannel(f"group {group} channel matrix is near rank-deficient")
-        W = np.linalg.pinv(C)
-        W = W + np.linalg.pinv(C) @ (np.eye(len(group)) - C @ W)
-        gains = C @ W
-        off = gains - np.diag(np.diag(gains))
-        residual = max(residual, float(np.abs(off).max() / np.abs(np.diag(gains)).min()))
-        beamformers.append(W)
-
-    shares = tuple(Fraction(len(g), size) for g in groups)
-    ndt = max(Fraction(cfg.K, size), Fraction(1))
+    beamformers, _, cross, degenerate = miso_zf_batch(ch.g, ch.H, tol)
+    if degenerate:
+        raise DegenerateChannel("a group channel matrix is near rank-deficient")
+    size = cfg.M + 1
     return MisoZfPlan(
         groups=groups,
         beamformers=tuple(beamformers),
-        slot_shares=shares,
-        ndt=ndt,
-        nulling_residual=residual,
+        slot_shares=tuple(Fraction(len(g), size) for g in groups),
+        ndt=max(Fraction(cfg.K, size), Fraction(1)),
+        nulling_residual=float(np.fmax.reduce(cross)),
     )
+
+
+def miso_zf_batch(g: np.ndarray, H: np.ndarray, tol: float = 1e-9):
+    """miso_zf_plan's solve over leading batch axes, stacked SVD and pinv per
+    group: g is (..., T, K), H is (..., T, K, M), group i uses slot i.
+    Returns per group the (..., M + 1, len(group)) beamformers and the
+    singular values of its rows; per user k at column k - 1 its largest
+    cross gain over its group's weakest direct gain (the nulling residual
+    is their maximum); and the mask of draws with a degenerate group."""
+    check_tol(tol)
+    beamformers, svs, cross = [], [], []
+    degenerate = np.zeros(g.shape[:-2], dtype=bool)
+    for t, group in enumerate(user_groups(H.shape[-1], g.shape[-1])):
+        C = user_rows(g[..., t, :], H[..., t, :, :], group)
+        sv = np.linalg.svd(C, compute_uv=False)
+        degenerate |= sv[..., -1] < tol * sv[..., 0]
+        P = np.linalg.pinv(C)
+        W = P + P @ (np.eye(len(group)) - C @ P)
+        gains = np.abs(C @ W)
+        off = np.where(np.eye(len(group), dtype=bool), 0.0, gains).max(axis=-1)
+        with np.errstate(all="ignore"):  # degenerate draws may have zero gains
+            cross.append(off / np.diagonal(gains, axis1=-2, axis2=-1).min(axis=-1, keepdims=True))
+        beamformers.append(W)
+        svs.append(sv)
+    return beamformers, svs, np.concatenate(cross, axis=-1), degenerate

@@ -42,6 +42,13 @@ class DegenerateChannel(Exception):
     or alignment coefficient); the caller should redraw."""
 
 
+def check_tol(tol: float) -> None:
+    """Require a relative tolerance in (0, 1). NaN and inf fail too: a NaN
+    tol would silently pass every degeneracy guard."""
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+
+
 def mod_bar(a: int, b: int) -> int:
     """Modified modular operator: a if a <= b, else a mod b; result in [1:b].
 

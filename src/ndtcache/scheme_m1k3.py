@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ChannelSet, DegenerateChannel, mod_bar
+from .model import ChannelSet, DegenerateChannel, check_tol, mod_bar
 
 T_SLOTS = 8
 NUM_FILES = 4
@@ -56,6 +56,7 @@ RN_SYMBOLS: tuple[SymbolId, ...] = tuple(
     s for s in TRANSMITTED_SYMBOLS if s.file != 4 and s.index != 5
 )
 _COL = {s: n for n, s in enumerate(TRANSMITTED_SYMBOLS)}
+_DENB_COLS = np.array([_COL[s] for s in DENB_SYMBOLS])
 
 
 @dataclass(frozen=True)
@@ -90,12 +91,6 @@ class ZfMap:
         if not 1 <= k <= 3:
             raise ValueError(f"user index must be in [1:3], got {k}")
         return self.by_ue[k - 1]
-
-    def ue_for(self, symbol: SymbolId) -> int:
-        for k, group in enumerate(self.by_ue, start=1):
-            if symbol in group:
-                return k
-        raise KeyError(f"{symbol} is not zero-forced at any user")
 
 
 def zf_assignment() -> ZfMap:
@@ -248,66 +243,73 @@ def solve_precoders(ch: ChannelSet, tol: float = 1e-9) -> PrecoderPlan:
     relative to the slot scale, since steps 2-3 divide by g_k and h_k.
     """
     _require_m1k3(ch)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    nu, beta, scale, slot_scale, degenerate = solve_precoder_batch(ch.g, ch.H[..., 0], tol)
+    if degenerate:
+        raise DegenerateChannel("a j term or a user coefficient is below tolerance in some slot")
+    return PrecoderPlan(nu=nu, beta=beta, scale=scale, slot_scale=slot_scale)
 
-    g = {k: ch.g[:, k - 1] for k in (1, 2, 3)}
-    h = {k: ch.H[:, k - 1, 0] for k in (1, 2, 3)}
-    j13 = g[2] * h[3] - g[3] * h[2]
-    j23 = g[3] * h[1] - g[1] * h[3]
-    j33 = g[1] * h[2] - g[2] * h[1]
+
+def solve_precoder_batch(g: np.ndarray, h: np.ndarray, tol: float = 1e-9):
+    """solve_precoders over leading batch axes. g and h (..., T_SLOTS, 3)
+    hold the users' base-station and relay coefficients. Returns the
+    PrecoderPlan arrays (nu, beta, scale, slot_scale) with the batch axes in
+    front and the mask of draws that would raise DegenerateChannel."""
+    check_tol(tol)
+    gk = {k: g[..., k - 1] for k in (1, 2, 3)}
+    hk = {k: h[..., k - 1] for k in (1, 2, 3)}
+    j13 = gk[2] * hk[3] - gk[3] * hk[2]
+    j23 = gk[3] * hk[1] - gk[1] * hk[3]
+    j33 = gk[1] * hk[2] - gk[2] * hk[1]
     # determinant of the (alignment at UE a, ZF at UE b) system
     det = {(1, 2): j33, (2, 3): j13, (3, 1): j23,
            (2, 1): -j33, (3, 2): -j13, (1, 3): -j23}
 
-    slot_scale = np.max(np.abs(np.concatenate([ch.g, ch.H[:, :, 0]], axis=1)), axis=1)
-    for name, j in (("j13", j13), ("j23", j23), ("j33", j33)):
-        if np.any(np.abs(j) < tol * slot_scale**2):
-            raise DegenerateChannel(f"{name} below tolerance in at least one slot")
-    for k in (1, 2, 3):
-        if np.any(np.abs(g[k]) < tol * slot_scale) or np.any(np.abs(h[k]) < tol * slot_scale):
-            raise DegenerateChannel(f"user-{k} coefficient below tolerance in at least one slot")
+    chan_scale = np.max(np.abs(np.concatenate([g, h], axis=-1)), axis=-1)
+    degenerate = np.zeros(g.shape[:-2], dtype=bool)
+    for j in (j13, j23, j33):
+        degenerate |= np.any(np.abs(j) < tol * chan_scale**2, axis=-1)
+    small = tol * chan_scale[..., None]
+    degenerate |= np.any((np.abs(g) < small) | (np.abs(h) < small), axis=(-2, -1))
 
     n = len(TRANSMITTED_SYMBOLS)
-    nu = np.zeros((T_SLOTS, n), dtype=complex)
-    beta = np.zeros((T_SLOTS, n), dtype=complex)
+    nu = np.zeros(g.shape[:-1] + (n,), dtype=complex)
+    beta = np.zeros_like(nu)
+    with np.errstate(all="ignore"):  # degenerate draws may divide by ~0
+        nu45 = j13 * j23 * j33 * gk[1] * gk[2] * gk[3] * hk[1] * hk[2] * hk[3]
+        nu[..., _COL[SymbolId(4, 5)]] = nu45
+        for k in (1, 2, 3):
+            beta[..., _COL[SymbolId(_mbar3(k + 1), 4)]] = nu45 * gk[k] / hk[k]
+        for k in (1, 2, 3):
+            nu[..., _COL[SymbolId(_mbar3(k + 1), 5)]] = (
+                beta[..., _COL[SymbolId(_mbar3(k + 2), 4)]] * hk[k] / gk[k]
+            )
+        for k in (1, 2, 3):
+            i2 = _mbar3(k + 2)
+            b = _mbar3(k + 1)  # ZF user of eta_{i2,1} and eta_{i2,2}
+            target2 = beta[..., _COL[SymbolId(i2, 4)]] * hk[k]
+            nu[..., _COL[SymbolId(i2, 2)]] = target2 * hk[b] / det[(k, b)]
+            beta[..., _COL[SymbolId(i2, 2)]] = -target2 * gk[b] / det[(k, b)]
 
-    nu45 = j13 * j23 * j33 * g[1] * g[2] * g[3] * h[1] * h[2] * h[3]
-    nu[:, _COL[SymbolId(4, 5)]] = nu45
-    for k in (1, 2, 3):
-        beta[:, _COL[SymbolId(_mbar3(k + 1), 4)]] = nu45 * g[k] / h[k]
-    for k in (1, 2, 3):
-        nu[:, _COL[SymbolId(_mbar3(k + 1), 5)]] = (
-            beta[:, _COL[SymbolId(_mbar3(k + 2), 4)]] * h[k] / g[k]
-        )
-    for k in (1, 2, 3):
-        i2 = _mbar3(k + 2)
-        b = _mbar3(k + 1)  # ZF user of eta_{i2,1} and eta_{i2,2}
-        target2 = beta[:, _COL[SymbolId(i2, 4)]] * h[k]
-        nu[:, _COL[SymbolId(i2, 2)]] = target2 * h[b] / det[(k, b)]
-        beta[:, _COL[SymbolId(i2, 2)]] = -target2 * g[b] / det[(k, b)]
+            target3 = nu[..., _COL[SymbolId(i2, 5)]] * gk[k]
+            nu[..., _COL[SymbolId(i2, 1)]] = target3 * hk[b] / det[(k, b)]
+            beta[..., _COL[SymbolId(i2, 1)]] = -target3 * gk[b] / det[(k, b)]
 
-        target3 = nu[:, _COL[SymbolId(i2, 5)]] * g[k]
-        nu[:, _COL[SymbolId(i2, 1)]] = target3 * h[b] / det[(k, b)]
-        beta[:, _COL[SymbolId(i2, 1)]] = -target3 * g[b] / det[(k, b)]
+            i3 = _mbar3(k + 1)
+            b3 = _mbar3(k + 2)  # ZF user of eta_{i3,3}
+            nu[..., _COL[SymbolId(i3, 3)]] = target3 * hk[b3] / det[(k, b3)]
+            beta[..., _COL[SymbolId(i3, 3)]] = -target3 * gk[b3] / det[(k, b3)]
 
-        i3 = _mbar3(k + 1)
-        b3 = _mbar3(k + 2)  # ZF user of eta_{i3,3}
-        nu[:, _COL[SymbolId(i3, 3)]] = target3 * h[b3] / det[(k, b3)]
-        beta[:, _COL[SymbolId(i3, 3)]] = -target3 * g[b3] / det[(k, b3)]
-
-    magnitudes = np.maximum(np.abs(nu), np.abs(beta))
-    slot_peak = magnitudes.max(axis=1)
-    if np.any(slot_peak == 0):
-        raise DegenerateChannel("a slot received an identically zero precoder set")
-    slot_scale = 1.0 / slot_peak
-    nu *= slot_scale[:, None]
-    beta *= slot_scale[:, None]
-    peak = np.maximum(np.abs(nu), np.abs(beta)).max(axis=0)
-    if np.any(peak == 0):
-        raise DegenerateChannel("a symbol received an identically zero precoder")
-    scale = 1.0 / peak
-    return PrecoderPlan(nu=nu * scale, beta=beta * scale, scale=scale, slot_scale=slot_scale)
+        slot_peak = np.maximum(np.abs(nu), np.abs(beta)).max(axis=-1)
+        degenerate |= np.any(slot_peak == 0, axis=-1)  # identically zero slot
+        slot_scale = 1.0 / slot_peak
+        nu *= slot_scale[..., None]
+        beta *= slot_scale[..., None]
+        peak = np.maximum(np.abs(nu), np.abs(beta)).max(axis=-2)
+        degenerate |= np.any(peak == 0, axis=-1)  # identically zero symbol
+        scale = 1.0 / peak
+        nu *= scale[..., None, :]
+        beta *= scale[..., None, :]
+        return nu, beta, scale, slot_scale, degenerate
 
 
 def effective_channel_matrix(plan: PrecoderPlan, ch: ChannelSet, receiver: str) -> np.ndarray:
@@ -319,12 +321,18 @@ def effective_channel_matrix(plan: PrecoderPlan, ch: ChannelSet, receiver: str) 
     (the relay hears only the base station).
     """
     _require_m1k3(ch)
+    return effective_channel_batch(plan.nu, plan.beta, ch.f, ch.g, ch.H[..., 0], receiver)
+
+
+def effective_channel_batch(nu, beta, f, g, h, receiver: str) -> np.ndarray:
+    """effective_channel_matrix over leading batch axes: nu and beta as
+    solve_precoder_batch returns them, f (..., T_SLOTS, 1), g and h
+    (..., T_SLOTS, 3)."""
     if receiver == "rn":
-        cols = [_COL[s] for s in DENB_SYMBOLS]
-        return ch.f[:, 0:1] * plan.nu[:, cols]
+        return f * nu[..., _DENB_COLS]
     if receiver in ("ue1", "ue2", "ue3"):
         k = int(receiver[2])
-        return ch.g[:, k - 1 : k] * plan.nu + ch.H[:, k - 1, 0:1] * plan.beta
+        return g[..., k - 1 : k] * nu + h[..., k - 1 : k] * beta
     raise ValueError(f"receiver must be 'ue1'..'ue3' or 'rn', got {receiver!r}")
 
 

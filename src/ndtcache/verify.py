@@ -3,8 +3,16 @@
 Seeded Monte Carlo over i.i.d. complex Gaussian channels: solve the
 precoders, assemble effective receive matrices, check zero-forcing and
 alignment residuals plus subspace ranks, decode noiselessly, and account
-DoF/NDT. Every trial derives its RNG stream from (seed, trial, attempt),
-so serial and parallel execution, and repeated runs, agree exactly.
+DoF/NDT. verify_m1k3, the mu = 1 branch of verify_corner and
+finite_snr_rates share one trial runner, ``_TrialRun``. Trial t draws its
+channels at attempt a from the key (seed, t, a) and its symbols from
+(seed, t, a, 1). Trials run in blocks of BLOCK_TRIALS, stacked on a
+leading axis and checked by stacked np.linalg calls (lstsq runs per
+trial), which give the same bits as one call per matrix; so results do
+not depend on the block size, and memory is one block's arrays whatever
+the trial count. Only a block's degenerate draws are redrawn, with
+attempt + 1; a trial still degenerate after _MAX_REDRAWS redraws ends the
+run with VerificationFailure, its report covering the trials before it.
 """
 from __future__ import annotations
 
@@ -14,18 +22,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .corner import miso_zf_plan, unicast_schedule
-from .model import ChannelSet, DegenerateChannel, NetworkConfig, Rational
+from .corner import miso_zf_batch, unicast_schedule, user_groups, user_rows
+from .model import ChannelSet, NetworkConfig, Rational, check_tol
 from .scheme_m1k3 import (
     DENB_SYMBOLS,
     T_SLOTS,
     TRANSMITTED_SYMBOLS,
     SymbolId,
     alignment_graph,
-    effective_channel_matrix,
-    rn_cache_cancel,
-    solve_precoders,
-    symbol_layout,
+    effective_channel_batch,
+    solve_precoder_batch,
+    solve_precoders,  # noqa: F401  kept reachable as ndtcache.verify.solve_precoders
     uncached_unknowns,
     zf_assignment,
 )
@@ -40,6 +47,23 @@ DECODE_ERROR_MAX = 1e-6
 MIN_SV_GAP = 1e6
 RANK_REL_TOL = 1e-12
 _MAX_REDRAWS = 8
+BLOCK_TRIALS = 64  # memory is one block's arrays; larger blocks were not faster
+
+# Column indices of the M = 1, K = 3 scheme, so the checks index arrays
+# instead of hashing SymbolIds. Row k - 1 belongs to user k.
+_COL = {s: n for n, s in enumerate(TRANSMITTED_SYMBOLS)}
+_DESIRED = np.array([[_COL[SymbolId(k, j)] for j in range(1, 6)] for k in (1, 2, 3)])
+_INTERFERENCE = np.array([[n for n in range(len(_COL)) if n not in des] for des in _DESIRED.tolist()])
+_ZERO_FORCED = np.array([[_COL[s] for s in zf_assignment().at_ue(k)] for k in (1, 2, 3)])
+_ALIGNED = [[np.array([_COL[s] for s in group]) for group in alignment_graph().groups_at_ue(k)]
+            for k in (1, 2, 3)]
+# The relay: its 13 heard symbols, the 9 it has cached (positions among the
+# 13), its 4 unknowns (likewise) and where eta_{4,5} sits among those.
+_UNKNOWN = uncached_unknowns()
+_DENB = np.array([_COL[s] for s in DENB_SYMBOLS])
+_RN_KNOWN = np.array([n for n, s in enumerate(DENB_SYMBOLS) if s not in _UNKNOWN])
+_RN_UNKNOWN = np.array([DENB_SYMBOLS.index(s) for s in _UNKNOWN])
+_ETA45 = _UNKNOWN.index(SymbolId(4, 5))
 
 
 class VerificationFailure(Exception):
@@ -53,7 +77,12 @@ class VerificationFailure(Exception):
 
 @dataclass(frozen=True)
 class SubspaceReport:
-    """Rank/residual diagnostics of one receiver's effective matrix."""
+    """Rank/residual diagnostics of one receiver's effective matrix.
+
+    Ranks are the worst seen over all trials (lowest desired and total
+    rank, highest interference rank), residuals the largest, and
+    singular_values those of trial 0's full effective matrix.
+    """
 
     receiver: str
     desired_rank: int
@@ -108,56 +137,190 @@ def draw_channels(seed, T: int, M: int, K: int) -> ChannelSet:
     return ChannelSet(T=T, f=cn((T, M)), g=cn((T, K)), H=cn((T, K, M)))
 
 
-def rank_with_gap(matrix: np.ndarray, tol: float) -> tuple[int, float]:
+def rank_with_gap(matrix: np.ndarray, tol: float):
     """Numerical rank and the spectral gap of the rank decision.
 
     rank counts singular values >= tol * largest; gap_ratio is smallest
     kept over largest discarded (inf when nothing is discarded). A small
     gap means the cut fell inside a singular value cluster and the rank
-    decision should not be trusted.
+    decision should not be trusted. A stack of matrices (..., m, n) gives
+    arrays of ranks and gaps; one matrix gives an int and a float.
     """
     matrix = np.asarray(matrix)
     if matrix.size == 0:
         raise ValueError("matrix must be nonempty")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if s[0] == 0.0:
-        return 0, math.inf
-    rank = int(np.count_nonzero(s >= tol * s[0]))
-    if rank in (0, len(s)) or s[rank] == 0.0:
-        return rank, math.inf
-    return rank, float(s[rank - 1] / s[rank])
+    check_tol(tol)
+    rank, gap = _rank_gap(np.linalg.svd(matrix, compute_uv=False), tol)
+    return (int(rank), float(gap)) if matrix.ndim == 2 else (rank, gap)
+
+
+def _rank_gap(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    # rank_with_gap on stacked descending singular values s (..., r)
+    r = s.shape[-1]
+    rank = np.count_nonzero(s >= tol * s[..., :1], axis=-1)
+    rank = np.where(s[..., 0] == 0.0, 0, rank)
+    kept = np.take_along_axis(s, np.maximum(rank - 1, 0)[..., None], axis=-1)[..., 0]
+    cut = np.take_along_axis(s, np.minimum(rank, r - 1)[..., None], axis=-1)[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.where((rank == 0) | (rank == r) | (cut == 0.0), np.inf, kept / cut)
+    return rank, gap
 
 
 def _cn_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
 
 
-def _interference_basis(intf: np.ndarray, dim: int) -> np.ndarray:
-    u, _, _ = np.linalg.svd(intf)
-    return u[:, :dim]
-
-
 def _project_out(basis: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    return arr - basis @ (basis.conj().T @ arr)
-
-
-def _solve_m1k3_with_redraws(seed, trial: int, tol: float):
-    for attempt in range(_MAX_REDRAWS + 1):
-        ch = draw_channels(_key(seed, trial, attempt), T_SLOTS, 1, 3)
-        try:
-            return ch, solve_precoders(ch, tol), attempt
-        except DegenerateChannel:
-            continue
-    raise VerificationFailure(
-        f"trial {trial}: {_MAX_REDRAWS} consecutive degenerate channel draws"
-    )
+    return arr - basis @ (basis.conj().swapaxes(-1, -2) @ arr)
 
 
 def _key(seed, *extra: int) -> tuple[int, ...]:
     base = seed if isinstance(seed, tuple) else (seed,)
     return base + extra
+
+
+class _TrialRun:
+    """Trials 0 .. trials - 1 of one run, in blocks, and their tally.
+    ``shape`` is (T, M, K) of a draw; ``solve(f, g, H)`` maps stacked
+    channels to (arrays with the batch axis first, degenerate mask); a
+    trial's symbols are ``_cn_vector`` draws of ``sym_sizes``, joined."""
+
+    def __init__(self, seed, trials: int, shape: tuple[int, int, int], solve,
+                 sym_sizes: tuple[int, ...] = ()):
+        self.seed, self.n, self.shape, self.solve, self.sym_sizes = (
+            seed, trials, shape, solve, sym_sizes)
+        self.trials = self.failures = self.redraws = 0
+        self.first_failure: str | None = None
+
+    def _draw(self, trials, attempts) -> tuple[np.ndarray, ...]:
+        chans = [draw_channels(_key(self.seed, int(t), int(a)), *self.shape)
+                 for t, a in zip(trials, attempts)]
+        return tuple(np.stack([getattr(ch, name) for ch in chans]) for name in ("f", "g", "H"))
+
+    def _symbols(self, start: int, attempts) -> np.ndarray | None:
+        if not self.sym_sizes:
+            return None
+        rngs = (np.random.default_rng(_key(self.seed, start + i, int(a), 1))
+                for i, a in enumerate(attempts))
+        return np.stack([np.concatenate([_cn_vector(rng, n) for n in self.sym_sizes])
+                         for rng in rngs])
+
+    def blocks(self):
+        """Yield (first trial, (f, g, H), solution, symbols) per solved
+        block; redraw exhaustion yields the trials before and stops."""
+        for start in range(0, self.n, BLOCK_TRIALS):
+            n = min(BLOCK_TRIALS, self.n - start)
+            attempts = np.zeros(n, dtype=int)
+            channels = self._draw(range(start, start + n), attempts)
+            solution, degenerate = self.solve(*channels)
+            while degenerate.any():
+                redo = np.flatnonzero(degenerate)
+                attempts[redo] += 1
+                if attempts[redo[0]] > _MAX_REDRAWS:
+                    n = int(redo[0])  # every trial before it is solved
+                    break
+                for arr, new in zip(channels, self._draw(start + redo, attempts[redo])):
+                    arr[redo] = new
+                redone, degenerate[redo] = self.solve(*(arr[redo] for arr in channels))
+                for arr, new in zip(solution, redone):
+                    arr[redo] = new
+            self.trials += n
+            self.redraws += int(attempts[:n].sum())
+            if n:
+                yield (start, tuple(arr[:n] for arr in channels),
+                       tuple(arr[:n] for arr in solution), self._symbols(start, attempts[:n]))
+            if degenerate.any():
+                self.trials += 1
+                self.failures += 1
+                self.redraws += _MAX_REDRAWS
+                self.first_failure = (f"trial {start + n}: {_MAX_REDRAWS + 1} "
+                                      "consecutive degenerate channel draws")
+                return
+
+    def check(self, start: int, checks: list) -> None:
+        """Tally a block's (failing mask, describe(i) -> message) pairs."""
+        failing = np.logical_or.reduce([mask for mask, _ in checks])
+        self.failures += int(np.count_nonzero(failing))
+        if self.first_failure is None and failing.any():
+            i = int(np.argmax(failing))
+            self.first_failure = f"trial {start + i}: " + "; ".join(
+                describe(i) for mask, describe in checks if mask[i])
+
+    def report(self, **fields) -> VerificationReport:
+        """The report; raised in VerificationFailure if any trial failed."""
+        report = VerificationReport(**fields, trials=self.trials, failures=self.failures,
+                                    redraws=self.redraws)
+        if self.failures:
+            raise VerificationFailure(self.first_failure, report)
+        return report
+
+
+def _solve_m1k3(tol: float):
+    def solve(f, g, H):
+        nu, beta, _, _, degenerate = solve_precoder_batch(g, H[..., 0], tol)
+        return (nu, beta), degenerate
+    return solve
+
+
+def _check_ue(k: int, E: np.ndarray, syms: np.ndarray, checks: list):
+    """User k's checks on stacked 8 x 16 matrices E; appends its problems
+    to ``checks`` and returns per trial its ranks, its (ZF, alignment)
+    residuals, its decode error and its full singular values."""
+    des, intf = _DESIRED[k - 1], _INTERFERENCE[k - 1]
+    svd = np.linalg.svd
+    d_rank, _ = _rank_gap(svd(E[..., des], compute_uv=False), RANK_REL_TOL)
+    i_rank, i_gap = _rank_gap(svd(E[..., intf], compute_uv=False), RANK_REL_TOL)
+    s_total = svd(E, compute_uv=False)
+    t_rank, _ = _rank_gap(s_total, RANK_REL_TOL)
+
+    peak = np.abs(E).max(axis=(-2, -1))
+    zf_res = np.abs(E[..., _ZERO_FORCED[k - 1]]).max(axis=(-2, -1)) / peak
+    align_res = np.zeros(len(E))
+    for cols in _ALIGNED[k - 1]:
+        sv = svd(E[..., cols], compute_uv=False)
+        align_res = np.fmax(align_res, sv[:, 1] / sv[:, 0])
+
+    basis = svd(E[..., intf])[0][..., :3]
+    A = _project_out(basis, E[..., des])
+    b = _project_out(basis, E @ syms[..., None])[..., 0]
+    sol = np.stack([np.linalg.lstsq(A[i], b[i], rcond=None)[0] for i in range(len(E))])
+    truth = syms[:, des]
+    err = np.abs(sol - truth).max(axis=-1) / np.abs(truth).max(axis=-1)
+
+    checks += [
+        ((d_rank != 5) | (i_rank != 3) | (t_rank != 8),
+         lambda i: f"ue{k} ranks ({d_rank[i]},{i_rank[i]},{t_rank[i]}) != (5,3,8)"),
+        (i_gap < MIN_SV_GAP,
+         lambda i: f"ue{k} interference sv gap {i_gap[i]:.3e} < {MIN_SV_GAP:.0e}"),
+        (zf_res > ZF_RESIDUAL_MAX, lambda i: f"ue{k} ZF residual {zf_res[i]:.3e}"),
+        (align_res > ALIGNMENT_RESIDUAL_MAX,
+         lambda i: f"ue{k} alignment residual {align_res[i]:.3e}"),
+        (err > DECODE_ERROR_MAX, lambda i: f"ue{k} decode error {err[i]:.3e}"),
+    ]
+    return (np.stack([d_rank, i_rank, t_rank], axis=-1), np.stack([zf_res, align_res], axis=-1),
+            err, s_total)
+
+
+def _check_rn(rn: np.ndarray, syms: np.ndarray, checks: list):
+    """The relay's checks on stacked 8 x 13 matrices, returning what
+    _check_ue returns (zero residuals, post-cancellation spectrum)."""
+    cancelled = rn[..., _RN_UNKNOWN]
+    s_rn = np.linalg.svd(cancelled, compute_uv=False)
+    rn_rank, _ = _rank_gap(s_rn, RANK_REL_TOL)
+    heard = syms[:, _DENB]
+    y = (rn @ heard[..., None] - rn[..., _RN_KNOWN] @ heard[:, _RN_KNOWN, None])[..., 0]
+    truth = syms[:, _COL[SymbolId(4, 5)]]
+    err = np.array([
+        float(abs(np.linalg.lstsq(cancelled[i], y[i], rcond=None)[0][_ETA45] - truth[i])
+              / abs(truth[i]))
+        for i in range(len(rn))
+    ])
+    checks += [
+        (rn_rank != 4, lambda i: f"rn post-cancellation rank {rn_rank[i]} != 4"),
+        (err > DECODE_ERROR_MAX, lambda i: f"rn decode error {err[i]:.3e}"),
+    ]
+    ranks = np.stack([rn_rank, np.zeros_like(rn_rank), rn_rank], axis=-1)
+    return ranks, np.zeros((len(rn), 2)), err, s_rn
 
 
 def verify_m1k3(seed, trials: int, tol: float = 1e-9) -> VerificationReport:
@@ -174,132 +337,44 @@ def verify_m1k3(seed, trials: int, tol: float = 1e-9) -> VerificationReport:
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    layout = symbol_layout()
-    zf = zf_assignment()
-    graph = alignment_graph()
-    col = {s: n for n, s in enumerate(TRANSMITTED_SYMBOLS)}
-    desired_cols = {
-        k: [col[SymbolId(k, j)] for j in range(1, 6)] for k in (1, 2, 3)
-    }
-    rn_unknowns = uncached_unknowns()
-    eta45_pos = rn_unknowns.index(SymbolId(4, 5))
-
-    failures = 0
-    redraws = 0
-    first_failure: str | None = None
+    check_tol(tol)
+    run = _TrialRun(seed, trials, (T_SLOTS, 1, 3), _solve_m1k3(tol), (len(TRANSMITTED_SYMBOLS),))
+    worst = np.zeros((4, 3), dtype=int)  # ue1..ue3, rn1
+    residuals = np.zeros((4, 2))
     decode_max = 0.0
-    zf_max = {k: 0.0 for k in (1, 2, 3)}
-    align_max = {k: 0.0 for k in (1, 2, 3)}
-    first_ranks: dict = {}
-    first_svs: dict = {}
-
-    for trial in range(trials):
-        ch, plan, attempts = _solve_m1k3_with_redraws(seed, trial, tol)
-        redraws += attempts
-        sym_rng = np.random.default_rng(_key(seed, trial, attempts, 1))
-        syms = _cn_vector(sym_rng, len(TRANSMITTED_SYMBOLS))
-        problems: list[str] = []
-
-        for k in (1, 2, 3):
-            E = effective_channel_matrix(plan, ch, f"ue{k}")
-            des = desired_cols[k]
-            intf = [n for n in range(E.shape[1]) if n not in des]
-            d_rank, _ = rank_with_gap(E[:, des], RANK_REL_TOL)
-            i_rank, i_gap = rank_with_gap(E[:, intf], RANK_REL_TOL)
-            t_rank, _ = rank_with_gap(E, RANK_REL_TOL)
-            if (d_rank, i_rank, t_rank) != (5, 3, 8):
-                problems.append(f"ue{k} ranks ({d_rank},{i_rank},{t_rank}) != (5,3,8)")
-            if i_gap < MIN_SV_GAP:
-                problems.append(f"ue{k} interference sv gap {i_gap:.3e} < {MIN_SV_GAP:.0e}")
-
-            peak = np.abs(E).max()
-            zf_res = float(max(np.abs(E[:, col[s]]).max() for s in zf.at_ue(k)) / peak)
-            zf_max[k] = max(zf_max[k], zf_res)
-            if zf_res > ZF_RESIDUAL_MAX:
-                problems.append(f"ue{k} ZF residual {zf_res:.3e}")
-
-            align_res = 0.0
-            for group in graph.groups_at_ue(k):
-                sv = np.linalg.svd(E[:, [col[s] for s in group]], compute_uv=False)
-                align_res = max(align_res, float(sv[1] / sv[0]))
-            align_max[k] = max(align_max[k], align_res)
-            if align_res > ALIGNMENT_RESIDUAL_MAX:
-                problems.append(f"ue{k} alignment residual {align_res:.3e}")
-
-            basis = _interference_basis(E[:, intf], 3)
-            sol, *_ = np.linalg.lstsq(
-                _project_out(basis, E[:, des]), _project_out(basis, E @ syms), rcond=None
-            )
-            err = float(np.abs(sol - syms[des]).max() / np.abs(syms[des]).max())
-            decode_max = max(decode_max, err)
-            if err > DECODE_ERROR_MAX:
-                problems.append(f"ue{k} decode error {err:.3e}")
-
-            if trial == 0:
-                first_ranks[f"ue{k}"] = (d_rank, i_rank, t_rank)
-                first_svs[f"ue{k}"] = tuple(
-                    float(x) for x in np.linalg.svd(E, compute_uv=False)
-                )
-
-        rn_full = effective_channel_matrix(plan, ch, "rn")
-        cancelled = rn_cache_cancel(rn_full, layout)
-        rn_rank, _ = rank_with_gap(cancelled, RANK_REL_TOL)
-        if rn_rank != 4:
-            problems.append(f"rn post-cancellation rank {rn_rank} != 4")
-        denb_syms = syms[[col[s] for s in DENB_SYMBOLS]]
-        known = [n for n, s in enumerate(DENB_SYMBOLS) if s in layout.rn_cached]
-        y = rn_full @ denb_syms - rn_full[:, known] @ denb_syms[known]
-        sol, *_ = np.linalg.lstsq(cancelled, y, rcond=None)
-        truth = syms[col[SymbolId(4, 5)]]
-        err = float(abs(sol[eta45_pos] - truth) / abs(truth))
-        decode_max = max(decode_max, err)
-        if err > DECODE_ERROR_MAX:
-            problems.append(f"rn decode error {err:.3e}")
-        if trial == 0:
-            first_ranks["rn"] = (rn_rank, 0, rn_rank)
-            first_svs["rn"] = tuple(float(x) for x in np.linalg.svd(cancelled, compute_uv=False))
-
-        if problems:
-            failures += 1
-            if first_failure is None:
-                first_failure = f"trial {trial}: " + "; ".join(problems)
-
-    ue_reports = tuple(
-        SubspaceReport(
-            receiver=f"ue{k}",
-            desired_rank=first_ranks[f"ue{k}"][0],
-            interference_rank=first_ranks[f"ue{k}"][1],
-            total_rank=first_ranks[f"ue{k}"][2],
-            zf_residual=zf_max[k],
-            alignment_residual=align_max[k],
-            singular_values=first_svs[f"ue{k}"],
+    spectra = [()] * 4
+    for start, (f, g, H), (nu, beta), syms in run.blocks():
+        receive = lambda r: effective_channel_batch(nu, beta, f, g, H[..., 0], r)
+        checks: list = []
+        ranks, res, errs, svs = zip(
+            *[_check_ue(k, receive(f"ue{k}"), syms, checks) for k in (1, 2, 3)],
+            _check_rn(receive("rn"), syms, checks),
         )
-        for k in (1, 2, 3)
-    )
-    rn_report = SubspaceReport(
-        receiver="rn1",
-        desired_rank=first_ranks["rn"][0],
-        interference_rank=first_ranks["rn"][1],
-        total_rank=first_ranks["rn"][2],
-        zf_residual=0.0,
-        alignment_residual=0.0,
-        singular_values=first_svs["rn"],
-    )
-    report = VerificationReport(
-        ue_reports=ue_reports,
-        rn_reports=(rn_report,),
+        run.check(start, checks)
+        ranks = np.stack(ranks, axis=1)
+        if start:
+            ranks = np.concatenate([worst[None], ranks])
+        # lowest desired and total rank, highest interference rank
+        worst = np.stack([ranks[..., 0].min(0), ranks[..., 1].max(0), ranks[..., 2].min(0)], -1)
+        residuals = np.fmax(residuals, np.fmax.reduce(res, axis=1))
+        decode_max = max(decode_max, float(np.fmax.reduce(np.concatenate(errs))))
+        if start == 0:
+            spectra = [tuple(float(x) for x in s[0]) for s in svs]
+
+    reports = [
+        SubspaceReport(name, *(int(r) for r in worst[n]), float(residuals[n, 0]),
+                       float(residuals[n, 1]), spectra[n])
+        for n, name in enumerate(("ue1", "ue2", "ue3", "rn1"))
+    ]
+    return run.report(
+        ue_reports=tuple(reports[:3]),
+        rn_reports=(reports[3],),
         decode_max_error=decode_max,
         ndt=Fraction(8, 5),
         per_ue_dof=Fraction(5, 8),
         rn_dof=Fraction(1, 8),
         sum_dof=Fraction(2),
-        trials=trials,
-        failures=failures,
-        redraws=redraws,
     )
-    if failures:
-        raise VerificationFailure(first_failure or "verification failed", report)
-    return report
 
 
 def _verify_unicast(seed, trials: int, cfg: NetworkConfig) -> VerificationReport:
@@ -335,77 +410,52 @@ def _verify_unicast(seed, trials: int, cfg: NetworkConfig) -> VerificationReport
 
 
 def _verify_miso(seed, trials: int, cfg: NetworkConfig, tol: float):
-    n_groups = -(-cfg.K // (cfg.M + 1))
-    failures = 0
-    redraws = 0
-    first_failure: str | None = None
+    groups = user_groups(cfg.M, cfg.K)
+
+    def solve(f, g, H):
+        beamformers, svs, cross, degenerate = miso_zf_batch(g, H, tol)
+        return (*beamformers, *svs, cross), degenerate
+
+    # groups hold users 1..K in order: symbol column k - 1 belongs to user k
+    run = _TrialRun(seed, trials, (len(groups), cfg.M, cfg.K), solve, tuple(map(len, groups)))
     decode_max = 0.0
-    residual_by_ue = {k: 0.0 for k in range(1, cfg.K + 1)}
-    first_svs: dict[int, tuple[float, ...]] = {}
+    residual_by_ue = np.zeros(cfg.K)
+    spectra: list[tuple[float, ...]] = [()] * cfg.K
+    for start, (_, g, H), solution, syms in run.blocks():
+        cross = solution[-1]
+        nulling = np.fmax.reduce(cross, axis=-1)
+        residual_by_ue = np.fmax(residual_by_ue, np.fmax.reduce(cross))
+        checks: list = [
+            (nulling > ZF_RESIDUAL_MAX, lambda i: f"nulling residual {nulling[i]:.3e}")
+        ]
+        for t, (group, W) in enumerate(zip(groups, solution)):
+            cols = [k - 1 for k in group]
+            rows = user_rows(g[:, t], H[:, t], group)
+            direct = np.diagonal(rows @ W, axis1=-2, axis2=-1)
+            s = syms[:, cols]
+            err = (np.abs((rows @ (W @ s[..., None]))[..., 0] / direct - s).max(axis=-1)
+                   / np.abs(s).max(axis=-1))
+            decode_max = max(decode_max, float(np.fmax.reduce(err)))
+            checks.append((err > DECODE_ERROR_MAX, lambda i, group=group, err=err:
+                           f"group {group} decode error {err[i]:.3e}"))
+            if start == 0:
+                for k in cols:
+                    spectra[k] = tuple(float(x) for x in solution[len(groups) + t][0])
+        run.check(start, checks)
 
-    for trial in range(trials):
-        plan = None
-        for attempt in range(_MAX_REDRAWS + 1):
-            ch = draw_channels(_key(seed, trial, attempt), n_groups, cfg.M, cfg.K)
-            try:
-                plan = miso_zf_plan(ch, cfg, tol)
-                break
-            except DegenerateChannel:
-                redraws += 1
-        if plan is None:
-            raise VerificationFailure(
-                f"trial {trial}: {_MAX_REDRAWS} consecutive degenerate channel draws"
-            )
-        sym_rng = np.random.default_rng(_key(seed, trial, attempt, 1))
-        problems: list[str] = []
-        if plan.nulling_residual > ZF_RESIDUAL_MAX:
-            problems.append(f"nulling residual {plan.nulling_residual:.3e}")
-        for t, (group, W) in enumerate(zip(plan.groups, plan.beamformers)):
-            rows = np.stack(
-                [np.concatenate(([ch.g[t, k - 1]], ch.H[t, k - 1, :])) for k in group]
-            )
-            gains = rows @ W
-            syms = _cn_vector(sym_rng, len(group))
-            y = rows @ (W @ syms)
-            est = y / np.diag(gains)
-            err = float(np.abs(est - syms).max() / np.abs(syms).max())
-            decode_max = max(decode_max, err)
-            if err > DECODE_ERROR_MAX:
-                problems.append(f"group {group} decode error {err:.3e}")
-            off = gains - np.diag(np.diag(gains))
-            scale = float(np.abs(np.diag(gains)).min())
-            for i, k in enumerate(group):
-                res = float(np.abs(off[i]).max() / scale)
-                residual_by_ue[k] = max(residual_by_ue[k], res)
-                if trial == 0:
-                    first_svs[k] = tuple(
-                        float(x) for x in np.linalg.svd(rows, compute_uv=False)
-                    )
-        if problems:
-            failures += 1
-            if first_failure is None:
-                first_failure = f"trial {trial}: " + "; ".join(problems)
-
-    ue_reports = tuple(
-        SubspaceReport(f"ue{k}", 1, 0, 1, residual_by_ue[k], 0.0, first_svs[k])
-        for k in range(1, cfg.K + 1)
-    )
     served = min(cfg.M + 1, cfg.K)
-    report = VerificationReport(
-        ue_reports=ue_reports,
+    return run.report(
+        ue_reports=tuple(
+            SubspaceReport(f"ue{k + 1}", 1, 0, 1, float(residual_by_ue[k]), 0.0, spectra[k])
+            for k in range(cfg.K)
+        ),
         rn_reports=(),
         decode_max_error=decode_max,
         ndt=max(Fraction(cfg.K, cfg.M + 1), Fraction(1)),
         per_ue_dof=Fraction(served, cfg.K),
         rn_dof=Fraction(0),
         sum_dof=Fraction(served),
-        trials=trials,
-        failures=failures,
-        redraws=redraws,
     )
-    if failures:
-        raise VerificationFailure(first_failure or "verification failed", report)
-    return report
 
 
 def verify_corner(seed, trials: int, cfg: NetworkConfig, tol: float = 1e-9) -> VerificationReport:
@@ -414,6 +464,7 @@ def verify_corner(seed, trials: int, cfg: NetworkConfig, tol: float = 1e-9) -> V
     max{K/(M+1), 1}, cross-user gains must vanish to tolerance)."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    check_tol(tol)
     if cfg.mu == 0:
         return _verify_unicast(seed, trials, cfg)
     if cfg.mu == 1:
@@ -429,11 +480,13 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
     P; the relay's is the scalar-channel rate of eta_{4,5} after cache
     cancellation and projection. Rates are averaged over ``trials``
     draws and, per receiver, a least-squares slope of rate versus
-    log2(P) is fitted across all SNR points. Requires at least 3 SNR
-    points spanning at least 20 dB.
+    log2(P) is fitted across all SNR points. Requires at least 3 finite
+    SNR points spanning at least 20 dB.
     """
     if len(snr_db_list) < 3:
         raise ValueError("need at least 3 SNR points")
+    if not all(math.isfinite(x) for x in snr_db_list):
+        raise ValueError(f"SNR points must be finite, got {list(snr_db_list)}")
     if max(snr_db_list) - min(snr_db_list) < 20:
         raise ValueError("SNR points must span at least 20 dB")
     if trials < 1:
@@ -442,35 +495,35 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
     snrs = [float(x) for x in snr_db_list]
     powers = [10.0 ** (x / 10.0) for x in snrs]
     receivers = ["ue1", "ue2", "ue3", "rn"]
-    totals = {r: np.zeros(len(snrs)) for r in receivers}
-    layout = symbol_layout()
-    col = {s: n for n, s in enumerate(TRANSMITTED_SYMBOLS)}
-    eta45_pos = uncached_unknowns().index(SymbolId(4, 5))
+    totals = np.zeros((len(receivers), len(snrs)))
+    others = [n for n in range(len(_RN_UNKNOWN)) if n != _ETA45]
 
-    for trial in range(trials):
-        ch, plan, _ = _solve_m1k3_with_redraws(seed, trial, 1e-9)
+    run = _TrialRun(seed, trials, (T_SLOTS, 1, 3), _solve_m1k3(1e-9))
+    for _, (f, g, H), (nu, beta), _ in run.blocks():
+        rates = np.empty((len(nu), len(receivers), len(snrs)))
         for k in (1, 2, 3):
-            E = effective_channel_matrix(plan, ch, f"ue{k}")
-            des = [col[SymbolId(k, j)] for j in range(1, 6)]
-            intf = [n for n in range(E.shape[1]) if n not in des]
-            u, _, _ = np.linalg.svd(E[:, intf])
-            geff = u[:, 3:].conj().T @ E[:, des]
-            gram = geff @ geff.conj().T
+            E = effective_channel_batch(nu, beta, f, g, H[..., 0], f"ue{k}")
+            u = np.linalg.svd(E[..., _INTERFERENCE[k - 1]])[0]
+            geff = u[..., 3:].conj().swapaxes(-1, -2) @ E[..., _DESIRED[k - 1]]
+            gram = geff @ geff.conj().swapaxes(-1, -2)
             for i, p in enumerate(powers):
                 _, logdet = np.linalg.slogdet(np.eye(5) + p * gram)
-                totals[f"ue{k}"][i] += logdet / math.log(2) / T_SLOTS
-        cancelled = rn_cache_cancel(effective_channel_matrix(plan, ch, "rn"), layout)
-        others = [n for n in range(4) if n != eta45_pos]
-        u, _, _ = np.linalg.svd(cancelled[:, others])
-        geff = u[:, 3:].conj().T @ cancelled[:, eta45_pos]
-        gain = float(np.real(geff.conj() @ geff))
-        for i, p in enumerate(powers):
-            totals["rn"][i] += math.log2(1.0 + p * gain) / T_SLOTS
+                rates[:, k - 1, i] = logdet / math.log(2) / T_SLOTS
+        cancelled = effective_channel_batch(nu, beta, f, g, H[..., 0], "rn")[..., _RN_UNKNOWN]
+        u = np.linalg.svd(cancelled[..., others])[0]
+        geff = u[..., 3:].conj().swapaxes(-1, -2) @ cancelled[..., _ETA45, None]
+        gains = np.real(geff.conj().swapaxes(-1, -2) @ geff)[:, 0, 0]
+        for j, gain in enumerate(gains.tolist()):
+            rates[j, 3] = [math.log2(1.0 + p * gain) / T_SLOTS for p in powers]
+        # sequential over trials, as np.sum's pairwise order would change the bits
+        totals = np.add.accumulate(np.concatenate([totals[None], rates]), axis=0)[-1]
+    if run.first_failure:
+        raise VerificationFailure(run.first_failure)
 
     x = np.array([math.log2(p) for p in powers])
     estimates = []
-    for r in receivers:
-        y = totals[r] / trials
+    for r, total in zip(receivers, totals):
+        y = total / trials
         slope = float(np.sum((x - x.mean()) * (y - y.mean())) / np.sum((x - x.mean()) ** 2))
         for i, snr in enumerate(snrs):
             estimates.append(RateEstimate(r, snr, float(y[i]), slope))

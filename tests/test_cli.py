@@ -229,3 +229,44 @@ class TestEntryPoint:
     def test_usage_error_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "tradeoff", "--m", "0", "--k", "1")
         assert code == EXIT_USAGE
+
+
+class TestInputHardening:
+    @pytest.mark.parametrize("args", [
+        ["verify-m1k3", "--tol", "nan"],
+        ["verify-m1k3", "--tol", "inf"],
+        ["verify-m1k3", "--tol", "0"],
+        ["verify-m1k3", "--tol", "1"],
+        ["verify-corner", "--m", "1", "--k", "2", "--mu", "1", "--tol", "-1e-9"],
+        ["rates", "--snr-db", "nan,50,60"],
+        ["rates", "--snr-db", "40,inf,60"],
+        ["tradeoff", "--n", "2", "--m", "1", "--k", "3"],
+        ["bounds", "--n", "3", "--m", "1", "--k", "3"],
+        ["verify-corner", "--n", "2", "--m", "1", "--k", "3", "--mu", "0"],
+    ])
+    def test_rejected_with_one_json_error_line(self, capsys, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == EXIT_USAGE
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "usage"
+
+    def test_json_output_refuses_non_finite_numbers(self, tmp_path):
+        with pytest.raises(ValueError):
+            emit({"meta": {}, "data": [{"rate": float("nan")}]}, "json",
+                 tmp_path / "out.json", ["rate"])
+
+
+class TestRedrawExhaustion:
+    def test_report_still_emitted(self, capsys):
+        code, out, err = run_cli(capsys, "verify-corner", "--m", "1", "--k", "2",
+                                 "--mu", "1", "--tol", "0.999", "--trials", "3")
+        assert code == EXIT_VERIFICATION
+        overall = json.loads(out)["data"][0]
+        assert (overall["trials"], overall["failures"], overall["redraws"]) == (1, 1, 8)
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "verification-failure",
+            "detail": "trial 0: 9 consecutive degenerate channel draws",
+        }

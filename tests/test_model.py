@@ -7,6 +7,7 @@ from ndtcache.model import (
     ChannelSet,
     NetworkConfig,
     as_rational,
+    check_tol,
     mod_bar,
     worst_case_demand,
 )
@@ -129,3 +130,14 @@ class TestChannelSet:
         ones = np.ones((2, 1), dtype=complex)
         with pytest.raises(ValueError):
             ChannelSet(T=2, f=ones, g=ones, H=np.ones((2, 2, 1), dtype=complex))
+
+
+class TestCheckTol:
+    @pytest.mark.parametrize("tol", [1e-300, 1e-9, 0.5, 0.999])
+    def test_accepts_open_unit_interval(self, tol):
+        check_tol(tol)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 2.0, float("nan"), float("inf")])
+    def test_rejects_the_rest(self, tol):
+        with pytest.raises(ValueError):
+            check_tol(tol)

@@ -247,3 +247,143 @@ class TestVerificationFailure:
         assert report is not None
         assert report.failures == 3
         assert "trial 0" in str(exc_info.value)
+
+
+class TestRedrawExhaustion:
+    def test_m1k3_partial_report(self):
+        # at tol 8e-2 trial 48 of seed 0 is degenerate on all nine draws
+        with pytest.raises(VerificationFailure) as exc_info:
+            verify_m1k3(seed=0, trials=60, tol=8e-2)
+        assert str(exc_info.value) == "trial 48: 9 consecutive degenerate channel draws"
+        report = exc_info.value.report
+        assert report.trials == 49
+        assert report.failures == 1
+        assert report.redraws >= 8
+        assert all(sub.total_rank == 8 for sub in report.ue_reports)
+
+    def test_miso_exhausted_at_first_trial(self):
+        cfg = NetworkConfig(M=1, K=2, N=3, mu=1)
+        with pytest.raises(VerificationFailure) as exc_info:
+            verify_corner(0, 3, cfg, tol=0.999)
+        assert "trial 0: 9 consecutive" in str(exc_info.value)
+        report = exc_info.value.report
+        assert (report.trials, report.failures, report.redraws) == (1, 1, 8)
+        assert all(sub.singular_values == () for sub in report.ue_reports)
+
+    def test_rates_exhaustion_is_a_verification_failure(self, monkeypatch):
+        import ndtcache.verify as V
+
+        solve = V._solve_m1k3  # rates fix tol at 1e-9; make every draw degenerate
+        monkeypatch.setattr(V, "_solve_m1k3", lambda tol: solve(0.9))
+        with pytest.raises(VerificationFailure, match="9 consecutive"):
+            finite_snr_rates(0, [40.0, 50.0, 60.0], trials=2)
+
+
+class TestReportFields:
+    def test_ranks_are_worst_over_all_trials(self, monkeypatch):
+        import ndtcache.verify as V
+
+        # a coarse rank cut misjudges a few trials' total rank
+        monkeypatch.setattr(V, "RANK_REL_TOL", 1e-3)
+        with pytest.raises(VerificationFailure) as exc_info:
+            verify_m1k3(seed=4, trials=300)
+        assert "ranks (5,3,7)" in str(exc_info.value)
+        assert min(sub.total_rank for sub in exc_info.value.report.ue_reports) == 7
+        assert verify_m1k3(seed=4, trials=1).ue_reports[0].total_rank == 8
+
+    def test_singular_values_are_trial_zero_spectra(self):
+        from ndtcache.scheme_m1k3 import (
+            T_SLOTS,
+            effective_channel_matrix,
+            rn_cache_cancel,
+            solve_precoders,
+            symbol_layout,
+        )
+
+        report = verify_m1k3(seed=3, trials=4)
+        ch = draw_channels((3, 0, 0), T_SLOTS, 1, 3)
+        plan = solve_precoders(ch)
+        for k, sub in enumerate(report.ue_reports, start=1):
+            E = effective_channel_matrix(plan, ch, f"ue{k}")
+            assert sub.singular_values == tuple(np.linalg.svd(E, compute_uv=False))
+        cancelled = rn_cache_cancel(effective_channel_matrix(plan, ch, "rn"), symbol_layout())
+        (rn,) = report.rn_reports
+        assert rn.singular_values == tuple(np.linalg.svd(cancelled, compute_uv=False))
+
+
+class TestToleranceGuards:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9, 1.0])
+    def test_library_entry_points_reject_bad_tol(self, tol):
+        from ndtcache.corner import miso_zf_plan
+        from ndtcache.scheme_m1k3 import T_SLOTS, solve_precoders
+
+        with pytest.raises(ValueError):
+            verify_m1k3(0, 2, tol)
+        with pytest.raises(ValueError):
+            verify_corner(0, 2, NetworkConfig(M=1, K=2, N=3, mu=1), tol)
+        with pytest.raises(ValueError):
+            solve_precoders(draw_channels(0, T_SLOTS, 1, 3), tol)
+        with pytest.raises(ValueError):
+            miso_zf_plan(draw_channels(0, 1, 1, 2), NetworkConfig(M=1, K=2, N=3, mu=1), tol)
+        with pytest.raises(ValueError):
+            rank_with_gap(np.eye(3), tol)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rates_reject_non_finite_snr(self, bad):
+        with pytest.raises(ValueError):
+            finite_snr_rates(0, [bad, 50.0, 60.0], trials=2)
+
+
+class TestStackedKernels:
+    def test_stacked_rank_with_gap_matches_single_calls(self):
+        rng = np.random.default_rng(8)
+        stack = rng.standard_normal((6, 5, 4)) @ rng.standard_normal((6, 4, 7))
+        stack[2] = 0.0
+        ranks, gaps = rank_with_gap(stack, 1e-9)
+        assert [rank_with_gap(m, 1e-9) for m in stack] == list(zip(ranks, gaps))
+
+    def test_precoder_and_receive_kernels_match_wrappers_bitwise(self):
+        from ndtcache.scheme_m1k3 import (
+            T_SLOTS,
+            effective_channel_batch,
+            effective_channel_matrix,
+            solve_precoder_batch,
+            solve_precoders,
+        )
+
+        chans = [draw_channels((21, i), T_SLOTS, 1, 3) for i in range(5)]
+        f, g, H = (np.stack([getattr(ch, a) for ch in chans]) for a in ("f", "g", "H"))
+        nu, beta, scale, slot_scale, degenerate = solve_precoder_batch(g, H[..., 0])
+        assert not degenerate.any()
+        receive = lambda r: effective_channel_batch(nu, beta, f, g, H[..., 0], r)
+        for i, ch in enumerate(chans):
+            plan = solve_precoders(ch)
+            np.testing.assert_array_equal(plan.nu, nu[i])
+            np.testing.assert_array_equal(plan.beta, beta[i])
+            np.testing.assert_array_equal(plan.scale, scale[i])
+            np.testing.assert_array_equal(plan.slot_scale, slot_scale[i])
+            for r in ("ue1", "ue2", "ue3", "rn"):
+                np.testing.assert_array_equal(effective_channel_matrix(plan, ch, r), receive(r)[i])
+
+    def test_miso_kernel_matches_wrapper_bitwise(self):
+        from ndtcache.corner import miso_zf_batch, miso_zf_plan, user_groups
+
+        cfg = NetworkConfig(M=2, K=5, N=7, mu=1)
+        chans = [draw_channels((22, i), len(user_groups(2, 5)), 2, 5) for i in range(4)]
+        g, H = np.stack([ch.g for ch in chans]), np.stack([ch.H for ch in chans])
+        beamformers, _, cross, degenerate = miso_zf_batch(g, H)
+        assert not degenerate.any()
+        assert cross.shape == (4, 5)
+        for i, ch in enumerate(chans):
+            plan = miso_zf_plan(ch, cfg)
+            assert plan.nulling_residual == cross[i].max()
+            for W, stacked in zip(plan.beamformers, beamformers):
+                np.testing.assert_array_equal(W, stacked[i])
+
+    def test_degenerate_mask_flags_only_the_bad_draw(self):
+        from ndtcache.scheme_m1k3 import solve_precoder_batch
+
+        g = np.ones((2, 8, 3), complex)
+        h = np.tile(np.array([1.0, 2.0, 3.0], complex), (2, 8, 1))
+        h[1, 3] = [1.0, 2.0, 2.0]  # g2*h3 = g3*h2 in one slot of draw 1
+        assert solve_precoder_batch(g, h)[-1].tolist() == [False, True]
