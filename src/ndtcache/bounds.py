@@ -7,14 +7,25 @@ point enters any comparison.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .model import NetworkConfig, Rational
 
-# (M, K) pairs whose full tradeoff curve has a proven closed form.
-CHARACTERIZED = frozenset({(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)})
+# Closed-form optimal-NDT branches a + b*mu for every (M, K) whose full
+# tradeoff curve is proven, written down directly (not derived from the
+# bound enumeration). The constant 1 joins them in _optimal_lines.
+_OPTIMAL_BRANCHES: dict[tuple[int, int], tuple[tuple[Rational, Rational], ...]] = {
+    (1, 1): ((Fraction(2), Fraction(-1)),),
+    (1, 2): ((Fraction(3), Fraction(-2)),),
+    (1, 3): ((Fraction(4), Fraction(-3)), (Fraction(2), Fraction(-1, 2))),
+    (2, 1): ((Fraction(3), Fraction(-4)),),
+    (2, 2): ((Fraction(4), Fraction(-6)), (Fraction(2), Fraction(-3, 2)),
+             (Fraction(3, 2), Fraction(-1, 2))),
+}
+CHARACTERIZED = frozenset(_OPTIMAL_BRANCHES)
 
 
 class UncharacterizedConfigError(ValueError):
@@ -127,29 +138,38 @@ def lower_bound(cfg: NetworkConfig) -> Rational:
     return best
 
 
+def _lower_hull(points: Iterable[tuple[Rational, Rational]]) -> list[tuple[Rational, Rational]]:
+    """Vertices of the lower convex hull of exact (x, y) points, by
+    increasing x (Andrew's monotone chain). Only the lowest y at each x
+    counts, and collinear vertices are dropped."""
+    hull: list[tuple[Rational, Rational]] = []
+    for x, y in sorted(points):
+        if hull and hull[-1][0] == x:
+            continue  # sorted: the first point at this x is the lowest
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) > 0:
+                break
+            hull.pop()
+        hull.append((x, y))
+    return hull
+
+
 def _upper_envelope(lines: list[tuple[Rational, Rational]]) -> NdtCurve:
     """Exact pointwise max of affine lines (a + b*mu) over mu in [0, 1],
-    reduced to its vertices (collinear interior points dropped)."""
-    candidates = {Fraction(0), Fraction(1)}
-    for (a1, b1), (a2, b2) in combinations(lines, 2):
-        if b1 != b2:
-            x = (a2 - a1) / (b1 - b2)
-            if 0 < x < 1:
-                candidates.add(x)
+    reduced to its vertices.
 
-    def value(x: Fraction) -> Fraction:
-        return max(a + b * x for a, b in lines)
-
-    pts = [(x, value(x)) for x in sorted(candidates)]
-    kept = [pts[0]]
-    for i in range(1, len(pts) - 1):
-        x0, y0 = kept[-1]
-        x1, y1 = pts[i]
-        x2, y2 = pts[i + 1]
-        if (y1 - y0) * (x2 - x1) != (y2 - y1) * (x1 - x0):
-            kept.append(pts[i])
-    kept.append(pts[-1])
-    return NdtCurve(tuple(kept))
+    By duality the lines on the envelope, in order of increasing slope,
+    are the lower hull of the points (b, -a); hull line i is on top
+    between cuts[i-1] and cuts[i], the slopes of the hull edges.
+    """
+    hull = _lower_hull((Fraction(b), -Fraction(a)) for a, b in lines)
+    cuts = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
+    breakpoints = []
+    for x in [Fraction(0), *(x for x in cuts if 0 < x < 1), Fraction(1)]:
+        b, y = hull[bisect_left(cuts, x)]  # the line on top at x
+        breakpoints.append((x, b * x - y))
+    return NdtCurve(tuple(breakpoints))
 
 
 def lower_bound_curve(M: int, K: int) -> NdtCurve:
@@ -161,27 +181,12 @@ def lower_bound_curve(M: int, K: int) -> NdtCurve:
 
 
 def _optimal_lines(M: int, K: int) -> list[tuple[Rational, Rational]]:
-    """Closed-form optimal-NDT branches for the characterized (M, K),
-    written down directly (not derived from the bound enumeration)."""
-    if (M, K) == (1, 1):
-        branches = [(Fraction(2), Fraction(-1))]
-    elif (M, K) == (1, 2):
-        branches = [(Fraction(3), Fraction(-2))]
-    elif (M, K) == (1, 3):
-        branches = [(Fraction(4), Fraction(-3)), (Fraction(2), Fraction(-1, 2))]
-    elif (M, K) == (2, 1):
-        branches = [(Fraction(3), Fraction(-4))]
-    elif (M, K) == (2, 2):
-        branches = [
-            (Fraction(4), Fraction(-6)),
-            (Fraction(2), Fraction(-3, 2)),
-            (Fraction(3, 2), Fraction(-1, 2)),
-        ]
-    else:
+    """Closed-form optimal-NDT branches for the characterized (M, K)."""
+    if (M, K) not in _OPTIMAL_BRANCHES:
         raise UncharacterizedConfigError(
             f"uncharacterized configuration (M={M}, K={K}): optimal NDT is an open problem"
         )
-    return branches + [(Fraction(1), Fraction(0))]
+    return [*_OPTIMAL_BRANCHES[M, K], (Fraction(1), Fraction(0))]
 
 
 def optimal_ndt(cfg: NetworkConfig) -> Rational:
@@ -237,21 +242,7 @@ def memory_sharing_envelope(points: list[AchievablePoint]) -> NdtCurve:
     obtainable by splitting files across the cataloged schemes; every
     input point lies on or above the returned curve.
     """
-    best: dict[Rational, Rational] = {}
-    for p in points:
-        mu = Fraction(p.mu)
-        if mu not in best or p.ndt < best[mu]:
-            best[mu] = Fraction(p.ndt)
-    if Fraction(0) not in best or Fraction(1) not in best:
+    pts = [(Fraction(p.mu), Fraction(p.ndt)) for p in points]
+    if not {0, 1} <= {mu for mu, _ in pts}:
         raise ValueError("memory sharing needs points at both mu = 0 and mu = 1")
-    pts = sorted(best.items())
-    hull: list[tuple[Rational, Rational]] = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            if (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return NdtCurve(tuple(hull))
+    return NdtCurve(tuple(_lower_hull(pts)))

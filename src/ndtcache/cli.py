@@ -291,60 +291,51 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, help_: str, mk: bool = True, mu: bool = True,
             monte_carlo: bool = False):
-        p = sub.add_parser(name, help=help_)
+        # An option left out is left out of the namespace too, so RunConfig
+        # supplies its default; only the output format varies per command.
+        p = sub.add_parser(name, help=help_, argument_default=argparse.SUPPRESS)
         if mk:
-            p.add_argument("--m", type=int, default=1, help="number of relays")
-            p.add_argument("--k", type=int, default=1, help="number of users")
-            p.add_argument("--n", type=int, default=None, help="library size (default M+K)")
+            p.add_argument("--m", type=int, help="number of relays")
+            p.add_argument("--k", type=int, help="number of users")
+            p.add_argument("--n", type=int, help="library size (default M+K)")
         if mu:
-            p.add_argument("--mu", type=str, default=None,
-                           help="fractional cache size, e.g. '4/5' or '0.8'")
+            p.add_argument("--mu", type=str, help="fractional cache size, e.g. '4/5' or '0.8'")
         if monte_carlo:
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--trials", type=int, default=100)
-            p.add_argument("--tol", type=float, default=1e-9)
+            p.add_argument("--seed", type=int)
+            p.add_argument("--trials", type=int)
+            p.add_argument("--tol", type=float)
         p.add_argument("--format", dest="output_format", choices=("csv", "json"),
                        default="json" if monte_carlo else "csv")
-        p.add_argument("--output", dest="output_path", type=Path, default=None,
+        p.add_argument("--output", dest="output_path", type=Path,
                        help="output file (default stdout)")
         return p
 
     add("bounds", "lower-bound curve breakpoints, or the bound at --mu")
     add("optimal", "closed-form optimal curve for the characterized (M, K)")
     add("tradeoff", "table of lower bound vs achievable envelope on a mu grid").add_argument(
-        "--grid", type=int, default=None, help="number of grid intervals (default 60)")
+        "--grid", type=int, help="number of grid intervals (default 60)")
     p = add("verify-m1k3", "Monte Carlo verification of the M=1, K=3 scheme",
             mk=False, mu=False, monte_carlo=True)
-    p.set_defaults(m=1, k=3, n=None)
+    p.set_defaults(m=1, k=3)
     add("verify-corner", "Monte Carlo verification of the mu=0 / mu=1 schemes",
         monte_carlo=True)
     p = add("rates", "finite-SNR rate and DoF-slope estimates for the M=1, K=3 scheme",
             mk=False, mu=False, monte_carlo=True)
-    p.set_defaults(m=1, k=3, n=None)
-    p.add_argument("--snr-db", type=str, default="40,50,60",
-                   help="comma-separated SNR points in dB")
+    p.set_defaults(m=1, k=3)
+    p.add_argument("--snr-db", type=str, help="comma-separated SNR points in dB")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    mu = as_rational(args.mu) if getattr(args, "mu", None) is not None else None
-    if mu is not None and not 0 <= mu <= 1:
-        raise UsageError(f"--mu must lie in [0, 1], got {mu}")
-    snr = tuple(float(x) for x in getattr(args, "snr_db", "40,50,60").split(","))
-    return RunConfig(
-        command=args.command,
-        m=getattr(args, "m", 1),
-        k=getattr(args, "k", 1),
-        n=getattr(args, "n", None),
-        mu=mu,
-        grid=getattr(args, "grid", None),
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 100),
-        tol=getattr(args, "tol", 1e-9),
-        output_format=args.output_format,
-        output_path=args.output_path,
-        snr_db=snr,
-    )
+    """RunConfig from the options the subcommand was given."""
+    opts = dict(vars(args))
+    if "mu" in opts:
+        opts["mu"] = as_rational(opts["mu"])
+        if not 0 <= opts["mu"] <= 1:
+            raise UsageError(f"--mu must lie in [0, 1], got {opts['mu']}")
+    if "snr_db" in opts:
+        opts["snr_db"] = tuple(float(x) for x in opts["snr_db"].split(","))
+    return RunConfig(**opts)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -26,6 +26,7 @@ from .corner import miso_zf_batch, unicast_schedule, user_groups, user_rows
 from .model import ChannelSet, NetworkConfig, Rational, check_tol
 from .scheme_m1k3 import (
     DENB_SYMBOLS,
+    SYMBOLS_PER_FILE,
     T_SLOTS,
     TRANSMITTED_SYMBOLS,
     SymbolId,
@@ -52,7 +53,8 @@ BLOCK_TRIALS = 64  # memory is one block's arrays; larger blocks were not faster
 # Column indices of the M = 1, K = 3 scheme, so the checks index arrays
 # instead of hashing SymbolIds. Row k - 1 belongs to user k.
 _COL = {s: n for n, s in enumerate(TRANSMITTED_SYMBOLS)}
-_DESIRED = np.array([[_COL[SymbolId(k, j)] for j in range(1, 6)] for k in (1, 2, 3)])
+_DESIRED = np.array([[_COL[SymbolId(k, j)] for j in range(1, SYMBOLS_PER_FILE + 1)]
+                     for k in (1, 2, 3)])
 _INTERFERENCE = np.array([[n for n in range(len(_COL)) if n not in des] for des in _DESIRED.tolist()])
 _ZERO_FORCED = np.array([[_COL[s] for s in zf_assignment().at_ue(k)] for k in (1, 2, 3)])
 _ALIGNED = [[np.array([_COL[s] for s in group]) for group in alignment_graph().groups_at_ue(k)]
@@ -370,10 +372,12 @@ def verify_m1k3(seed, trials: int, tol: float = 1e-9) -> VerificationReport:
         ue_reports=tuple(reports[:3]),
         rn_reports=(reports[3],),
         decode_max_error=decode_max,
-        ndt=Fraction(8, 5),
-        per_ue_dof=Fraction(5, 8),
-        rn_dof=Fraction(1, 8),
-        sum_dof=Fraction(2),
+        # each user decodes its desired columns, the relay eta_{4,5} alone,
+        # all in T_SLOTS slots; a file is SYMBOLS_PER_FILE symbols
+        ndt=Fraction(T_SLOTS, SYMBOLS_PER_FILE),
+        per_ue_dof=Fraction(_DESIRED.shape[1], T_SLOTS),
+        rn_dof=Fraction(1, T_SLOTS),
+        sum_dof=Fraction(_DESIRED.size + 1, T_SLOTS),
     )
 
 

@@ -34,6 +34,17 @@ def _cases() -> dict[str, list[str]]:
         "verify-corner", "--m", "3", "--k", "4", "--mu", "1",
         "--trials", "200", "--tol", "0.1", "--seed", SEED,
     ]
+    # Exact curves: the lower-bound and optimal envelopes and the
+    # memory-sharing hull, pinned byte for byte.
+    for m, k in ((1, 3), (2, 2), (10, 20)):
+        cases[f"tradeoff_m{m}_k{k}_grid60"] = [
+            "tradeoff", "--m", str(m), "--k", str(k), "--grid", "60", "--format", "json",
+        ]
+    for m, k in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
+        for command in ("bounds", "optimal"):
+            cases[f"{command}_m{m}_k{k}"] = [
+                command, "--m", str(m), "--k", str(k), "--format", "json",
+            ]
     return cases
 
 

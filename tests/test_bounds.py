@@ -2,12 +2,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndtcache.bounds import (
     CHARACTERIZED,
+    AchievablePoint,
     BoundComponentIndex,
     NdtCurve,
     UncharacterizedConfigError,
+    _upper_envelope,
     achievable_catalog,
     bound_component_indices,
     delta_lb_component,
@@ -37,6 +41,84 @@ def brute_force_bound(M, K, mu):
 
 
 GRID = [Fraction(i, 60) for i in range(61)]
+
+
+def pairwise_envelope(lines):
+    """Reference upper envelope of lines a + b*mu on [0, 1]: the value at
+    every pairwise intersection inside (0, 1) and at the ends, then the
+    collinear points dropped. Cubic in the number of lines."""
+    candidates = {Fraction(0), Fraction(1)}
+    for (a1, b1), (a2, b2) in combinations(lines, 2):
+        if b1 != b2:
+            x = Fraction(a2 - a1) / (b1 - b2)
+            if 0 < x < 1:
+                candidates.add(x)
+    pts = [(x, max(a + b * x for a, b in lines)) for x in sorted(candidates)]
+    kept = [pts[0]]
+    for i in range(1, len(pts) - 1):
+        x0, y0 = kept[-1]
+        x1, y1 = pts[i]
+        x2, y2 = pts[i + 1]
+        if (y1 - y0) * (x2 - x1) != (y2 - y1) * (x1 - x0):
+            kept.append(pts[i])
+    kept.append(pts[-1])
+    return NdtCurve(tuple(kept))
+
+
+def pairwise_sharing(points, mu):
+    """Reference memory-sharing value at mu: the best convex combination
+    over every pair of points whose mu values bracket it."""
+    best = None
+    for p, q in combinations(points, 2):
+        lo, hi = sorted((p, q), key=lambda r: r.mu)
+        if lo.mu <= mu <= hi.mu:
+            t = (mu - lo.mu) / (hi.mu - lo.mu) if hi.mu != lo.mu else Fraction(0)
+            val = lo.ndt + t * (hi.ndt - lo.ndt)
+            best = val if best is None else min(best, val)
+    return best
+
+
+def outcome(envelope, lines):
+    """Breakpoints of the envelope, or the ValueError it raised."""
+    try:
+        return envelope(lines).breakpoints
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_vertices_only(curve):
+    bps = curve.breakpoints
+    slopes = [(y2 - y1) / (x2 - x1) for (x1, y1), (x2, y2) in zip(bps, bps[1:])]
+    assert all(s1 < s2 for s1, s2 in zip(slopes, slopes[1:])), "collinear breakpoint"
+
+
+small = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4))
+
+
+@st.composite
+def line_sets(draw):
+    """A few lines a + b*mu, some sharing a slope and some meeting at one
+    point."""
+    lines = draw(st.lists(st.tuples(small, small), min_size=1, max_size=6))
+    for a, b in draw(st.lists(st.sampled_from(lines), max_size=3)):
+        lines.append((a + draw(st.integers(-2, 2)), b))
+    if draw(st.booleans()):
+        x0 = Fraction(draw(st.integers(0, 4)), 4)
+        y0 = draw(small)
+        lines += [(y0 - b * x0, b) for b in draw(st.lists(small, min_size=2, max_size=4))]
+    return draw(st.permutations(lines))
+
+
+@st.composite
+def point_sets(draw):
+    """Achievable points on a coarse mu grid, so mu values repeat, with
+    both ends present and the lowest NDT at mu = 1, as memory sharing of
+    real schemes gives."""
+    mus = st.builds(Fraction, st.integers(0, 6), st.just(6))
+    ndts = st.builds(Fraction, st.integers(3, 24), st.integers(1, 3))
+    pairs = draw(st.lists(st.tuples(mus, ndts), max_size=8)) + [(Fraction(0), draw(ndts))]
+    pairs.append((Fraction(1), min(ndt for _, ndt in pairs)))
+    return [AchievablePoint(mu, ndt, "random", False) for mu, ndt in draw(st.permutations(pairs))]
 
 
 class TestDeltaLbComponent:
@@ -137,6 +219,44 @@ class TestLowerBoundCurve:
                 if K >= 2:
                     branches += [Fraction(K + 1 - mu, 2), Fraction(K, 2)]
                 assert lower_bound_curve(1, K).evaluate(mu) == max(branches)
+
+
+class TestExactHull:
+    """The hull-based envelope against the cubic pairwise reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(line_sets())
+    def test_random_lines_match_pairwise_reference(self, lines):
+        assert outcome(_upper_envelope, lines) == outcome(pairwise_envelope, lines)
+
+    @settings(max_examples=300, deadline=None)
+    @given(line_sets())
+    def test_decreasing_lines_give_the_reference_curve(self, lines):
+        # non-increasing lines and the constant 1 always make a valid curve
+        lines = [(a, -abs(b)) for a, b in lines] + [(Fraction(1), Fraction(0))]
+        curve = _upper_envelope(lines)
+        assert curve.breakpoints == pairwise_envelope(lines).breakpoints
+        assert_vertices_only(curve)
+
+    @pytest.mark.parametrize(
+        "M,K", [(M, K) for M in range(1, 9) for K in range(1, 9)] + [(30, 60)]
+    )
+    def test_lower_bound_curve_is_the_pointwise_bound(self, M, K):
+        # a convex max that meets a segment at both ends and its midpoint
+        # equals it on the whole segment
+        curve = lower_bound_curve(M, K)
+        bps = curve.breakpoints
+        mids = [((x1 + x2) / 2, (y1 + y2) / 2) for (x1, y1), (x2, y2) in zip(bps, bps[1:])]
+        for mu, ndt in bps + tuple(mids):
+            assert lower_bound(cfg(M, K, mu)) == ndt
+        assert_vertices_only(curve)
+        if M <= 8:
+            lines = [(Fraction(1), Fraction(0))] + [
+                (delta_lb_component(cfg(M, K, 0), idx),
+                 delta_lb_component(cfg(M, K, 1), idx) - delta_lb_component(cfg(M, K, 0), idx))
+                for idx in bound_component_indices(M, K)
+            ]
+            assert bps == pairwise_envelope(lines).breakpoints
 
 
 class TestNdtCurve:
@@ -253,18 +373,19 @@ class TestMemorySharingEnvelope:
                     assert p.ndt >= env.evaluate(p.mu)
 
     def test_grid_oracle_matches_hull(self):
-        # oracle: best convex combination over every point pair on a grid
         points = achievable_catalog(1, 4)
         env = memory_sharing_envelope(points)
         for mu in GRID:
-            best = None
-            for p, q in combinations(points, 2):
-                lo, hi = sorted((p, q), key=lambda r: r.mu)
-                if lo.mu <= mu <= hi.mu:
-                    t = (mu - lo.mu) / (hi.mu - lo.mu) if hi.mu != lo.mu else Fraction(0)
-                    val = lo.ndt + t * (hi.ndt - lo.ndt)
-                    best = val if best is None else min(best, val)
-            assert env.evaluate(mu) == best
+            assert env.evaluate(mu) == pairwise_sharing(points, mu)
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_sets())
+    def test_random_points_match_pairwise_oracle(self, points):
+        env = memory_sharing_envelope(points)
+        mus = set(GRID[::5]) | {p.mu for p in points} | {x for x, _ in env.breakpoints}
+        for mu in mus:
+            assert env.evaluate(mu) == pairwise_sharing(points, mu)
+        assert_vertices_only(env)
 
 
 class TestDominance:
