@@ -228,10 +228,10 @@ def achievable_catalog(M: int, K: int) -> list[AchievablePoint]:
         points.append(AchievablePoint(Fraction(4, 9), Fraction(4, 3), "m2-catalog", True))
         points.append(AchievablePoint(Fraction(1, 2), Fraction(5, 4), "m2-catalog", True))
     points.sort(key=lambda p: p.mu)
-    curve = lower_bound_curve(M, K)
     for p in points:
         # achievability can never beat the converse
-        assert p.ndt >= curve.evaluate(p.mu), f"catalog point {p} below the lower bound"
+        assert p.ndt >= lower_bound(NetworkConfig(M, K, M + K, p.mu)), (
+            f"catalog point {p} below the lower bound")
     return points
 
 

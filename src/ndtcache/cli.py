@@ -52,7 +52,7 @@ class RunConfig:
     k: int = 1
     n: int | None = None
     mu: Rational | None = None
-    grid: int | None = None
+    grid: int = 60
     seed: int = 0
     trials: int = 100
     tol: float = 1e-9
@@ -63,11 +63,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.command not in COMMANDS:
             raise UsageError(f"unknown command {self.command!r}")
-        if self.mu is not None and self.grid is not None:
-            raise UsageError("--mu and --grid are mutually exclusive")
         if self.m < 1 or self.k < 1:
             raise UsageError("M and K must be positive")
-        if self.grid is not None and self.grid < 1:
+        if self.grid < 1:
             raise UsageError("--grid must be positive")
         if self.n is not None and self.n < self.m + self.k:
             raise UsageError(f"need N >= M + K, got N={self.n}, M+K={self.m + self.k}")
@@ -225,7 +223,7 @@ def run(cfg: RunConfig) -> int:
         elif cfg.command == "tradeoff":
             lb_curve = lower_bound_curve(cfg.m, cfg.k)
             envelope = memory_sharing_envelope(achievable_catalog(cfg.m, cfg.k))
-            mus = [cfg.mu] if cfg.mu is not None else _grid_values(cfg.grid or 60)
+            mus = [cfg.mu] if cfg.mu is not None else _grid_values(cfg.grid)
             rows = []
             for mu in mus:
                 lb = lb_curve.evaluate(mu)
@@ -313,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("bounds", "lower-bound curve breakpoints, or the bound at --mu")
     add("optimal", "closed-form optimal curve for the characterized (M, K)")
     add("tradeoff", "table of lower bound vs achievable envelope on a mu grid").add_argument(
-        "--grid", type=int, help="number of grid intervals (default 60)")
+        "--grid", type=int, help=f"number of grid intervals (default {RunConfig.grid})")
     p = add("verify-m1k3", "Monte Carlo verification of the M=1, K=3 scheme",
             mk=False, mu=False, monte_carlo=True)
     p.set_defaults(m=1, k=3)
@@ -333,6 +331,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         opts["mu"] = as_rational(opts["mu"])
         if not 0 <= opts["mu"] <= 1:
             raise UsageError(f"--mu must lie in [0, 1], got {opts['mu']}")
+        if "grid" in opts:
+            raise UsageError("--mu and --grid are mutually exclusive")
     if "snr_db" in opts:
         opts["snr_db"] = tuple(float(x) for x in opts["snr_db"].split(","))
     return RunConfig(**opts)

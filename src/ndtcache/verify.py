@@ -3,16 +3,19 @@
 Seeded Monte Carlo over i.i.d. complex Gaussian channels: solve the
 precoders, assemble effective receive matrices, check zero-forcing and
 alignment residuals plus subspace ranks, decode noiselessly, and account
-DoF/NDT. verify_m1k3, the mu = 1 branch of verify_corner and
-finite_snr_rates share one trial runner, ``_TrialRun``. Trial t draws its
-channels at attempt a from the key (seed, t, a) and its symbols from
-(seed, t, a, 1). Trials run in blocks of BLOCK_TRIALS, stacked on a
-leading axis and checked by stacked np.linalg calls (lstsq runs per
-trial), which give the same bits as one call per matrix; so results do
-not depend on the block size, and memory is one block's arrays whatever
-the trial count. Only a block's degenerate draws are redrawn, with
-attempt + 1; a trial still degenerate after _MAX_REDRAWS redraws ends the
-run with VerificationFailure, its report covering the trials before it.
+DoF/NDT. verify_m1k3, both branches of verify_corner (unicasting at
+mu = 0, MISO zero-forcing at mu = 1) and finite_snr_rates share one trial
+runner, ``_TrialRun``. Trial t draws its channels at attempt a from the
+key (seed, t, a) and its symbols from (seed, t, a, 1). Trials run in
+blocks of BLOCK_TRIALS, stacked on a leading axis and checked by stacked
+np.linalg calls (lstsq runs per trial), which give the same bits as one
+call per matrix; so results do not depend on the block size, and memory
+is one block's arrays whatever the trial count. Only a block's degenerate
+draws are redrawn, with attempt + 1; a trial still degenerate after
+_MAX_REDRAWS redraws ends the run with VerificationFailure, its report
+covering the trials before it. Verifiers hand the runner each block's
+checks and per-receiver diagnostics; the runner alone folds them into the
+report (see SubspaceReport).
 """
 from __future__ import annotations
 
@@ -66,6 +69,9 @@ _DENB = np.array([_COL[s] for s in DENB_SYMBOLS])
 _RN_KNOWN = np.array([n for n, s in enumerate(DENB_SYMBOLS) if s not in _UNKNOWN])
 _RN_UNKNOWN = np.array([DENB_SYMBOLS.index(s) for s in _UNKNOWN])
 _ETA45 = _UNKNOWN.index(SymbolId(4, 5))
+# Signs that turn "lowest desired rank, highest interference rank, lowest
+# total rank" into one elementwise minimum.
+_WORST = np.array([1, -1, 1])
 
 
 class VerificationFailure(Exception):
@@ -82,8 +88,9 @@ class SubspaceReport:
     """Rank/residual diagnostics of one receiver's effective matrix.
 
     Ranks are the worst seen over all trials (lowest desired and total
-    rank, highest interference rank), residuals the largest, and
-    singular_values those of trial 0's full effective matrix.
+    rank, highest interference rank; the corner schemes' are fixed at
+    (1, 0, 1)), residuals the largest, and singular_values those of trial
+    0's full effective matrix.
     """
 
     receiver: str
@@ -182,17 +189,29 @@ def _key(seed, *extra: int) -> tuple[int, ...]:
 
 
 class _TrialRun:
-    """Trials 0 .. trials - 1 of one run, in blocks, and their tally.
+    """Trials 0 .. trials - 1 of one run, in blocks, and their report.
     ``shape`` is (T, M, K) of a draw; ``solve(f, g, H)`` maps stacked
     channels to (arrays with the batch axis first, degenerate mask); a
-    trial's symbols are ``_cn_vector`` draws of ``sym_sizes``, joined."""
+    trial's symbols are ``_cn_vector`` draws of ``sym_sizes``, joined.
+    ``receivers`` names the report's receivers in order; ``ranks``, if
+    given, are the (desired, interference, total) ranks all of them report
+    instead of folded ones."""
 
     def __init__(self, seed, trials: int, shape: tuple[int, int, int], solve,
-                 sym_sizes: tuple[int, ...] = ()):
+                 sym_sizes: tuple[int, ...] = (), receivers: tuple[str, ...] = (),
+                 ranks: tuple[int, int, int] | None = None):
+        if trials < 1:
+            raise ValueError(f"trials must be positive, got {trials}")
         self.seed, self.n, self.shape, self.solve, self.sym_sizes = (
             seed, trials, shape, solve, sym_sizes)
         self.trials = self.failures = self.redraws = 0
         self.first_failure: str | None = None
+        self.receivers = receivers
+        # signed worst ranks (see _WORST), None until a block is folded
+        self.worst = None if ranks is None else np.tile(_WORST * ranks, (len(receivers), 1))
+        self.residuals = np.zeros((len(receivers), 2))
+        self.decode_max = 0.0
+        self.spectra: list[tuple[float, ...]] = [()] * len(receivers)
 
     def _draw(self, trials, attempts) -> tuple[np.ndarray, ...]:
         chans = [draw_channels(_key(self.seed, int(t), int(a)), *self.shape)
@@ -239,19 +258,41 @@ class _TrialRun:
                                       "consecutive degenerate channel draws")
                 return
 
-    def check(self, start: int, checks: list) -> None:
-        """Tally a block's (failing mask, describe(i) -> message) pairs."""
+    def fold(self, start: int, errors, checks=(), residuals=None, ranks=None,
+             spectra=None) -> None:
+        """Tally a block. ``errors`` are its decode error arrays and
+        ``checks`` its (failing mask, describe(i) -> message) pairs; per
+        receiver, in order, ``residuals`` (R, n, 2) are the ZF and alignment
+        residuals (zero if None), ``ranks`` (R, n, 3) the (desired,
+        interference, total) ranks, and ``spectra()`` gives the block's
+        first singular values, asked for on the run's first block only."""
         failing = np.logical_or.reduce([mask for mask, _ in checks])
         self.failures += int(np.count_nonzero(failing))
         if self.first_failure is None and failing.any():
             i = int(np.argmax(failing))
             self.first_failure = f"trial {start + i}: " + "; ".join(
                 describe(i) for mask, describe in checks if mask[i])
+        self.decode_max = max(self.decode_max, float(
+            np.fmax.reduce(np.concatenate([np.ravel(e) for e in errors]))))
+        if residuals is not None:
+            self.residuals = np.fmax(self.residuals, np.fmax.reduce(residuals, axis=1))
+        if ranks is not None:
+            worst = (_WORST * np.asarray(ranks)).min(axis=1)
+            self.worst = worst if self.worst is None else np.minimum(self.worst, worst)
+        if start == 0 and spectra is not None:
+            self.spectra = [tuple(float(x) for x in s) for s in spectra()]
 
     def report(self, **fields) -> VerificationReport:
         """The report; raised in VerificationFailure if any trial failed."""
-        report = VerificationReport(**fields, trials=self.trials, failures=self.failures,
-                                    redraws=self.redraws)
+        worst = np.zeros((len(self.receivers), 3), int) if self.worst is None else self.worst
+        subs = [SubspaceReport(name, *(int(r) for r in _WORST * w), float(zf), float(align), sv)
+                for name, w, (zf, align), sv in
+                zip(self.receivers, worst, self.residuals, self.spectra)]
+        report = VerificationReport(
+            ue_reports=tuple(sub for sub in subs if sub.receiver.startswith("ue")),
+            rn_reports=tuple(sub for sub in subs if not sub.receiver.startswith("ue")),
+            decode_max_error=self.decode_max, **fields,
+            trials=self.trials, failures=self.failures, redraws=self.redraws)
         if self.failures:
             raise VerificationFailure(self.first_failure, report)
         return report
@@ -337,14 +378,8 @@ def verify_m1k3(seed, trials: int, tol: float = 1e-9) -> VerificationReport:
     from its rank-4 post-cancellation system. Raises VerificationFailure
     (report attached) if any trial fails.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    check_tol(tol)
-    run = _TrialRun(seed, trials, (T_SLOTS, 1, 3), _solve_m1k3(tol), (len(TRANSMITTED_SYMBOLS),))
-    worst = np.zeros((4, 3), dtype=int)  # ue1..ue3, rn1
-    residuals = np.zeros((4, 2))
-    decode_max = 0.0
-    spectra = [()] * 4
+    run = _TrialRun(seed, trials, (T_SLOTS, 1, 3), _solve_m1k3(tol), (len(TRANSMITTED_SYMBOLS),),
+                    ("ue1", "ue2", "ue3", "rn1"))
     for start, (f, g, H), (nu, beta), syms in run.blocks():
         receive = lambda r: effective_channel_batch(nu, beta, f, g, H[..., 0], r)
         checks: list = []
@@ -352,26 +387,9 @@ def verify_m1k3(seed, trials: int, tol: float = 1e-9) -> VerificationReport:
             *[_check_ue(k, receive(f"ue{k}"), syms, checks) for k in (1, 2, 3)],
             _check_rn(receive("rn"), syms, checks),
         )
-        run.check(start, checks)
-        ranks = np.stack(ranks, axis=1)
-        if start:
-            ranks = np.concatenate([worst[None], ranks])
-        # lowest desired and total rank, highest interference rank
-        worst = np.stack([ranks[..., 0].min(0), ranks[..., 1].max(0), ranks[..., 2].min(0)], -1)
-        residuals = np.fmax(residuals, np.fmax.reduce(res, axis=1))
-        decode_max = max(decode_max, float(np.fmax.reduce(np.concatenate(errs))))
-        if start == 0:
-            spectra = [tuple(float(x) for x in s[0]) for s in svs]
-
-    reports = [
-        SubspaceReport(name, *(int(r) for r in worst[n]), float(residuals[n, 0]),
-                       float(residuals[n, 1]), spectra[n])
-        for n, name in enumerate(("ue1", "ue2", "ue3", "rn1"))
-    ]
+        run.fold(start, errs, checks, residuals=res, ranks=ranks,
+                 spectra=lambda: [s[0] for s in svs])
     return run.report(
-        ue_reports=tuple(reports[:3]),
-        rn_reports=(reports[3],),
-        decode_max_error=decode_max,
         # each user decodes its desired columns, the relay eta_{4,5} alone,
         # all in T_SLOTS slots; a file is SYMBOLS_PER_FILE symbols
         ndt=Fraction(T_SLOTS, SYMBOLS_PER_FILE),
@@ -383,33 +401,21 @@ def verify_m1k3(seed, trials: int, tol: float = 1e-9) -> VerificationReport:
 
 def _verify_unicast(seed, trials: int, cfg: NetworkConfig) -> VerificationReport:
     schedule = unicast_schedule(cfg)
-    decode_max = 0.0
-    first_svs: dict[str, tuple[float, ...]] = {}
-    for trial in range(trials):
-        ch = draw_channels(_key(seed, trial, 0), len(schedule.slots), cfg.M, cfg.K)
-        sym_rng = np.random.default_rng(_key(seed, trial, 0, 1))
-        syms = _cn_vector(sym_rng, len(schedule.slots))
-        for t, (receiver, _file) in enumerate(schedule.slots):
-            if receiver.startswith("ue"):
-                coeff = ch.g[t, int(receiver[2:]) - 1]
-            else:
-                coeff = ch.f[t, int(receiver[2:]) - 1]
-            err = float(abs((coeff * syms[t]) / coeff - syms[t]) / abs(syms[t]))
-            decode_max = max(decode_max, err)
-            if trial == 0:
-                first_svs[receiver] = (float(abs(coeff)),)
-    make = lambda r: SubspaceReport(r, 1, 0, 1, 0.0, 0.0, first_svs[r])
-    return VerificationReport(
-        ue_reports=tuple(make(f"ue{u}") for u in range(1, cfg.K + 1)),
-        rn_reports=tuple(make(f"rn{r}") for r in range(1, cfg.M + 1)),
-        decode_max_error=decode_max,
+    receivers = tuple(r for r, _ in schedule.slots)  # slot t serves receiver t
+    never_degenerate = lambda f, g, H: ((), np.zeros(len(g), dtype=bool))
+    run = _TrialRun(seed, trials, (len(receivers), cfg.M, cfg.K), never_degenerate,
+                    (len(receivers),), receivers, ranks=(1, 0, 1))
+    for start, (f, g, _), _, syms in run.blocks():
+        coeff = np.stack([(g if r.startswith("ue") else f)[:, t, int(r[2:]) - 1]
+                          for t, r in enumerate(receivers)], axis=-1)
+        # numpy scalar ops: the array ops differ from them in the last bit
+        errors = [abs((c * s) / c - s) / abs(s) for c, s in zip(coeff.ravel(), syms.ravel())]
+        run.fold(start, [errors], spectra=lambda: [(abs(c),) for c in coeff[0]])
+    return run.report(
         ndt=schedule.ndt,
         per_ue_dof=Fraction(1, cfg.K + cfg.M),
         rn_dof=Fraction(1, cfg.K + cfg.M),
         sum_dof=Fraction(1),
-        trials=trials,
-        failures=0,
-        redraws=0,
     )
 
 
@@ -421,17 +427,15 @@ def _verify_miso(seed, trials: int, cfg: NetworkConfig, tol: float):
         return (*beamformers, *svs, cross), degenerate
 
     # groups hold users 1..K in order: symbol column k - 1 belongs to user k
-    run = _TrialRun(seed, trials, (len(groups), cfg.M, cfg.K), solve, tuple(map(len, groups)))
-    decode_max = 0.0
-    residual_by_ue = np.zeros(cfg.K)
-    spectra: list[tuple[float, ...]] = [()] * cfg.K
+    run = _TrialRun(seed, trials, (len(groups), cfg.M, cfg.K), solve, tuple(map(len, groups)),
+                    tuple(f"ue{k}" for k in range(1, cfg.K + 1)), ranks=(1, 0, 1))
     for start, (_, g, H), solution, syms in run.blocks():
         cross = solution[-1]
         nulling = np.fmax.reduce(cross, axis=-1)
-        residual_by_ue = np.fmax(residual_by_ue, np.fmax.reduce(cross))
         checks: list = [
             (nulling > ZF_RESIDUAL_MAX, lambda i: f"nulling residual {nulling[i]:.3e}")
         ]
+        errors = []
         for t, (group, W) in enumerate(zip(groups, solution)):
             cols = [k - 1 for k in group]
             rows = user_rows(g[:, t], H[:, t], group)
@@ -439,22 +443,16 @@ def _verify_miso(seed, trials: int, cfg: NetworkConfig, tol: float):
             s = syms[:, cols]
             err = (np.abs((rows @ (W @ s[..., None]))[..., 0] / direct - s).max(axis=-1)
                    / np.abs(s).max(axis=-1))
-            decode_max = max(decode_max, float(np.fmax.reduce(err)))
+            errors.append(err)
             checks.append((err > DECODE_ERROR_MAX, lambda i, group=group, err=err:
                            f"group {group} decode error {err[i]:.3e}"))
-            if start == 0:
-                for k in cols:
-                    spectra[k] = tuple(float(x) for x in solution[len(groups) + t][0])
-        run.check(start, checks)
+        svs = solution[len(groups):-1]
+        run.fold(start, errors, checks,
+                 residuals=np.stack([cross.T, np.zeros_like(cross.T)], axis=-1),
+                 spectra=lambda: [sv[0] for sv, group in zip(svs, groups) for _ in group])
 
     served = min(cfg.M + 1, cfg.K)
     return run.report(
-        ue_reports=tuple(
-            SubspaceReport(f"ue{k + 1}", 1, 0, 1, float(residual_by_ue[k]), 0.0, spectra[k])
-            for k in range(cfg.K)
-        ),
-        rn_reports=(),
-        decode_max_error=decode_max,
         ndt=max(Fraction(cfg.K, cfg.M + 1), Fraction(1)),
         per_ue_dof=Fraction(served, cfg.K),
         rn_dof=Fraction(0),
@@ -466,8 +464,6 @@ def verify_corner(seed, trials: int, cfg: NetworkConfig, tol: float = 1e-9) -> V
     """Verify the extremal-cache schemes: unicasting at mu = 0 (NDT K + M,
     decoding is a scalar division) or MISO zero-forcing at mu = 1 (NDT
     max{K/(M+1), 1}, cross-user gains must vanish to tolerance)."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
     check_tol(tol)
     if cfg.mu == 0:
         return _verify_unicast(seed, trials, cfg)
@@ -493,8 +489,6 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
         raise ValueError(f"SNR points must be finite, got {list(snr_db_list)}")
     if max(snr_db_list) - min(snr_db_list) < 20:
         raise ValueError("SNR points must span at least 20 dB")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
 
     snrs = [float(x) for x in snr_db_list]
     powers = [10.0 ** (x / 10.0) for x in snrs]

@@ -2,20 +2,27 @@
 
   PYTHONPATH=src python tests/golden/make_golden.py
 
-Each case runs one CLI command in-process and writes its artifact to
-tests/golden/<name>.<format>. Re-record only in a change that alters the
-output bytes on purpose, and say why in CHANGES.md.
+Each case runs one CLI command in-process, writes its artifact to
+tests/golden/<name>.json and must end with the case's exit code (a failed
+verification still writes its partial report). Re-record only in a change
+that alters the output bytes on purpose, and say why in CHANGES.md.
 """
 from __future__ import annotations
 
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 GOLDEN = Path(__file__).resolve().parent
 SEED = "2017"
 
 
-def _cases() -> dict[str, list[str]]:
+class Case(NamedTuple):
+    argv: list[str]
+    exit_code: int = 0
+
+
+def _cases() -> dict[str, Case]:
     cases = {
         "verify-m1k3_tol1e-9": ["verify-m1k3", "--trials", "1000", "--seed", SEED],
         "verify-m1k3_tol3e-2": ["verify-m1k3", "--trials", "1000", "--tol", "3e-2",
@@ -45,6 +52,15 @@ def _cases() -> dict[str, list[str]]:
             cases[f"{command}_m{m}_k{k}"] = [
                 command, "--m", str(m), "--k", str(k), "--format", "json",
             ]
+    cases = {name: Case(argv) for name, argv in cases.items()}
+    # Failed verifications (exit 2): MISO runs out of redraws at trial 0,
+    # and verify-m1k3 at trial 48, each writing its partial report.
+    cases["verify-corner_m1_k2_mu1_exhausted"] = Case([
+        "verify-corner", "--m", "1", "--k", "2", "--mu", "1", "--tol", "0.999",
+        "--trials", "3", "--format", "json",
+    ], 2)
+    cases["verify-m1k3_tol8e-2_exhausted"] = Case(
+        ["verify-m1k3", "--trials", "60", "--tol", "8e-2", "--seed", "0"], 2)
     return cases
 
 
@@ -63,10 +79,10 @@ def run_case(argv: list[str], path: Path) -> int:
 
 
 def main() -> int:
-    for name, argv in CASES.items():
-        code = run_case(argv, golden_path(name))
-        if code != 0:
-            print(f"{name}: exit code {code}", file=sys.stderr)
+    for name, case in CASES.items():
+        code = run_case(case.argv, golden_path(name))
+        if code != case.exit_code:
+            print(f"{name}: exit code {code}, expected {case.exit_code}", file=sys.stderr)
             return 1
         print(f"recorded {golden_path(name).name}")
     return 0

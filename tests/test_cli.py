@@ -59,6 +59,27 @@ class TestTradeoff:
         assert code == EXIT_USAGE
         assert json.loads(err)["error"] == "usage"
 
+    @pytest.mark.parametrize("args, detail", [
+        (["--mu", "1/2", "--grid", "10"], "--mu and --grid are mutually exclusive"),
+        (["--grid", "0", "--mu", "1/2"], "--mu and --grid are mutually exclusive"),
+        (["--mu", "2", "--grid", "10"], "--mu must lie in [0, 1], got 2"),
+        (["--grid", "0"], "--grid must be positive"),
+    ])
+    def test_grid_usage_error_lines(self, capsys, args, detail):
+        code, out, err = run_cli(capsys, "tradeoff", "--m", "1", "--k", "3", *args)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == json.dumps({"error": "usage", "detail": detail}) + "\n"
+
+    def test_default_grid_lives_in_run_config(self, capsys):
+        from ndtcache.cli import RunConfig
+
+        code, out, _ = run_cli(capsys, "tradeoff", "--m", "1", "--k", "3")
+        assert code == EXIT_OK
+        assert len(parse_csv(out)) == RunConfig.grid + 1 == 61
+        with pytest.raises(SystemExit):
+            main(["tradeoff", "--help"])
+        assert f"(default {RunConfig.grid})" in capsys.readouterr().out
+
 
 class TestBoundsAndOptimal:
     def test_breakpoints_exact_strings(self, capsys):

@@ -1,4 +1,4 @@
-"""CLI outputs must stay byte-identical to the golden files in
+"""CLI outputs and exit codes must stay those of the golden files in
 tests/golden/, recorded with tests/golden/make_golden.py. A difference
 on some platform is a finding to report, not a file to re-record."""
 import importlib.util
@@ -16,5 +16,6 @@ _spec.loader.exec_module(make_golden)
 @pytest.mark.parametrize("name", sorted(make_golden.CASES))
 def test_output_matches_golden(name, tmp_path):
     out = tmp_path / "out.json"
-    assert make_golden.run_case(make_golden.CASES[name], out) == 0
+    case = make_golden.CASES[name]
+    assert make_golden.run_case(case.argv, out) == case.exit_code
     assert out.read_bytes() == make_golden.golden_path(name).read_bytes()

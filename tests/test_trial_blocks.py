@@ -45,10 +45,13 @@ def test_m1k3_block_size_does_not_change_the_report(monkeypatch, seed, trials, b
     block=st.integers(2, 16),
     m=st.integers(1, 3),
     k=st.integers(1, 4),
+    # mu = 0 unicasts, mu = 1 zero-forces
+    mu=st.sampled_from([0, 1]),
     tol=st.sampled_from([1e-9, 0.1, 0.5]),
 )
-def test_miso_block_size_does_not_change_the_report(monkeypatch, seed, trials, block, m, k, tol):
-    run = lambda: V.verify_corner(seed, trials, NetworkConfig(m, k, m + k, 1), tol)
+def test_miso_block_size_does_not_change_the_report(monkeypatch, seed, trials, block, m, k,
+                                                    mu, tol):
+    run = lambda: V.verify_corner(seed, trials, NetworkConfig(m, k, m + k, mu), tol)
     assert with_block_size(monkeypatch, block, run) == with_block_size(monkeypatch, 1, run)
 
 

@@ -269,6 +269,9 @@ class TestRedrawExhaustion:
         report = exc_info.value.report
         assert (report.trials, report.failures, report.redraws) == (1, 1, 8)
         assert all(sub.singular_values == () for sub in report.ue_reports)
+        # no block was checked, yet the MISO corner keeps its fixed ranks
+        assert all((sub.desired_rank, sub.interference_rank, sub.total_rank) == (1, 0, 1)
+                   for sub in report.ue_reports)
 
     def test_rates_exhaustion_is_a_verification_failure(self, monkeypatch):
         import ndtcache.verify as V
@@ -277,6 +280,56 @@ class TestRedrawExhaustion:
         monkeypatch.setattr(V, "_solve_m1k3", lambda tol: solve(0.9))
         with pytest.raises(VerificationFailure, match="9 consecutive"):
             finite_snr_rates(0, [40.0, 50.0, 60.0], trials=2)
+
+
+class TestForcedZfFailure:
+    """A ZF threshold below the rounding floor fails trials; the message
+    and the report's fields are pinned to the values of the per-verifier
+    report code this runner replaced."""
+
+    def test_m1k3(self, monkeypatch):
+        import ndtcache.verify as V
+
+        monkeypatch.setattr(V, "ZF_RESIDUAL_MAX", 1e-16)
+        with pytest.raises(VerificationFailure) as exc_info:
+            verify_m1k3(seed=1, trials=5)
+        assert str(exc_info.value) == "trial 0: ue3 ZF residual 1.020e-16"
+        report = exc_info.value.report
+        assert (report.trials, report.failures, report.redraws) == (5, 5, 0)
+        assert report.decode_max_error == 2.257664587575657e-14
+        assert [(s.receiver, s.zf_residual, s.alignment_residual)
+                for s in report.ue_reports + report.rn_reports] == [
+            ("ue1", 2.2649179860254926e-16, 2.737290595109619e-16),
+            ("ue2", 1.0762249095646033e-16, 2.1076331473219863e-16),
+            ("ue3", 1.985731730379723e-16, 2.525242939215067e-16),
+            ("rn1", 0.0, 0.0),
+        ]
+        assert [(s.desired_rank, s.interference_rank, s.total_rank)
+                for s in report.ue_reports + report.rn_reports] == [(5, 3, 8)] * 3 + [(4, 0, 4)]
+        assert report.ue_reports[0].singular_values[0] == 3.9190673245391943
+        assert report.rn_reports[0].singular_values == (
+            1.8404741441250194, 0.7366053382012416, 0.4229975826865915, 0.27122084864803875)
+
+    def test_miso(self, monkeypatch):
+        import ndtcache.verify as V
+
+        monkeypatch.setattr(V, "ZF_RESIDUAL_MAX", 1e-16)
+        with pytest.raises(VerificationFailure) as exc_info:
+            verify_corner(1, 5, NetworkConfig(M=2, K=3, N=5, mu=1))
+        assert str(exc_info.value) == "trial 1: nulling residual 1.603e-16"
+        report = exc_info.value.report
+        assert (report.trials, report.failures, report.redraws) == (5, 3, 0)
+        assert report.decode_max_error == 5.03920702730251e-16
+        assert report.rn_reports == ()
+        assert [(s.receiver, s.zf_residual, s.alignment_residual) for s in report.ue_reports] == [
+            ("ue1", 1.6839576808217174e-16, 0.0),
+            ("ue2", 1.6025605521813699e-16, 0.0),
+            ("ue3", 1.203592962905092e-16, 0.0),
+        ]
+        for sub in report.ue_reports:
+            assert (sub.desired_rank, sub.interference_rank, sub.total_rank) == (1, 0, 1)
+            assert sub.singular_values == (
+                1.0884651822202718, 0.7943276661718391, 0.516362978999504)
 
 
 class TestReportFields:
