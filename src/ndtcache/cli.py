@@ -16,9 +16,10 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .bounds import (
@@ -33,15 +34,13 @@ from .bounds import (
 from .model import NetworkConfig, Rational, as_rational
 from .verify import VerificationFailure, VerificationReport, finite_snr_rates, verify_corner, verify_m1k3
 
-COMMANDS = ("bounds", "optimal", "tradeoff", "verify-m1k3", "verify-corner", "rates")
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_UNCHARACTERIZED = 3
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -50,7 +49,6 @@ class RunConfig:
     command: str
     m: int = 1
     k: int = 1
-    n: int | None = None
     mu: Rational | None = None
     grid: int = 60
     seed: int = 0
@@ -67,8 +65,6 @@ class RunConfig:
             raise UsageError("M and K must be positive")
         if self.grid < 1:
             raise UsageError("--grid must be positive")
-        if self.n is not None and self.n < self.m + self.k:
-            raise UsageError(f"need N >= M + K, got N={self.n}, M+K={self.m + self.k}")
         if self.trials < 1:
             raise UsageError("--trials must be positive")
         if not 0 < self.tol < 1:
@@ -79,40 +75,19 @@ class RunConfig:
             raise UsageError(f"unknown output format {self.output_format!r}")
 
     def network(self, mu: Rational) -> NetworkConfig:
-        n = self.n if self.n is not None else self.m + self.k
-        return NetworkConfig(M=self.m, K=self.k, N=n, mu=mu)
+        # The worst-case NDT needs only N >= M + K files, so N = M + K.
+        return NetworkConfig(M=self.m, K=self.k, N=self.m + self.k, mu=mu)
 
 
-def _dec(x: Rational | float) -> str:
-    return format(float(x), ".15g")
+def _cells(**values: Rational) -> dict:
+    """Each rational as a "p/q" string plus its 15-significant-digit decimal."""
+    row = {}
+    for name, value in values.items():
+        row[name] = str(Fraction(value))
+        row[f"{name}_decimal"] = format(float(value), ".15g")
+    return row
 
 
-def _rational_cell(row: dict, name: str, value: Rational) -> None:
-    row[name] = str(Fraction(value))
-    row[f"{name}_decimal"] = _dec(value)
-
-
-def _curve_rows(curve) -> list[dict]:
-    rows = []
-    for mu, ndt in curve.breakpoints:
-        row: dict = {}
-        _rational_cell(row, "mu", mu)
-        _rational_cell(row, "ndt", ndt)
-        rows.append(row)
-    return rows
-
-
-def _point_columns(name: str) -> list[str]:
-    return ["mu", "mu_decimal", name, f"{name}_decimal"]
-
-
-CURVE_COLUMNS = ["mu", "mu_decimal", "ndt", "ndt_decimal"]
-TRADEOFF_COLUMNS = [
-    "mu", "mu_decimal",
-    "lower_bound", "lower_bound_decimal",
-    "achievable_envelope", "achievable_envelope_decimal",
-    "gap", "gap_decimal",
-]
 VERIFY_COLUMNS = [
     "receiver", "desired_rank", "interference_rank", "total_rank",
     "zf_residual", "alignment_residual",
@@ -124,32 +99,18 @@ RATES_COLUMNS = ["receiver", "snr_db", "rate", "fitted_slope"]
 
 
 def _report_rows(report: VerificationReport) -> list[dict]:
-    overall: dict = {"receiver": "overall"}
-    for col in ("desired_rank", "interference_rank", "total_rank",
-                "zf_residual", "alignment_residual"):
-        overall[col] = ""
-    _rational_cell(overall, "ndt", report.ndt)
-    _rational_cell(overall, "per_ue_dof", report.per_ue_dof)
-    _rational_cell(overall, "rn_dof", report.rn_dof)
-    _rational_cell(overall, "sum_dof", report.sum_dof)
-    overall["decode_max_error"] = report.decode_max_error
-    overall["trials"] = report.trials
-    overall["failures"] = report.failures
-    overall["redraws"] = report.redraws
-    rows = [overall]
-    for sub in report.ue_reports + report.rn_reports:
-        row = {
-            "receiver": sub.receiver,
-            "desired_rank": sub.desired_rank,
-            "interference_rank": sub.interference_rank,
-            "total_rank": sub.total_rank,
-            "zf_residual": sub.zf_residual,
-            "alignment_residual": sub.alignment_residual,
-        }
-        for col in VERIFY_COLUMNS[6:]:
-            row[col] = ""
-        rows.append(row)
-    return rows
+    overall = {
+        "receiver": "overall", **dict.fromkeys(VERIFY_COLUMNS[1:6], ""),
+        **_cells(ndt=report.ndt, per_ue_dof=report.per_ue_dof,
+                 rn_dof=report.rn_dof, sum_dof=report.sum_dof),
+        "decode_max_error": report.decode_max_error, "trials": report.trials,
+        "failures": report.failures, "redraws": report.redraws,
+    }
+    return [overall] + [
+        {**{col: getattr(sub, col) for col in VERIFY_COLUMNS[:6]},
+         **dict.fromkeys(VERIFY_COLUMNS[6:], "")}
+        for sub in report.ue_reports + report.rn_reports
+    ]
 
 
 def emit(payload: dict, output_format: str, path: Path | None, columns: list[str]) -> int:
@@ -182,94 +143,98 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _meta(cfg: RunConfig) -> dict:
-    return {
-        "command": cfg.command,
-        "M": cfg.m,
-        "K": cfg.k,
-        "seed": cfg.seed,
-        "tol": cfg.tol,
-        "version": __version__,
-    }
+def _exact(point, curve, column: str):
+    """Rows of a curve command: the curve's breakpoints, or its value at --mu."""
+    def rows(cfg: RunConfig):
+        if cfg.mu is None:
+            data = [_cells(mu=mu, ndt=ndt) for mu, ndt in curve(cfg.m, cfg.k).breakpoints]
+        else:
+            data = [_cells(mu=cfg.mu, **{column: point(cfg.network(cfg.mu))})]
+        return data, list(data[0])
+    return rows
 
 
-def _grid_values(grid: int) -> list[Fraction]:
-    return [Fraction(i, grid) for i in range(grid + 1)]
+def _tradeoff(cfg: RunConfig):
+    lb_curve = lower_bound_curve(cfg.m, cfg.k)
+    envelope = memory_sharing_envelope(achievable_catalog(cfg.m, cfg.k))
+    mus = [cfg.mu] if cfg.mu is not None else [Fraction(i, cfg.grid) for i in range(cfg.grid + 1)]
+    data = []
+    for mu in mus:
+        lb, ach = lb_curve.evaluate(mu), envelope.evaluate(mu)
+        data.append(_cells(mu=mu, lower_bound=lb, achievable_envelope=ach, gap=ach - lb))
+    return data, list(data[0])
+
+
+def _verify_m1k3(cfg: RunConfig):
+    return _report_rows(verify_m1k3(cfg.seed, cfg.trials, cfg.tol)), VERIFY_COLUMNS
+
+
+def _verify_corner(cfg: RunConfig):
+    if cfg.mu is None or cfg.mu not in (0, 1):
+        raise UsageError("verify-corner requires --mu 0 or --mu 1")
+    report = verify_corner(cfg.seed, cfg.trials, cfg.network(cfg.mu), cfg.tol)
+    return _report_rows(report), VERIFY_COLUMNS
+
+
+def _rates(cfg: RunConfig):
+    estimates = finite_snr_rates(cfg.seed, list(cfg.snr_db), cfg.trials)
+    return [asdict(e) for e in estimates], RATES_COLUMNS
+
+
+class Command(NamedTuple):
+    help: str
+    rows: Callable  # RunConfig -> (data rows, CSV columns)
+    options: tuple[str, ...]
+    output_format: str = "csv"
+    network: tuple[int, int] | None = None  # the fixed (M, K) it reports in meta
+
+
+_MONTE_CARLO = ("seed", "trials", "tol")
+COMMANDS = {
+    "bounds": Command("lower-bound curve breakpoints, or the bound at --mu",
+                      _exact(lower_bound, lower_bound_curve, "lower_bound"), ("m", "k", "mu")),
+    "optimal": Command("closed-form optimal curve for the characterized (M, K)",
+                       _exact(optimal_ndt, optimal_ndt_curve, "optimal_ndt"), ("m", "k", "mu")),
+    "tradeoff": Command("table of lower bound vs achievable envelope on a mu grid",
+                        _tradeoff, ("m", "k", "mu", "grid")),
+    "verify-m1k3": Command("Monte Carlo verification of the M=1, K=3 scheme",
+                           _verify_m1k3, _MONTE_CARLO, "json", (1, 3)),
+    "verify-corner": Command("Monte Carlo verification of the mu=0 / mu=1 schemes",
+                             _verify_corner, ("m", "k", "mu", *_MONTE_CARLO), "json"),
+    "rates": Command("finite-SNR rate and DoF-slope estimates for the M=1, K=3 scheme",
+                     _rates, ("seed", "trials", "snr_db"), "json", (1, 3)),
+}
+
+_OPTIONS = {
+    "m": dict(type=int, help="number of relays"),
+    "k": dict(type=int, help="number of users"),
+    "mu": dict(type=str, help="fractional cache size, e.g. '4/5' or '0.8'"),
+    "grid": dict(type=int, help=f"number of grid intervals (default {RunConfig.grid})"),
+    "seed": dict(type=int),
+    "trials": dict(type=int),
+    "tol": dict(type=float),
+    "snr_db": dict(type=str, help="comma-separated SNR points in dB"),
+}
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one command and emit its artifact; returns the exit code."""
-    payload = {"meta": _meta(cfg), "data": []}
-    columns = CURVE_COLUMNS
+    command = COMMANDS[cfg.command]
+    m, k = command.network or (cfg.m, cfg.k)
+    meta = {"command": cfg.command, "M": m, "K": k, "seed": cfg.seed, "tol": cfg.tol,
+            "version": __version__}
     try:
-        if cfg.command == "bounds":
-            if cfg.mu is not None:
-                row: dict = {}
-                _rational_cell(row, "mu", cfg.mu)
-                _rational_cell(row, "lower_bound", lower_bound(cfg.network(cfg.mu)))
-                payload["data"] = [row]
-                columns = _point_columns("lower_bound")
-            else:
-                payload["data"] = _curve_rows(lower_bound_curve(cfg.m, cfg.k))
-        elif cfg.command == "optimal":
-            if cfg.mu is not None:
-                row = {}
-                _rational_cell(row, "mu", cfg.mu)
-                _rational_cell(row, "optimal_ndt", optimal_ndt(cfg.network(cfg.mu)))
-                payload["data"] = [row]
-                columns = _point_columns("optimal_ndt")
-            else:
-                payload["data"] = _curve_rows(optimal_ndt_curve(cfg.m, cfg.k))
-        elif cfg.command == "tradeoff":
-            lb_curve = lower_bound_curve(cfg.m, cfg.k)
-            envelope = memory_sharing_envelope(achievable_catalog(cfg.m, cfg.k))
-            mus = [cfg.mu] if cfg.mu is not None else _grid_values(cfg.grid)
-            rows = []
-            for mu in mus:
-                lb = lb_curve.evaluate(mu)
-                ach = envelope.evaluate(mu)
-                row = {}
-                _rational_cell(row, "mu", mu)
-                _rational_cell(row, "lower_bound", lb)
-                _rational_cell(row, "achievable_envelope", ach)
-                _rational_cell(row, "gap", ach - lb)
-                rows.append(row)
-            payload["data"] = rows
-            columns = TRADEOFF_COLUMNS
-        elif cfg.command == "verify-m1k3":
-            report = verify_m1k3(cfg.seed, cfg.trials, cfg.tol)
-            payload["data"] = _report_rows(report)
-            columns = VERIFY_COLUMNS
-        elif cfg.command == "verify-corner":
-            if cfg.mu is None or cfg.mu not in (0, 1):
-                raise UsageError("verify-corner requires --mu 0 or --mu 1")
-            report = verify_corner(cfg.seed, cfg.trials, cfg.network(cfg.mu), cfg.tol)
-            payload["data"] = _report_rows(report)
-            columns = VERIFY_COLUMNS
-        elif cfg.command == "rates":
-            estimates = finite_snr_rates(cfg.seed, list(cfg.snr_db), cfg.trials)
-            payload["data"] = [
-                {
-                    "receiver": e.receiver,
-                    "snr_db": e.snr_db,
-                    "rate": e.rate,
-                    "fitted_slope": e.fitted_slope,
-                }
-                for e in estimates
-            ]
-            payload["meta"]["M"], payload["meta"]["K"] = 1, 3
-            columns = RATES_COLUMNS
+        data, columns = command.rows(cfg)
     except UncharacterizedConfigError as exc:
         _error_line("uncharacterized-configuration", str(exc))
         return EXIT_UNCHARACTERIZED
     except VerificationFailure as exc:
         if exc.report is not None:
-            payload["data"] = _report_rows(exc.report)
-            emit(payload, cfg.output_format, cfg.output_path, VERIFY_COLUMNS)
+            emit({"meta": meta, "data": _report_rows(exc.report)},
+                 cfg.output_format, cfg.output_path, VERIFY_COLUMNS)
         _error_line("verification-failure", str(exc))
         return EXIT_VERIFICATION
-
-    emit(payload, cfg.output_format, cfg.output_path, columns)
+    emit({"meta": meta, "data": data}, cfg.output_format, cfg.output_path, columns)
     return EXIT_OK
 
 
@@ -286,41 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ndtcache", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_: str, mk: bool = True, mu: bool = True,
-            monte_carlo: bool = False):
+    for name, command in COMMANDS.items():
         # An option left out is left out of the namespace too, so RunConfig
-        # supplies its default; only the output format varies per command.
-        p = sub.add_parser(name, help=help_, argument_default=argparse.SUPPRESS)
-        if mk:
-            p.add_argument("--m", type=int, help="number of relays")
-            p.add_argument("--k", type=int, help="number of users")
-            p.add_argument("--n", type=int, help="library size (default M+K)")
-        if mu:
-            p.add_argument("--mu", type=str, help="fractional cache size, e.g. '4/5' or '0.8'")
-        if monte_carlo:
-            p.add_argument("--seed", type=int)
-            p.add_argument("--trials", type=int)
-            p.add_argument("--tol", type=float)
+        # supplies its default; only --format takes its default from the table.
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        for option in command.options:
+            p.add_argument("--" + option.replace("_", "-"), **_OPTIONS[option])
         p.add_argument("--format", dest="output_format", choices=("csv", "json"),
-                       default="json" if monte_carlo else "csv")
+                       default=command.output_format)
         p.add_argument("--output", dest="output_path", type=Path,
                        help="output file (default stdout)")
-        return p
-
-    add("bounds", "lower-bound curve breakpoints, or the bound at --mu")
-    add("optimal", "closed-form optimal curve for the characterized (M, K)")
-    add("tradeoff", "table of lower bound vs achievable envelope on a mu grid").add_argument(
-        "--grid", type=int, help=f"number of grid intervals (default {RunConfig.grid})")
-    p = add("verify-m1k3", "Monte Carlo verification of the M=1, K=3 scheme",
-            mk=False, mu=False, monte_carlo=True)
-    p.set_defaults(m=1, k=3)
-    add("verify-corner", "Monte Carlo verification of the mu=0 / mu=1 schemes",
-        monte_carlo=True)
-    p = add("rates", "finite-SNR rate and DoF-slope estimates for the M=1, K=3 scheme",
-            mk=False, mu=False, monte_carlo=True)
-    p.set_defaults(m=1, k=3)
-    p.add_argument("--snr-db", type=str, help="comma-separated SNR points in dB")
     return parser
 
 
@@ -339,15 +279,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-        return run(cfg)
-    except UsageError as exc:
-        _error_line("usage", str(exc))
-        return EXIT_USAGE
-    except (ValueError, ZeroDivisionError) as exc:
+        return run(_config_from_args(build_parser().parse_args(argv)))
+    except (ValueError, ZeroDivisionError) as exc:  # UsageError is a ValueError
         _error_line("usage", str(exc))
         return EXIT_USAGE
 

@@ -409,8 +409,12 @@ def _verify_unicast(seed, trials: int, cfg: NetworkConfig) -> VerificationReport
         coeff = np.stack([(g if r.startswith("ue") else f)[:, t, int(r[2:]) - 1]
                           for t, r in enumerate(receivers)], axis=-1)
         # numpy scalar ops: the array ops differ from them in the last bit
-        errors = [abs((c * s) / c - s) / abs(s) for c, s in zip(coeff.ravel(), syms.ravel())]
-        run.fold(start, [errors], spectra=lambda: [(abs(c),) for c in coeff[0]])
+        errors = np.reshape([abs((c * s) / c - s) / abs(s)
+                             for c, s in zip(coeff.ravel(), syms.ravel())], coeff.shape)
+        errors = errors.max(axis=1)  # each trial's worst receiver
+        run.fold(start, [errors],
+                 [(errors > DECODE_ERROR_MAX, lambda i: f"decode error {errors[i]:.3e}")],
+                 spectra=lambda: [(abs(c),) for c in coeff[0]])
     return run.report(
         ndt=schedule.ndt,
         per_ue_dof=Fraction(1, cfg.K + cfg.M),

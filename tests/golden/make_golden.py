@@ -3,8 +3,9 @@
   PYTHONPATH=src python tests/golden/make_golden.py
 
 Each case runs one CLI command in-process, writes its artifact to
-tests/golden/<name>.json and must end with the case's exit code (a failed
-verification still writes its partial report). Re-record only in a change
+tests/golden/<name>.json (to tests/golden/<name> for a name ending in
+".csv") and must end with the case's exit code (a failed verification
+still writes its partial report). Re-record only in a change
 that alters the output bytes on purpose, and say why in CHANGES.md.
 """
 from __future__ import annotations
@@ -52,6 +53,27 @@ def _cases() -> dict[str, Case]:
             cases[f"{command}_m{m}_k{k}"] = [
                 command, "--m", str(m), "--k", str(k), "--format", "json",
             ]
+    # The default CSV path and the --mu point path, pinned in both formats.
+    for m, k in ((1, 3), (2, 2)):
+        for command in ("bounds", "optimal"):
+            cases[f"{command}_m{m}_k{k}.csv"] = [command, "--m", str(m), "--k", str(k)]
+    cases["tradeoff_m1_k3.csv"] = ["tradeoff", "--m", "1", "--k", "3"]
+    cases["tradeoff_m2_k2_grid12.csv"] = ["tradeoff", "--m", "2", "--k", "2", "--grid", "12"]
+    for command, m, k, mu in (("bounds", 1, 3, "4/5"), ("bounds", 3, 4, "1/3"),
+                              ("optimal", 1, 3, "4/5"), ("optimal", 2, 2, "1/3"),
+                              ("tradeoff", 1, 3, "4/5"), ("tradeoff", 3, 4, "1/3")):
+        argv = [command, "--m", str(m), "--k", str(k), "--mu", mu]
+        name = f"{command}_m{m}_k{k}_mu{mu.replace('/', '-')}"
+        cases[f"{name}.csv"] = argv
+        cases[name] = argv + ["--format", "json"]
+    cases["verify-m1k3_trials5.csv"] = ["verify-m1k3", "--trials", "5", "--seed", SEED,
+                                        "--format", "csv"]
+    for mu in ("0", "1"):
+        cases[f"verify-corner_m2_k3_mu{mu}_trials5.csv"] = [
+            "verify-corner", "--m", "2", "--k", "3", "--mu", mu, "--trials", "5",
+            "--seed", SEED, "--format", "csv",
+        ]
+    cases["rates_trials20.csv"] = ["rates", "--trials", "20", "--seed", SEED, "--format", "csv"]
     cases = {name: Case(argv) for name, argv in cases.items()}
     # Failed verifications (exit 2): MISO runs out of redraws at trial 0,
     # and verify-m1k3 at trial 48, each writing its partial report.
@@ -68,7 +90,7 @@ CASES = _cases()
 
 
 def golden_path(name: str) -> Path:
-    return GOLDEN / f"{name}.json"
+    return GOLDEN / (name if name.endswith(".csv") else f"{name}.json")
 
 
 def run_case(argv: list[str], path: Path) -> int:

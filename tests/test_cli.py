@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,14 +7,19 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndtcache.cli import (
+    COMMANDS,
     EXIT_OK,
     EXIT_UNCHARACTERIZED,
     EXIT_USAGE,
     EXIT_VERIFICATION,
+    RunConfig,
     emit,
     main,
+    run,
 )
 
 
@@ -71,8 +77,6 @@ class TestTradeoff:
         assert err == json.dumps({"error": "usage", "detail": detail}) + "\n"
 
     def test_default_grid_lives_in_run_config(self, capsys):
-        from ndtcache.cli import RunConfig
-
         code, out, _ = run_cli(capsys, "tradeoff", "--m", "1", "--k", "3")
         assert code == EXIT_OK
         assert len(parse_csv(out)) == RunConfig.grid + 1 == 61
@@ -264,6 +268,8 @@ class TestInputHardening:
         ["tradeoff", "--n", "2", "--m", "1", "--k", "3"],
         ["bounds", "--n", "3", "--m", "1", "--k", "3"],
         ["verify-corner", "--n", "2", "--m", "1", "--k", "3", "--mu", "0"],
+        ["tradeoff", "--n", "9", "--m", "1", "--k", "3"],
+        ["rates", "--tol", "0.5"],
     ])
     def test_rejected_with_one_json_error_line(self, capsys, args):
         code, out, err = run_cli(capsys, *args)
@@ -291,3 +297,72 @@ class TestRedrawExhaustion:
             "error": "verification-failure",
             "detail": "trial 0: 9 consecutive degenerate channel draws",
         }
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command", ["rates", "verify-m1k3"])
+    def test_library_run_reports_the_fixed_network(self, capsys, command):
+        assert run(RunConfig(command, trials=3, output_format="json")) == EXIT_OK
+        meta = json.loads(capsys.readouterr().out)["meta"]
+        assert (meta["command"], meta["M"], meta["K"]) == (command, 1, 3)
+
+
+# Per option: small valid values, then malformed or out-of-range ones.
+_VALUES = {
+    "m": (["1", "2", "3", "4"], ["0", "-1", "x"]),
+    "k": (["1", "2", "3", "4"], ["0", "x"]),
+    "mu": (["0", "1", "1/2", "4/5", "0.8", "1/3"], ["2", "-1/2", "abc", "1/0"]),
+    "grid": (["1", "3", "8"], ["0", "-2", "x"]),
+    "seed": (["0", "1", "7"], ["x"]),
+    "trials": (["1", "2", "3"], ["0", "-1"]),
+    "tol": (["1e-9", "1e-3", "0.5"], ["0", "1", "nan", "inf", "x"]),
+    "snr_db": (["40,50,60", "30,45,60"], ["40,50", "40,45,50", "nan,50,60", "a"]),
+    "format": (["csv", "json"], ["xml"]),
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A command with valid values for a subset of its options (always
+    --trials where it takes one, so each run stays small), and in about
+    half the draws one fault: a bad value or an option it does not take."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    own = (*COMMANDS[name].options, "format")
+    options = draw(st.lists(st.sampled_from(own), unique=True))
+    if "trials" in own and "trials" not in options:
+        options.append("trials")
+    values = {option: draw(st.sampled_from(_VALUES[option][0])) for option in options}
+    fault = draw(st.sampled_from([None, None, "value", "option"]))
+    if fault == "value":
+        option = draw(st.sampled_from(own))
+        values[option] = draw(st.sampled_from(_VALUES[option][1]))
+    elif fault == "option":
+        values[draw(st.sampled_from(sorted({*_VALUES, "n"} - set(own))))] = "5"
+    argv = [name]
+    for option, value in values.items():
+        argv += ["--" + option.replace("_", "-"), value]
+    return argv
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argvs())
+def test_cli_fuzz_exit_codes_and_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, EXIT_UNCHARACTERIZED)
+    if code == EXIT_OK:
+        assert err.getvalue() == ""
+        output_format = (argv[argv.index("--format") + 1] if "--format" in argv
+                         else COMMANDS[argv[0]].output_format)
+        if output_format == "json":
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        (line,) = err.getvalue().splitlines()
+        assert set(json.loads(line)) == {"error", "detail"}
+        if code != EXIT_VERIFICATION:
+            assert out.getvalue() == ""

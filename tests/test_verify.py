@@ -332,6 +332,20 @@ class TestForcedZfFailure:
                 1.0884651822202718, 0.7943276661718391, 0.516362978999504)
 
 
+class TestForcedDecodeFailure:
+    def test_unicast_checks_its_decode_error(self, monkeypatch):
+        import ndtcache.verify as V
+
+        # the mu = 0 decode error is rounding noise above 0 on every trial
+        monkeypatch.setattr(V, "DECODE_ERROR_MAX", 0.0)
+        with pytest.raises(VerificationFailure) as exc_info:
+            verify_corner(0, 70, NetworkConfig(M=2, K=3, N=5, mu=0))
+        assert str(exc_info.value) == "trial 0: decode error 2.782e-16"
+        report = exc_info.value.report
+        assert (report.trials, report.failures, report.redraws) == (70, 70, 0)
+        assert report.decode_max_error == 3.26917434644373e-16
+
+
 class TestReportFields:
     def test_ranks_are_worst_over_all_trials(self, monkeypatch):
         import ndtcache.verify as V
