@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -54,13 +55,15 @@ class RunConfig:
     seed: int = 0
     trials: int = 100
     tol: float = 1e-9
-    output_format: str = "csv"
+    output_format: str | None = None  # None: the command's format in COMMANDS
     output_path: Path | None = None
     snr_db: tuple[float, ...] = (40.0, 50.0, 60.0)
 
     def __post_init__(self) -> None:
         if self.command not in COMMANDS:
             raise UsageError(f"unknown command {self.command!r}")
+        if self.output_format is None:
+            object.__setattr__(self, "output_format", COMMANDS[self.command].output_format)
         if self.m < 1 or self.k < 1:
             raise UsageError("M and K must be positive")
         if self.grid < 1:
@@ -133,7 +136,10 @@ def emit(payload: dict, output_format: str, path: Path | None, columns: list[str
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_bytes(data)
+        try:
+            Path(path).write_bytes(data)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return len(data)
 
 
@@ -229,10 +235,14 @@ def run(cfg: RunConfig) -> int:
         _error_line("uncharacterized-configuration", str(exc))
         return EXIT_UNCHARACTERIZED
     except VerificationFailure as exc:
+        detail = str(exc)
         if exc.report is not None:
-            emit({"meta": meta, "data": _report_rows(exc.report)},
-                 cfg.output_format, cfg.output_path, VERIFY_COLUMNS)
-        _error_line("verification-failure", str(exc))
+            try:
+                emit({"meta": meta, "data": _report_rows(exc.report)},
+                     cfg.output_format, cfg.output_path, VERIFY_COLUMNS)
+            except UsageError as lost:
+                detail += f"; report not written: {lost}"
+        _error_line("verification-failure", detail)
         return EXIT_VERIFICATION
     emit({"meta": meta, "data": data}, cfg.output_format, cfg.output_path, columns)
     return EXIT_OK
@@ -243,6 +253,13 @@ def _error_line(code: str, detail: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read any token that starts like a negative number ("-1e-9",
+        # "-1/2", "-inf") as a value, so it reaches the range checks;
+        # argparse's own pattern takes only "-1" and "-0.5".
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message: str):  # argparse would exit(2); we want exit 1
         raise UsageError(message)
 
@@ -253,12 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         # An option left out is left out of the namespace too, so RunConfig
-        # supplies its default; only --format takes its default from the table.
+        # supplies its default.
         p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
         for option in command.options:
             p.add_argument("--" + option.replace("_", "-"), **_OPTIONS[option])
-        p.add_argument("--format", dest="output_format", choices=("csv", "json"),
-                       default=command.output_format)
+        p.add_argument("--format", dest="output_format", choices=("csv", "json"))
         p.add_argument("--output", dest="output_path", type=Path,
                        help="output file (default stdout)")
     return parser

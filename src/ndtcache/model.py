@@ -99,6 +99,16 @@ def worst_case_demand(cfg: NetworkConfig) -> DemandVector:
     return DemandVector(tuple(range(1, cfg.K + cfg.M + 1)))
 
 
+def check_coefficients(**arrays: np.ndarray) -> None:
+    """Require every coefficient finite and nonzero, checking the named
+    arrays in order; a stack of channel sets is checked in one pass."""
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} contains non-finite coefficients")
+        if np.any(arr == 0):
+            raise ValueError(f"{name} contains zero coefficients")
+
+
 @dataclass(frozen=True)
 class ChannelSet:
     """Per-slot complex channel coefficients over T slots.
@@ -128,11 +138,7 @@ class ChannelSet:
             raise ValueError(f"g must be T x K, got shape {g.shape}")
         if H.shape != (self.T, g.shape[1], f.shape[1]):
             raise ValueError(f"H must be T x K x M, got shape {H.shape}")
-        for name, arr in (("f", f), ("g", g), ("H", H)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite coefficients")
-            if np.any(arr == 0):
-                raise ValueError(f"{name} contains zero coefficients")
+        check_coefficients(f=f, g=g, H=H)
         for arr in (f, g, H):
             arr.setflags(write=False)
         object.__setattr__(self, "f", f)

@@ -10,12 +10,18 @@ key (seed, t, a) and its symbols from (seed, t, a, 1). Trials run in
 blocks of BLOCK_TRIALS, stacked on a leading axis and checked by stacked
 np.linalg calls (lstsq runs per trial), which give the same bits as one
 call per matrix; so results do not depend on the block size, and memory
-is one block's arrays whatever the trial count. Only a block's degenerate
-draws are redrawn, with attempt + 1; a trial still degenerate after
-_MAX_REDRAWS redraws ends the run with VerificationFailure, its report
-covering the trials before it. Verifiers hand the runner each block's
-checks and per-receiver diagnostics; the runner alone folds them into the
-report (see SubspaceReport).
+is one block's arrays whatever the trial count. A block's channels and
+symbols come from one drawer, ``_draw_cn``: each key's generator fills
+one row of a float buffer, and one array expression per part turns its
+(real, imaginary) column pairs into the block's complex values. The
+drawn channels are checked finite and nonzero once per block, with
+ChannelSet's messages; no ChannelSet is built per trial. Each user's
+interference SVD runs once and gives both its rank and the projection
+basis. Only a block's degenerate draws are redrawn, with attempt + 1; a
+trial still degenerate after _MAX_REDRAWS redraws ends the run with
+VerificationFailure, its report covering the trials before it. Verifiers
+hand the runner each block's checks and per-receiver diagnostics; the
+runner alone folds them into the report (see SubspaceReport).
 """
 from __future__ import annotations
 
@@ -26,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .corner import miso_zf_batch, unicast_schedule, user_groups, user_rows
-from .model import ChannelSet, NetworkConfig, Rational, check_tol
+from .model import ChannelSet, NetworkConfig, Rational, check_coefficients, check_tol
 from .scheme_m1k3 import (
     DENB_SYMBOLS,
     SYMBOLS_PER_FILE,
@@ -129,21 +135,45 @@ class RateEstimate:
     fitted_slope: float
 
 
+def _draw_cn(keys, shapes) -> list[np.ndarray]:
+    """I.i.d. CN(0,1) arrays, per shape one of shape (len(keys), *shape).
+
+    ``default_rng(key)`` fills its key's row of one float buffer: per
+    shape in order, its real parts, then its imaginary parts, as one
+    generator drawing each part in turn would. One array expression per
+    shape then makes the whole block's complex values.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    normals = np.empty((len(keys), 2 * sum(sizes)))
+    for key, row in zip(keys, normals):
+        np.random.default_rng(key).standard_normal(out=row)
+    parts, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        re, im = normals[:, start:start + size], normals[:, start + size:start + 2 * size]
+        parts.append(((re + 1j * im) / np.sqrt(2)).reshape(len(keys), *shape))
+        start += 2 * size
+    return parts
+
+
+def _draw_channels(keys, T: int, M: int, K: int) -> list[np.ndarray]:
+    """Stacked f, g and H of one draw per key, with ChannelSet's check."""
+    f, g, H = _draw_cn(keys, ((T, M), (T, K), (T, K, M)))
+    check_coefficients(f=f, g=g, H=H)
+    return [f, g, H]
+
+
 def draw_channels(seed, T: int, M: int, K: int) -> ChannelSet:
     """Seeded i.i.d. CN(0,1) channels, independent across slots.
 
     Draw order is fixed (f, then g, then H, real parts before imaginary)
     so a seed fully determines the set. ``seed`` may be an int or a tuple
-    of ints.
+    of ints. This is the one-key case of the block drawer the verifiers
+    use, so trial t at attempt a draws ``draw_channels((seed, t, a), ...)``.
     """
     if T < 1 or M < 1 or K < 1:
         raise ValueError("T, M and K must be positive")
-    rng = np.random.default_rng(seed)
-
-    def cn(shape):
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-    return ChannelSet(T=T, f=cn((T, M)), g=cn((T, K)), H=cn((T, K, M)))
+    f, g, H = _draw_channels([seed], T, M, K)
+    return ChannelSet(T=T, f=f[0], g=g[0], H=H[0])
 
 
 def rank_with_gap(matrix: np.ndarray, tol: float):
@@ -175,10 +205,6 @@ def _rank_gap(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return rank, gap
 
 
-def _cn_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-
-
 def _project_out(basis: np.ndarray, arr: np.ndarray) -> np.ndarray:
     return arr - basis @ (basis.conj().swapaxes(-1, -2) @ arr)
 
@@ -192,7 +218,8 @@ class _TrialRun:
     """Trials 0 .. trials - 1 of one run, in blocks, and their report.
     ``shape`` is (T, M, K) of a draw; ``solve(f, g, H)`` maps stacked
     channels to (arrays with the batch axis first, degenerate mask); a
-    trial's symbols are ``_cn_vector`` draws of ``sym_sizes``, joined.
+    trial's symbols are CN(0,1) vectors of ``sym_sizes``, drawn in turn
+    and joined.
     ``receivers`` names the report's receivers in order; ``ranks``, if
     given, are the (desired, interference, total) ranks all of them report
     instead of folded ones."""
@@ -213,18 +240,15 @@ class _TrialRun:
         self.decode_max = 0.0
         self.spectra: list[tuple[float, ...]] = [()] * len(receivers)
 
-    def _draw(self, trials, attempts) -> tuple[np.ndarray, ...]:
-        chans = [draw_channels(_key(self.seed, int(t), int(a)), *self.shape)
-                 for t, a in zip(trials, attempts)]
-        return tuple(np.stack([getattr(ch, name) for ch in chans]) for name in ("f", "g", "H"))
+    def _draw(self, trials, attempts) -> list[np.ndarray]:
+        keys = [_key(self.seed, int(t), int(a)) for t, a in zip(trials, attempts)]
+        return _draw_channels(keys, *self.shape)
 
     def _symbols(self, start: int, attempts) -> np.ndarray | None:
         if not self.sym_sizes:
             return None
-        rngs = (np.random.default_rng(_key(self.seed, start + i, int(a), 1))
-                for i, a in enumerate(attempts))
-        return np.stack([np.concatenate([_cn_vector(rng, n) for n in self.sym_sizes])
-                         for rng in rngs])
+        keys = [_key(self.seed, start + i, int(a), 1) for i, a in enumerate(attempts)]
+        return np.concatenate(_draw_cn(keys, [(n,) for n in self.sym_sizes]), axis=1)
 
     def blocks(self):
         """Yield (first trial, (f, g, H), solution, symbols) per solved
@@ -312,7 +336,8 @@ def _check_ue(k: int, E: np.ndarray, syms: np.ndarray, checks: list):
     des, intf = _DESIRED[k - 1], _INTERFERENCE[k - 1]
     svd = np.linalg.svd
     d_rank, _ = _rank_gap(svd(E[..., des], compute_uv=False), RANK_REL_TOL)
-    i_rank, i_gap = _rank_gap(svd(E[..., intf], compute_uv=False), RANK_REL_TOL)
+    u_intf, s_intf, _ = svd(E[..., intf])
+    i_rank, i_gap = _rank_gap(s_intf, RANK_REL_TOL)
     s_total = svd(E, compute_uv=False)
     t_rank, _ = _rank_gap(s_total, RANK_REL_TOL)
 
@@ -323,7 +348,7 @@ def _check_ue(k: int, E: np.ndarray, syms: np.ndarray, checks: list):
         sv = svd(E[..., cols], compute_uv=False)
         align_res = np.fmax(align_res, sv[:, 1] / sv[:, 0])
 
-    basis = svd(E[..., intf])[0][..., :3]
+    basis = u_intf[..., :3]
     A = _project_out(basis, E[..., des])
     b = _project_out(basis, E @ syms[..., None])[..., 0]
     sol = np.stack([np.linalg.lstsq(A[i], b[i], rcond=None)[0] for i in range(len(E))])

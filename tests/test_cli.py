@@ -4,7 +4,9 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -279,6 +281,23 @@ class TestInputHardening:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "usage"
 
+    @pytest.mark.parametrize("args, detail", [
+        (["verify-corner", "--m", "1", "--k", "2", "--mu", "1", "--tol", "-1e-9"],
+         "--tol must lie in (0, 1), got -1e-09"),
+        (["verify-m1k3", "--tol", "-inf"], "--tol must lie in (0, 1), got -inf"),
+        (["bounds", "--mu", "-1/2"], "--mu must lie in [0, 1], got -1/2"),
+    ])
+    def test_negative_values_reach_the_range_checks(self, capsys, args, detail):
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == json.dumps({"error": "usage", "detail": detail}) + "\n"
+
+    def test_negative_snr_points_are_values(self, capsys):
+        code, out, err = run_cli(capsys, "rates", "--trials", "2", "--snr-db", "-10,5,20",
+                                 "--format", "csv")
+        assert (code, err) == (EXIT_OK, "")
+        assert [row["snr_db"] for row in parse_csv(out)[:3]] == ["-10.0", "5.0", "20.0"]
+
     def test_json_output_refuses_non_finite_numbers(self, tmp_path):
         with pytest.raises(ValueError):
             emit({"meta": {}, "data": [{"rate": float("nan")}]}, "json",
@@ -299,6 +318,29 @@ class TestRedrawExhaustion:
         }
 
 
+class TestOutputErrors:
+    def test_missing_directory_is_one_usage_line(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "curve.csv"
+        code, out, err = run_cli(capsys, "bounds", "--m", "1", "--k", "3",
+                                 "--output", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == json.dumps({
+            "error": "usage",
+            "detail": f"cannot write {path}: No such file or directory",
+        }) + "\n"
+
+    def test_failed_verification_says_the_report_was_not_written(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "verify-corner", "--m", "1", "--k", "2", "--mu", "1",
+                                 "--tol", "0.999", "--trials", "3", "--output", str(path))
+        assert (code, out) == (EXIT_VERIFICATION, "")
+        assert err == json.dumps({
+            "error": "verification-failure",
+            "detail": "trial 0: 9 consecutive degenerate channel draws; report not written: "
+                      f"cannot write {path}: No such file or directory",
+        }) + "\n"
+
+
 class TestCommandTable:
     @pytest.mark.parametrize("command", ["rates", "verify-m1k3"])
     def test_library_run_reports_the_fixed_network(self, capsys, command):
@@ -306,38 +348,52 @@ class TestCommandTable:
         meta = json.loads(capsys.readouterr().out)["meta"]
         assert (meta["command"], meta["M"], meta["K"]) == (command, 1, 3)
 
+    def test_library_run_writes_the_command_format(self, capsys):
+        assert {name: RunConfig(name).output_format for name in COMMANDS} == {
+            name: command.output_format for name, command in COMMANDS.items()}
+        assert RunConfig("verify-m1k3", output_format="csv").output_format == "csv"
+        assert run(RunConfig("verify-m1k3", trials=3)) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["meta"]["command"] == "verify-m1k3"
+
 
 # Per option: small valid values, then malformed or out-of-range ones.
 _VALUES = {
     "m": (["1", "2", "3", "4"], ["0", "-1", "x"]),
     "k": (["1", "2", "3", "4"], ["0", "x"]),
-    "mu": (["0", "1", "1/2", "4/5", "0.8", "1/3"], ["2", "-1/2", "abc", "1/0"]),
+    "mu": (["0", "1", "1/2", "4/5", "0.8", "1/3"], ["2", "-1/2", "-0.8", "abc", "1/0"]),
     "grid": (["1", "3", "8"], ["0", "-2", "x"]),
     "seed": (["0", "1", "7"], ["x"]),
     "trials": (["1", "2", "3"], ["0", "-1"]),
-    "tol": (["1e-9", "1e-3", "0.5"], ["0", "1", "nan", "inf", "x"]),
+    "tol": (["1e-9", "1e-3", "0.5"], ["0", "1", "nan", "inf", "x", "-1e-9", "-0.5", "-inf"]),
     "snr_db": (["40,50,60", "30,45,60"], ["40,50", "40,45,50", "nan,50,60", "a"]),
     "format": (["csv", "json"], ["xml"]),
 }
+
+
+# A directory that no run creates: the fuzz's --output paths lie inside it.
+_MISSING_DIR = Path(tempfile.gettempdir()) / "ndtcache-fuzz-missing" / "nested"
 
 
 @st.composite
 def cli_argvs(draw):
     """A command with valid values for a subset of its options (always
     --trials where it takes one, so each run stays small), and in about
-    half the draws one fault: a bad value or an option it does not take."""
+    half the draws one fault: a bad value, an option it does not take, or
+    an --output path in a missing directory."""
     name = draw(st.sampled_from(sorted(COMMANDS)))
     own = (*COMMANDS[name].options, "format")
     options = draw(st.lists(st.sampled_from(own), unique=True))
     if "trials" in own and "trials" not in options:
         options.append("trials")
     values = {option: draw(st.sampled_from(_VALUES[option][0])) for option in options}
-    fault = draw(st.sampled_from([None, None, "value", "option"]))
+    fault = draw(st.sampled_from([None, None, None, "value", "option", "output"]))
     if fault == "value":
         option = draw(st.sampled_from(own))
         values[option] = draw(st.sampled_from(_VALUES[option][1]))
     elif fault == "option":
         values[draw(st.sampled_from(sorted({*_VALUES, "n"} - set(own))))] = "5"
+    elif fault == "output":
+        values["output"] = str(_MISSING_DIR / draw(st.sampled_from(["out.csv", "out.json", "x"])))
     argv = [name]
     for option, value in values.items():
         argv += ["--" + option.replace("_", "-"), value]
@@ -355,6 +411,10 @@ def test_cli_fuzz_exit_codes_and_output(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, EXIT_UNCHARACTERIZED)
+    if "--output" in argv:
+        assert code != EXIT_OK
+        assert out.getvalue() == ""
+        assert not _MISSING_DIR.exists()
     if code == EXIT_OK:
         assert err.getvalue() == ""
         output_format = (argv[argv.index("--format") + 1] if "--format" in argv
@@ -364,5 +424,6 @@ def test_cli_fuzz_exit_codes_and_output(argv):
     else:
         (line,) = err.getvalue().splitlines()
         assert set(json.loads(line)) == {"error", "detail"}
+        assert "expected one argument" not in line
         if code != EXIT_VERIFICATION:
             assert out.getvalue() == ""

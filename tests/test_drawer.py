@@ -1,0 +1,104 @@
+"""The block drawer gives, bit for bit, the draws of one generator per key
+drawing each part in turn, and keeps ChannelSet's finite and nonzero
+guarantee for a whole block."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ndtcache.verify as V
+from ndtcache.model import NetworkConfig
+
+SEEDS = st.one_of(
+    st.integers(0, 2**63),
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4).map(tuple),
+)
+DIMS = st.integers(1, 8)
+
+
+def per_part_channels(seed, T, M, K):
+    """The reference recipe: one generator draws f, then g, then H, each
+    as its real parts, then its imaginary parts, over sqrt 2."""
+    rng = np.random.default_rng(seed)
+
+    def cn(shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+    return cn((T, M)), cn((T, K)), cn((T, K, M))
+
+
+def per_size_symbols(key, sizes):
+    """The reference recipe: one generator draws each size in turn, real
+    parts before imaginary, joined."""
+    rng = np.random.default_rng(key)
+    return np.concatenate([(rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
+                           for n in sizes])
+
+
+def assert_bit_equal(new, old):
+    assert new.shape == old.shape
+    assert new.tobytes() == old.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, T=DIMS, M=DIMS, K=DIMS)
+def test_draw_channels_is_bit_equal_to_the_per_part_recipe(seed, T, M, K):
+    ch = V.draw_channels(seed, T, M, K)
+    for new, old in zip((ch.f, ch.g, ch.H), per_part_channels(seed, T, M, K)):
+        assert_bit_equal(new, old)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, T=DIMS, M=DIMS, K=DIMS,
+       attempts=st.lists(st.integers(0, 8), min_size=1, max_size=6), start=st.integers(0, 200))
+def test_trial_block_channels_are_bit_equal_to_one_draw_per_trial(seed, T, M, K, attempts, start):
+    run = V._TrialRun(seed, 1, (T, M, K), solve=None)
+    trials = range(start, start + len(attempts))
+    block = run._draw(trials, attempts)
+    for i, (t, a) in enumerate(zip(trials, attempts)):
+        for new, old in zip(block, per_part_channels(V._key(seed, t, a), T, M, K)):
+            assert_bit_equal(new[i], old)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS,
+       sizes=st.one_of(st.sampled_from([(2, 2, 1), (3, 1), (16,)]),
+                       st.lists(st.integers(1, 6), min_size=1, max_size=4).map(tuple)),
+       attempts=st.lists(st.integers(0, 8), min_size=1, max_size=6), start=st.integers(0, 200))
+def test_symbols_are_bit_equal_to_per_size_draws(seed, sizes, attempts, start):
+    run = V._TrialRun(seed, 1, (1, 1, 1), solve=None, sym_sizes=sizes)
+    old = np.stack([per_size_symbols(V._key(seed, start + i, a, 1), sizes)
+                    for i, a in enumerate(attempts)])
+    assert_bit_equal(run._symbols(start, np.array(attempts)), old)
+
+
+class _OneBadCoefficient:
+    """Stands in for np.random.default_rng: fills every row with ones,
+    except that coefficient 0 of one part gets ``value`` in its real and
+    imaginary parts."""
+
+    def __init__(self, shape, part, value):
+        T, M, K = shape
+        sizes = {"f": T * M, "g": T * K, "H": T * K * M}
+        start = {"f": 0, "g": 2 * sizes["f"], "H": 2 * (sizes["f"] + sizes["g"])}[part]
+        self.spots = (start, start + sizes[part])
+        self.value = value
+
+    def __call__(self, key):
+        return self
+
+    def standard_normal(self, out):
+        out[:] = 1.0
+        out[list(self.spots)] = self.value
+
+
+@pytest.mark.parametrize("value, problem", [(0.0, "zero"), (np.nan, "non-finite")])
+@pytest.mark.parametrize("part", ["f", "g", "H"])
+def test_bad_draws_raise_channel_set_messages(monkeypatch, part, value, problem):
+    message = f"{part} contains {problem} coefficients"
+    shape = (3, 1, 2)  # unicast at M = 1, K = 2: one slot per receiver
+    monkeypatch.setattr(np.random, "default_rng", _OneBadCoefficient(shape, part, value))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        V.draw_channels(0, *shape)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        V.verify_corner(0, 5, NetworkConfig(M=1, K=2, N=3, mu=0))
