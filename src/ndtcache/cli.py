@@ -101,7 +101,11 @@ VERIFY_COLUMNS = [
 RATES_COLUMNS = ["receiver", "snr_db", "rate", "fitted_slope"]
 
 
-def _report_rows(report: VerificationReport) -> list[dict]:
+def _result_rows(report: VerificationReport | list) -> tuple[list[dict], list[str]]:
+    """Rows and CSV columns of a Monte Carlo result, whole or partial: a
+    report, or finite_snr_rates' list of RateEstimate."""
+    if isinstance(report, list):
+        return [asdict(e) for e in report], RATES_COLUMNS
     overall = {
         "receiver": "overall", **dict.fromkeys(VERIFY_COLUMNS[1:6], ""),
         **_cells(ndt=report.ndt, per_ue_dof=report.per_ue_dof,
@@ -113,7 +117,7 @@ def _report_rows(report: VerificationReport) -> list[dict]:
         {**{col: getattr(sub, col) for col in VERIFY_COLUMNS[:6]},
          **dict.fromkeys(VERIFY_COLUMNS[6:], "")}
         for sub in report.ue_reports + report.rn_reports
-    ]
+    ], VERIFY_COLUMNS
 
 
 def emit(payload: dict, output_format: str, path: Path | None, columns: list[str]) -> int:
@@ -172,19 +176,17 @@ def _tradeoff(cfg: RunConfig):
 
 
 def _verify_m1k3(cfg: RunConfig):
-    return _report_rows(verify_m1k3(cfg.seed, cfg.trials, cfg.tol)), VERIFY_COLUMNS
+    return _result_rows(verify_m1k3(cfg.seed, cfg.trials, cfg.tol))
 
 
 def _verify_corner(cfg: RunConfig):
     if cfg.mu is None or cfg.mu not in (0, 1):
         raise UsageError("verify-corner requires --mu 0 or --mu 1")
-    report = verify_corner(cfg.seed, cfg.trials, cfg.network(cfg.mu), cfg.tol)
-    return _report_rows(report), VERIFY_COLUMNS
+    return _result_rows(verify_corner(cfg.seed, cfg.trials, cfg.network(cfg.mu), cfg.tol))
 
 
 def _rates(cfg: RunConfig):
-    estimates = finite_snr_rates(cfg.seed, list(cfg.snr_db), cfg.trials)
-    return [asdict(e) for e in estimates], RATES_COLUMNS
+    return _result_rows(finite_snr_rates(cfg.seed, list(cfg.snr_db), cfg.trials))
 
 
 class Command(NamedTuple):
@@ -227,8 +229,9 @@ def run(cfg: RunConfig) -> int:
     """Execute one command and emit its artifact; returns the exit code."""
     command = COMMANDS[cfg.command]
     m, k = command.network or (cfg.m, cfg.k)
-    meta = {"command": cfg.command, "M": m, "K": k, "seed": cfg.seed, "tol": cfg.tol,
-            "version": __version__}
+    # only the Monte Carlo commands read a seed and a tolerance
+    randomized = {"seed": cfg.seed, "tol": cfg.tol} if "seed" in command.options else {}
+    meta = {"command": cfg.command, "M": m, "K": k, **randomized, "version": __version__}
     try:
         data, columns = command.rows(cfg)
     except UncharacterizedConfigError as exc:
@@ -237,9 +240,9 @@ def run(cfg: RunConfig) -> int:
     except VerificationFailure as exc:
         detail = str(exc)
         if exc.report is not None:
+            data, columns = _result_rows(exc.report)
             try:
-                emit({"meta": meta, "data": _report_rows(exc.report)},
-                     cfg.output_format, cfg.output_path, VERIFY_COLUMNS)
+                emit({"meta": meta, "data": data}, cfg.output_format, cfg.output_path, columns)
             except UsageError as lost:
                 detail += f"; report not written: {lost}"
         _error_line("verification-failure", detail)

@@ -72,9 +72,8 @@ def miso_zf_plan(ch: ChannelSet, cfg: NetworkConfig, tol: float = 1e-9) -> MisoZ
 
     Group g uses slot g of ``ch``. Beamformers are the pseudo-inverse of
     the stacked group rows (unit gain at the intended user, zero at the
-    rest), with one refinement step to push the nulling residual to the
-    rounding floor. A group whose channel matrix has a relative singular
-    value below tol raises DegenerateChannel.
+    rest, up to rounding). A group whose channel matrix has a relative
+    singular value below tol raises DegenerateChannel.
     """
     if cfg.mu != 1:
         raise ValueError(f"MISO zero-forcing applies at mu = 1 only, got mu = {cfg.mu}")
@@ -110,8 +109,7 @@ def miso_zf_batch(g: np.ndarray, H: np.ndarray, tol: float = 1e-9):
         C = user_rows(g[..., t, :], H[..., t, :, :], group)
         sv = np.linalg.svd(C, compute_uv=False)
         degenerate |= sv[..., -1] < tol * sv[..., 0]
-        P = np.linalg.pinv(C)
-        W = P + P @ (np.eye(len(group)) - C @ P)
+        W = np.linalg.pinv(C)
         gains = np.abs(C @ W)
         off = np.where(np.eye(len(group), dtype=bool), 0.0, gains).max(axis=-1)
         with np.errstate(all="ignore"):  # degenerate draws may have zero gains

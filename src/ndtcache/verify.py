@@ -5,23 +5,23 @@ precoders, assemble effective receive matrices, check zero-forcing and
 alignment residuals plus subspace ranks, decode noiselessly, and account
 DoF/NDT. verify_m1k3, both branches of verify_corner (unicasting at
 mu = 0, MISO zero-forcing at mu = 1) and finite_snr_rates share one trial
-runner, ``_TrialRun``. Trial t draws its channels at attempt a from the
-key (seed, t, a) and its symbols from (seed, t, a, 1). Trials run in
-blocks of BLOCK_TRIALS, stacked on a leading axis and checked by stacked
-np.linalg calls (lstsq runs per trial), which give the same bits as one
-call per matrix; so results do not depend on the block size, and memory
-is one block's arrays whatever the trial count. A block's channels and
-symbols come from one drawer, ``_draw_cn``: each key's generator fills
-one row of a float buffer, and one array expression per part turns its
-(real, imaginary) column pairs into the block's complex values. The
-drawn channels are checked finite and nonzero once per block, with
-ChannelSet's messages; no ChannelSet is built per trial. Each user's
-interference SVD runs once and gives both its rank and the projection
-basis. Only a block's degenerate draws are redrawn, with attempt + 1; a
-trial still degenerate after _MAX_REDRAWS redraws ends the run with
-VerificationFailure, its report covering the trials before it. Verifiers
-hand the runner each block's checks and per-receiver diagnostics; the
-runner alone folds them into the report (see SubspaceReport).
+runner, ``_TrialRun``. Trial t at attempt a draws its channels, then its
+symbols, from one generator keyed (seed, t, a). Trials run in blocks of
+BLOCK_TRIALS, stacked on a leading axis and checked by stacked
+np.linalg calls (decoding included, by pinv) and array ops, which give
+the same bits as one call per matrix; rate totals add up in trial order.
+So results do not depend on the block size, and memory is one block's
+arrays whatever the trial count. A block's draws come from one drawer,
+``_draw_cn``: each key's generator fills one row of a float buffer, and
+one array expression per part turns its (real, imaginary) column pairs
+into the block's complex values. The drawn channels are checked finite
+and nonzero once per block, with ChannelSet's messages; no ChannelSet is
+built per trial. Each user's interference SVD runs once and gives both
+its rank and the projection basis. Only a block's degenerate draws are
+redrawn, with attempt + 1; a trial still degenerate after _MAX_REDRAWS
+redraws ends the run with VerificationFailure, its report covering the
+trials before it. Verifiers hand the runner each block's checks and
+per-receiver diagnostics; the runner alone folds them into the report.
 """
 from __future__ import annotations
 
@@ -81,10 +81,13 @@ _WORST = np.array([1, -1, 1])
 
 
 class VerificationFailure(Exception):
-    """A verification run had failing trials; carries the aggregate report
-    and the first failing trial's diagnostics."""
+    """A verification run had failing trials; carries the first failing
+    trial's diagnostics and the partial result: the aggregate report, or
+    from finite_snr_rates the estimates over the trials before the
+    failing one."""
 
-    def __init__(self, message: str, report: "VerificationReport | None" = None):
+    def __init__(self, message: str,
+                 report: "VerificationReport | list[RateEstimate] | None" = None):
         super().__init__(message)
         self.report = report
 
@@ -155,24 +158,18 @@ def _draw_cn(keys, shapes) -> list[np.ndarray]:
     return parts
 
 
-def _draw_channels(keys, T: int, M: int, K: int) -> list[np.ndarray]:
-    """Stacked f, g and H of one draw per key, with ChannelSet's check."""
-    f, g, H = _draw_cn(keys, ((T, M), (T, K), (T, K, M)))
-    check_coefficients(f=f, g=g, H=H)
-    return [f, g, H]
-
-
 def draw_channels(seed, T: int, M: int, K: int) -> ChannelSet:
     """Seeded i.i.d. CN(0,1) channels, independent across slots.
 
     Draw order is fixed (f, then g, then H, real parts before imaginary)
     so a seed fully determines the set. ``seed`` may be an int or a tuple
     of ints. This is the one-key case of the block drawer the verifiers
-    use, so trial t at attempt a draws ``draw_channels((seed, t, a), ...)``.
+    use, so trial t at attempt a draws ``draw_channels((seed, t, a), ...)``
+    and then, from the same generator, its symbols.
     """
     if T < 1 or M < 1 or K < 1:
         raise ValueError("T, M and K must be positive")
-    f, g, H = _draw_channels([seed], T, M, K)
+    f, g, H = _draw_cn([seed], ((T, M), (T, K), (T, K, M)))
     return ChannelSet(T=T, f=f[0], g=g[0], H=H[0])
 
 
@@ -209,6 +206,11 @@ def _project_out(basis: np.ndarray, arr: np.ndarray) -> np.ndarray:
     return arr - basis @ (basis.conj().swapaxes(-1, -2) @ arr)
 
 
+def _least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # least-squares solutions of stacked systems A x = b, b (..., m, k), one pinv per matrix
+    return np.linalg.pinv(A) @ b
+
+
 def _key(seed, *extra: int) -> tuple[int, ...]:
     base = seed if isinstance(seed, tuple) else (seed,)
     return base + extra
@@ -219,7 +221,7 @@ class _TrialRun:
     ``shape`` is (T, M, K) of a draw; ``solve(f, g, H)`` maps stacked
     channels to (arrays with the batch axis first, degenerate mask); a
     trial's symbols are CN(0,1) vectors of ``sym_sizes``, drawn in turn
-    and joined.
+    after its channels.
     ``receivers`` names the report's receivers in order; ``ranks``, if
     given, are the (desired, interference, total) ranks all of them report
     instead of folded ones."""
@@ -241,39 +243,39 @@ class _TrialRun:
         self.spectra: list[tuple[float, ...]] = [()] * len(receivers)
 
     def _draw(self, trials, attempts) -> list[np.ndarray]:
+        """Stacked f, g, H and symbol groups of one draw per (trial, attempt),
+        with ChannelSet's check on the channels."""
         keys = [_key(self.seed, int(t), int(a)) for t, a in zip(trials, attempts)]
-        return _draw_channels(keys, *self.shape)
-
-    def _symbols(self, start: int, attempts) -> np.ndarray | None:
-        if not self.sym_sizes:
-            return None
-        keys = [_key(self.seed, start + i, int(a), 1) for i, a in enumerate(attempts)]
-        return np.concatenate(_draw_cn(keys, [(n,) for n in self.sym_sizes]), axis=1)
+        T, M, K = self.shape
+        drawn = _draw_cn(keys, ((T, M), (T, K), (T, K, M), *((n,) for n in self.sym_sizes)))
+        f, g, H = drawn[:3]
+        check_coefficients(f=f, g=g, H=H)
+        return drawn
 
     def blocks(self):
-        """Yield (first trial, (f, g, H), solution, symbols) per solved
+        """Yield (first trial, (f, g, H), solution, symbol groups) per solved
         block; redraw exhaustion yields the trials before and stops."""
         for start in range(0, self.n, BLOCK_TRIALS):
             n = min(BLOCK_TRIALS, self.n - start)
             attempts = np.zeros(n, dtype=int)
-            channels = self._draw(range(start, start + n), attempts)
-            solution, degenerate = self.solve(*channels)
+            drawn = self._draw(range(start, start + n), attempts)
+            solution, degenerate = self.solve(*drawn[:3])
             while degenerate.any():
                 redo = np.flatnonzero(degenerate)
                 attempts[redo] += 1
                 if attempts[redo[0]] > _MAX_REDRAWS:
                     n = int(redo[0])  # every trial before it is solved
                     break
-                for arr, new in zip(channels, self._draw(start + redo, attempts[redo])):
+                for arr, new in zip(drawn, self._draw(start + redo, attempts[redo])):
                     arr[redo] = new
-                redone, degenerate[redo] = self.solve(*(arr[redo] for arr in channels))
+                redone, degenerate[redo] = self.solve(*(arr[redo] for arr in drawn[:3]))
                 for arr, new in zip(solution, redone):
                     arr[redo] = new
             self.trials += n
             self.redraws += int(attempts[:n].sum())
             if n:
-                yield (start, tuple(arr[:n] for arr in channels),
-                       tuple(arr[:n] for arr in solution), self._symbols(start, attempts[:n]))
+                drawn = [arr[:n] for arr in drawn]
+                yield start, tuple(drawn[:3]), tuple(arr[:n] for arr in solution), drawn[3:]
             if degenerate.any():
                 self.trials += 1
                 self.failures += 1
@@ -350,8 +352,8 @@ def _check_ue(k: int, E: np.ndarray, syms: np.ndarray, checks: list):
 
     basis = u_intf[..., :3]
     A = _project_out(basis, E[..., des])
-    b = _project_out(basis, E @ syms[..., None])[..., 0]
-    sol = np.stack([np.linalg.lstsq(A[i], b[i], rcond=None)[0] for i in range(len(E))])
+    b = _project_out(basis, E @ syms[..., None])
+    sol = _least_squares(A, b)[..., 0]
     truth = syms[:, des]
     err = np.abs(sol - truth).max(axis=-1) / np.abs(truth).max(axis=-1)
 
@@ -376,13 +378,9 @@ def _check_rn(rn: np.ndarray, syms: np.ndarray, checks: list):
     s_rn = np.linalg.svd(cancelled, compute_uv=False)
     rn_rank, _ = _rank_gap(s_rn, RANK_REL_TOL)
     heard = syms[:, _DENB]
-    y = (rn @ heard[..., None] - rn[..., _RN_KNOWN] @ heard[:, _RN_KNOWN, None])[..., 0]
+    y = rn @ heard[..., None] - rn[..., _RN_KNOWN] @ heard[:, _RN_KNOWN, None]
     truth = syms[:, _COL[SymbolId(4, 5)]]
-    err = np.array([
-        float(abs(np.linalg.lstsq(cancelled[i], y[i], rcond=None)[0][_ETA45] - truth[i])
-              / abs(truth[i]))
-        for i in range(len(rn))
-    ])
+    err = np.abs(_least_squares(cancelled, y)[:, _ETA45, 0] - truth) / np.abs(truth)
     checks += [
         (rn_rank != 4, lambda i: f"rn post-cancellation rank {rn_rank[i]} != 4"),
         (err > DECODE_ERROR_MAX, lambda i: f"rn decode error {err[i]:.3e}"),
@@ -405,7 +403,7 @@ def verify_m1k3(seed, trials: int, tol: float = 1e-9) -> VerificationReport:
     """
     run = _TrialRun(seed, trials, (T_SLOTS, 1, 3), _solve_m1k3(tol), (len(TRANSMITTED_SYMBOLS),),
                     ("ue1", "ue2", "ue3", "rn1"))
-    for start, (f, g, H), (nu, beta), syms in run.blocks():
+    for start, (f, g, H), (nu, beta), (syms,) in run.blocks():
         receive = lambda r: effective_channel_batch(nu, beta, f, g, H[..., 0], r)
         checks: list = []
         ranks, res, errs, svs = zip(
@@ -430,16 +428,14 @@ def _verify_unicast(seed, trials: int, cfg: NetworkConfig) -> VerificationReport
     never_degenerate = lambda f, g, H: ((), np.zeros(len(g), dtype=bool))
     run = _TrialRun(seed, trials, (len(receivers), cfg.M, cfg.K), never_degenerate,
                     (len(receivers),), receivers, ranks=(1, 0, 1))
-    for start, (f, g, _), _, syms in run.blocks():
+    for start, (f, g, _), _, (syms,) in run.blocks():
         coeff = np.stack([(g if r.startswith("ue") else f)[:, t, int(r[2:]) - 1]
                           for t, r in enumerate(receivers)], axis=-1)
-        # numpy scalar ops: the array ops differ from them in the last bit
-        errors = np.reshape([abs((c * s) / c - s) / abs(s)
-                             for c, s in zip(coeff.ravel(), syms.ravel())], coeff.shape)
-        errors = errors.max(axis=1)  # each trial's worst receiver
+        # each trial's worst receiver
+        errors = (np.abs((coeff * syms) / coeff - syms) / np.abs(syms)).max(axis=1)
         run.fold(start, [errors],
                  [(errors > DECODE_ERROR_MAX, lambda i: f"decode error {errors[i]:.3e}")],
-                 spectra=lambda: [(abs(c),) for c in coeff[0]])
+                 spectra=lambda: np.abs(coeff[0])[:, None])
     return run.report(
         ndt=schedule.ndt,
         per_ue_dof=Fraction(1, cfg.K + cfg.M),
@@ -455,21 +451,18 @@ def _verify_miso(seed, trials: int, cfg: NetworkConfig, tol: float):
         beamformers, svs, cross, degenerate = miso_zf_batch(g, H, tol)
         return (*beamformers, *svs, cross), degenerate
 
-    # groups hold users 1..K in order: symbol column k - 1 belongs to user k
     run = _TrialRun(seed, trials, (len(groups), cfg.M, cfg.K), solve, tuple(map(len, groups)),
                     tuple(f"ue{k}" for k in range(1, cfg.K + 1)), ranks=(1, 0, 1))
-    for start, (_, g, H), solution, syms in run.blocks():
+    for start, (_, g, H), solution, symbols in run.blocks():
         cross = solution[-1]
         nulling = np.fmax.reduce(cross, axis=-1)
         checks: list = [
             (nulling > ZF_RESIDUAL_MAX, lambda i: f"nulling residual {nulling[i]:.3e}")
         ]
         errors = []
-        for t, (group, W) in enumerate(zip(groups, solution)):
-            cols = [k - 1 for k in group]
+        for t, (group, W, s) in enumerate(zip(groups, solution, symbols)):
             rows = user_rows(g[:, t], H[:, t], group)
             direct = np.diagonal(rows @ W, axis1=-2, axis2=-1)
-            s = syms[:, cols]
             err = (np.abs((rows @ (W @ s[..., None]))[..., 0] / direct - s).max(axis=-1)
                    / np.abs(s).max(axis=-1))
             errors.append(err)
@@ -510,7 +503,8 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
     cancellation and projection. Rates are averaged over ``trials``
     draws and, per receiver, a least-squares slope of rate versus
     log2(P) is fitted across all SNR points. Requires at least 3 finite
-    SNR points spanning at least 20 dB.
+    SNR points spanning at least 20 dB. A trial that runs out of redraws
+    raises VerificationFailure with the estimates of the trials before it.
     """
     if len(snr_db_list) < 3:
         raise ValueError("need at least 3 SNR points")
@@ -519,13 +513,14 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
     if max(snr_db_list) - min(snr_db_list) < 20:
         raise ValueError("SNR points must span at least 20 dB")
 
-    snrs = [float(x) for x in snr_db_list]
-    powers = [10.0 ** (x / 10.0) for x in snrs]
+    snrs = np.array(snr_db_list, dtype=float)
+    powers = 10.0 ** (snrs / 10.0)
     receivers = ["ue1", "ue2", "ue3", "rn"]
     totals = np.zeros((len(receivers), len(snrs)))
     others = [n for n in range(len(_RN_UNKNOWN)) if n != _ETA45]
 
     run = _TrialRun(seed, trials, (T_SLOTS, 1, 3), _solve_m1k3(1e-9))
+    done = 0
     for _, (f, g, H), (nu, beta), _ in run.blocks():
         rates = np.empty((len(nu), len(receivers), len(snrs)))
         for k in (1, 2, 3):
@@ -533,25 +528,24 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
             u = np.linalg.svd(E[..., _INTERFERENCE[k - 1]])[0]
             geff = u[..., 3:].conj().swapaxes(-1, -2) @ E[..., _DESIRED[k - 1]]
             gram = geff @ geff.conj().swapaxes(-1, -2)
-            for i, p in enumerate(powers):
-                _, logdet = np.linalg.slogdet(np.eye(5) + p * gram)
-                rates[:, k - 1, i] = logdet / math.log(2) / T_SLOTS
+            _, logdet = np.linalg.slogdet(np.eye(5) + np.multiply.outer(powers, gram))
+            rates[:, k - 1] = logdet.T / math.log(2) / T_SLOTS
         cancelled = effective_channel_batch(nu, beta, f, g, H[..., 0], "rn")[..., _RN_UNKNOWN]
         u = np.linalg.svd(cancelled[..., others])[0]
         geff = u[..., 3:].conj().swapaxes(-1, -2) @ cancelled[..., _ETA45, None]
         gains = np.real(geff.conj().swapaxes(-1, -2) @ geff)[:, 0, 0]
-        for j, gain in enumerate(gains.tolist()):
-            rates[j, 3] = [math.log2(1.0 + p * gain) / T_SLOTS for p in powers]
-        # sequential over trials, as np.sum's pairwise order would change the bits
+        rates[:, 3] = np.log2(1.0 + np.multiply.outer(gains, powers)) / T_SLOTS
+        # sequential over trials, as np.sum's pairwise order would depend on the block size
         totals = np.add.accumulate(np.concatenate([totals[None], rates]), axis=0)[-1]
-    if run.first_failure:
-        raise VerificationFailure(run.first_failure)
+        done += len(nu)
 
-    x = np.array([math.log2(p) for p in powers])
-    estimates = []
-    for r, total in zip(receivers, totals):
-        y = total / trials
-        slope = float(np.sum((x - x.mean()) * (y - y.mean())) / np.sum((x - x.mean()) ** 2))
-        for i, snr in enumerate(snrs):
-            estimates.append(RateEstimate(r, snr, float(y[i]), slope))
+    x = np.log2(powers)
+    x -= x.mean()
+    y = totals / max(done, 1)
+    slopes = (x * (y - y.mean(axis=1, keepdims=True))).sum(axis=1) / np.sum(x ** 2)
+    estimates = [RateEstimate(r, float(snr), float(rate), float(slope))
+                 for r, row, slope in zip(receivers, y, slopes) if done
+                 for snr, rate in zip(snrs, row)]
+    if run.first_failure:
+        raise VerificationFailure(run.first_failure, estimates)
     return estimates

@@ -318,6 +318,26 @@ class TestRedrawExhaustion:
         }
 
 
+    def test_rates_exhaustion_writes_the_partial_table(self, capsys, monkeypatch):
+        import ndtcache.verify as V
+
+        # at tol 8e-2 trial 48 of seed 0 is degenerate on all nine draws
+        solve = V._solve_m1k3
+        monkeypatch.setattr(V, "_solve_m1k3", lambda tol: solve(8e-2))
+        code, out, err = run_cli(capsys, "rates", "--trials", "60", "--seed", "0")
+        assert code == EXIT_VERIFICATION
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "verification-failure",
+            "detail": "trial 48: 9 consecutive degenerate channel draws",
+        }
+        assert (EXIT_OK, out) == run_cli(capsys, "rates", "--trials", "48", "--seed", "0")[:2]
+        # out of redraws at trial 0: the table has no data rows
+        monkeypatch.setattr(V, "_solve_m1k3", lambda tol: solve(0.9))
+        code, out, _ = run_cli(capsys, "rates", "--trials", "2", "--format", "csv")
+        assert (code, out) == (EXIT_VERIFICATION, "receiver,snr_db,rate,fitted_slope\n")
+
+
 class TestOutputErrors:
     def test_missing_directory_is_one_usage_line(self, capsys, tmp_path):
         path = tmp_path / "missing" / "curve.csv"

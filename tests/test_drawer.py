@@ -1,6 +1,6 @@
 """The block drawer gives, bit for bit, the draws of one generator per key
-drawing each part in turn, and keeps ChannelSet's finite and nonzero
-guarantee for a whole block."""
+drawing each part in turn (a trial's symbols after its channels), and
+keeps ChannelSet's finite and nonzero guarantee for a whole block."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,23 +16,16 @@ SEEDS = st.one_of(
 DIMS = st.integers(1, 8)
 
 
-def per_part_channels(seed, T, M, K):
-    """The reference recipe: one generator draws f, then g, then H, each
-    as its real parts, then its imaginary parts, over sqrt 2."""
+def per_part_channels(seed, T, M, K, sym_sizes=()):
+    """The reference recipe: one generator draws f, then g, then H, then
+    each symbol group of ``sym_sizes``, each as its real parts, then its
+    imaginary parts, over sqrt 2."""
     rng = np.random.default_rng(seed)
 
     def cn(shape):
         return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
-    return cn((T, M)), cn((T, K)), cn((T, K, M))
-
-
-def per_size_symbols(key, sizes):
-    """The reference recipe: one generator draws each size in turn, real
-    parts before imaginary, joined."""
-    rng = np.random.default_rng(key)
-    return np.concatenate([(rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-                           for n in sizes])
+    return [cn((T, M)), cn((T, K)), cn((T, K, M)), *(cn((n,)) for n in sym_sizes)]
 
 
 def assert_bit_equal(new, old):
@@ -61,15 +54,19 @@ def test_trial_block_channels_are_bit_equal_to_one_draw_per_trial(seed, T, M, K,
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=SEEDS,
+@given(seed=SEEDS, T=DIMS, M=DIMS, K=DIMS,
        sizes=st.one_of(st.sampled_from([(2, 2, 1), (3, 1), (16,)]),
                        st.lists(st.integers(1, 6), min_size=1, max_size=4).map(tuple)),
        attempts=st.lists(st.integers(0, 8), min_size=1, max_size=6), start=st.integers(0, 200))
-def test_symbols_are_bit_equal_to_per_size_draws(seed, sizes, attempts, start):
-    run = V._TrialRun(seed, 1, (1, 1, 1), solve=None, sym_sizes=sizes)
-    old = np.stack([per_size_symbols(V._key(seed, start + i, a, 1), sizes)
-                    for i, a in enumerate(attempts)])
-    assert_bit_equal(run._symbols(start, np.array(attempts)), old)
+def test_trial_symbols_follow_the_channels_in_one_generator(seed, T, M, K, sizes, attempts,
+                                                            start):
+    run = V._TrialRun(seed, 1, (T, M, K), solve=None, sym_sizes=sizes)
+    trials = range(start, start + len(attempts))
+    block = run._draw(trials, attempts)
+    assert len(block) == 3 + len(sizes)
+    for i, (t, a) in enumerate(zip(trials, attempts)):
+        for new, old in zip(block, per_part_channels(V._key(seed, t, a), T, M, K, sizes)):
+            assert_bit_equal(new[i], old)
 
 
 class _OneBadCoefficient:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndtcache.model import NetworkConfig
 from ndtcache.verify import (
@@ -278,14 +280,24 @@ class TestRedrawExhaustion:
 
         solve = V._solve_m1k3  # rates fix tol at 1e-9; make every draw degenerate
         monkeypatch.setattr(V, "_solve_m1k3", lambda tol: solve(0.9))
-        with pytest.raises(VerificationFailure, match="9 consecutive"):
+        with pytest.raises(VerificationFailure, match="9 consecutive") as exc_info:
             finite_snr_rates(0, [40.0, 50.0, 60.0], trials=2)
+        assert exc_info.value.report == []  # out of redraws at trial 0
+
+        # at tol 8e-2 trial 48 of seed 0 is degenerate on all nine draws: the
+        # failure carries the rates of trials 0-47
+        monkeypatch.setattr(V, "_solve_m1k3", lambda tol: solve(8e-2))
+        with pytest.raises(VerificationFailure) as exc_info:
+            finite_snr_rates(0, [40.0, 50.0, 60.0], trials=60)
+        assert str(exc_info.value) == "trial 48: 9 consecutive degenerate channel draws"
+        assert exc_info.value.report == finite_snr_rates(0, [40.0, 50.0, 60.0], trials=48)
 
 
 class TestForcedZfFailure:
-    """A ZF threshold below the rounding floor fails trials; the message
-    and the report's fields are pinned to the values of the per-verifier
-    report code this runner replaced."""
+    """A ZF threshold below the rounding floor fails trials. The message,
+    decode error and residuals are then rounding noise, pinned so that any
+    change to the arithmetic shows; the trial, redraw and rank pins are
+    exact."""
 
     def test_m1k3(self, monkeypatch):
         import ndtcache.verify as V
@@ -296,7 +308,7 @@ class TestForcedZfFailure:
         assert str(exc_info.value) == "trial 0: ue3 ZF residual 1.020e-16"
         report = exc_info.value.report
         assert (report.trials, report.failures, report.redraws) == (5, 5, 0)
-        assert report.decode_max_error == 2.257664587575657e-14
+        assert report.decode_max_error == 3.720519263133502e-14
         assert [(s.receiver, s.zf_residual, s.alignment_residual)
                 for s in report.ue_reports + report.rn_reports] == [
             ("ue1", 2.2649179860254926e-16, 2.737290595109619e-16),
@@ -316,15 +328,15 @@ class TestForcedZfFailure:
         monkeypatch.setattr(V, "ZF_RESIDUAL_MAX", 1e-16)
         with pytest.raises(VerificationFailure) as exc_info:
             verify_corner(1, 5, NetworkConfig(M=2, K=3, N=5, mu=1))
-        assert str(exc_info.value) == "trial 1: nulling residual 1.603e-16"
+        assert str(exc_info.value) == "trial 0: nulling residual 6.873e-15"
         report = exc_info.value.report
-        assert (report.trials, report.failures, report.redraws) == (5, 3, 0)
-        assert report.decode_max_error == 5.03920702730251e-16
+        assert (report.trials, report.failures, report.redraws) == (5, 5, 0)
+        assert report.decode_max_error == 1.1100721022615804e-14
         assert report.rn_reports == ()
         assert [(s.receiver, s.zf_residual, s.alignment_residual) for s in report.ue_reports] == [
-            ("ue1", 1.6839576808217174e-16, 0.0),
-            ("ue2", 1.6025605521813699e-16, 0.0),
-            ("ue3", 1.203592962905092e-16, 0.0),
+            ("ue1", 3.4680711509574343e-15, 0.0),
+            ("ue2", 6.873135227246949e-15, 0.0),
+            ("ue3", 3.764491187568542e-15, 0.0),
         ]
         for sub in report.ue_reports:
             assert (sub.desired_rank, sub.interference_rank, sub.total_rank) == (1, 0, 1)
@@ -340,10 +352,10 @@ class TestForcedDecodeFailure:
         monkeypatch.setattr(V, "DECODE_ERROR_MAX", 0.0)
         with pytest.raises(VerificationFailure) as exc_info:
             verify_corner(0, 70, NetworkConfig(M=2, K=3, N=5, mu=0))
-        assert str(exc_info.value) == "trial 0: decode error 2.782e-16"
+        assert str(exc_info.value) == "trial 0: decode error 2.242e-16"
         report = exc_info.value.report
         assert (report.trials, report.failures, report.redraws) == (70, 70, 0)
-        assert report.decode_max_error == 3.26917434644373e-16
+        assert report.decode_max_error == 2.957631486462343e-16
 
 
 class TestReportFields:
@@ -446,6 +458,22 @@ class TestStackedKernels:
             assert plan.nulling_residual == cross[i].max()
             for W, stacked in zip(plan.beamformers, beamformers):
                 np.testing.assert_array_equal(W, stacked[i])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16), shape=st.sampled_from(
+        [(8, 5), (8, 4)]), consistent=st.booleans())
+    def test_stacked_least_squares_matches_per_trial_lstsq(self, seed, n, shape, consistent):
+        from ndtcache.verify import _least_squares
+
+        rng = np.random.default_rng(seed)
+        cn = lambda *s: rng.standard_normal(s) + 1j * rng.standard_normal(s)
+        A, x = cn(n, *shape), cn(n, shape[1], 1)
+        b = A @ x if consistent else cn(n, shape[0], 1)
+        reference = np.stack([np.linalg.lstsq(A[i], b[i], rcond=None)[0] for i in range(n)])
+        stacked = _least_squares(A, b)
+        assert stacked.shape == reference.shape
+        scale = np.abs(reference).max(axis=(-2, -1))
+        assert (np.abs(stacked - reference).max(axis=(-2, -1)) <= 1e-12 * scale).all()
 
     def test_degenerate_mask_flags_only_the_bad_draw(self):
         from ndtcache.scheme_m1k3 import solve_precoder_batch
