@@ -34,17 +34,11 @@ from .model import (
     worst_case_demand,
 )
 from .scheme_m1k3 import (
-    AlignmentGraph,
     PrecoderPlan,
     SymbolId,
-    SymbolLayout,
-    ZfMap,
-    alignment_graph,
     effective_channel_matrix,
     rn_cache_cancel,
     solve_precoders,
-    symbol_layout,
-    zf_assignment,
 )
 from .verify import (
     RateEstimate,
@@ -61,7 +55,6 @@ from .verify import (
 __all__ = [
     "__version__",
     "AchievablePoint",
-    "AlignmentGraph",
     "BoundComponentIndex",
     "CHARACTERIZED",
     "ChannelSet",
@@ -75,14 +68,11 @@ __all__ = [
     "Rational",
     "SubspaceReport",
     "SymbolId",
-    "SymbolLayout",
     "TdmaSchedule",
     "UncharacterizedConfigError",
     "VerificationFailure",
     "VerificationReport",
-    "ZfMap",
     "achievable_catalog",
-    "alignment_graph",
     "as_rational",
     "bound_component_indices",
     "delta_lb_component",
@@ -99,10 +89,8 @@ __all__ = [
     "rank_with_gap",
     "rn_cache_cancel",
     "solve_precoders",
-    "symbol_layout",
     "unicast_schedule",
     "verify_corner",
     "verify_m1k3",
     "worst_case_demand",
-    "zf_assignment",
 ]

@@ -32,7 +32,7 @@ from .bounds import (
     optimal_ndt,
     optimal_ndt_curve,
 )
-from .model import NetworkConfig, Rational, as_rational
+from .model import DEGENERACY_TOL, NetworkConfig, Rational, as_rational
 from .verify import VerificationFailure, VerificationReport, finite_snr_rates, verify_corner, verify_m1k3
 
 EXIT_OK = 0
@@ -54,7 +54,7 @@ class RunConfig:
     grid: int = 60
     seed: int = 0
     trials: int = 100
-    tol: float = 1e-9
+    tol: float = DEGENERACY_TOL
     output_format: str | None = None  # None: the command's format in COMMANDS
     output_path: Path | None = None
     snr_db: tuple[float, ...] = (40.0, 50.0, 60.0)
@@ -70,6 +70,8 @@ class RunConfig:
             raise UsageError("--grid must be positive")
         if self.trials < 1:
             raise UsageError("--trials must be positive")
+        if self.seed < 0:
+            raise UsageError(f"--seed must be non-negative, got {self.seed}")
         if not 0 < self.tol < 1:
             raise UsageError(f"--tol must lie in (0, 1), got {self.tol}")
         if not all(math.isfinite(x) for x in self.snr_db):

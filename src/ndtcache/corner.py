@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import ChannelSet, DegenerateChannel, NetworkConfig, Rational, check_tol, worst_case_demand
+from .model import (DEGENERACY_TOL, ChannelSet, DegenerateChannel, NetworkConfig, Rational,
+                    check_tol, worst_case_demand)
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,15 @@ def user_groups(M: int, K: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(range(u, min(u + M + 1, K + 1))) for u in range(1, K + 1, M + 1))
 
 
-def miso_zf_plan(ch: ChannelSet, cfg: NetworkConfig, tol: float = 1e-9) -> MisoZfPlan:
+def miso_ndt_and_dof(groups: tuple[tuple[int, ...], ...]) -> tuple[Rational, int]:
+    """NDT and sum DoF of zero-forcing over ``groups`` (user_groups'
+    output). The largest group, min(M + 1, K) users, is served at once: the
+    sum DoF is its size and the NDT is K over it, which is max{K/(M+1), 1}."""
+    served = max(map(len, groups))
+    return Fraction(sum(map(len, groups)), served), served
+
+
+def miso_zf_plan(ch: ChannelSet, cfg: NetworkConfig, tol: float = DEGENERACY_TOL) -> MisoZfPlan:
     """Compute per-group zero-forcing beamformers at mu = 1.
 
     Group g uses slot g of ``ch``. Beamformers are the pseudo-inverse of
@@ -85,17 +94,16 @@ def miso_zf_plan(ch: ChannelSet, cfg: NetworkConfig, tol: float = 1e-9) -> MisoZ
     beamformers, _, cross, degenerate = miso_zf_batch(ch.g, ch.H, tol)
     if degenerate:
         raise DegenerateChannel("a group channel matrix is near rank-deficient")
-    size = cfg.M + 1
     return MisoZfPlan(
         groups=groups,
         beamformers=tuple(beamformers),
-        slot_shares=tuple(Fraction(len(g), size) for g in groups),
-        ndt=max(Fraction(cfg.K, size), Fraction(1)),
+        slot_shares=tuple(Fraction(len(g), cfg.M + 1) for g in groups),
+        ndt=miso_ndt_and_dof(groups)[0],
         nulling_residual=float(np.fmax.reduce(cross)),
     )
 
 
-def miso_zf_batch(g: np.ndarray, H: np.ndarray, tol: float = 1e-9):
+def miso_zf_batch(g: np.ndarray, H: np.ndarray, tol: float = DEGENERACY_TOL):
     """miso_zf_plan's solve over leading batch axes, stacked SVD and pinv per
     group: g is (..., T, K), H is (..., T, K, M), group i uses slot i.
     Returns per group the (..., M + 1, len(group)) beamformers and the

@@ -42,6 +42,10 @@ class DegenerateChannel(Exception):
     or alignment coefficient); the caller should redraw."""
 
 
+# Default relative tolerance of the degeneracy guards and the redraw decision.
+DEGENERACY_TOL = 1e-9
+
+
 def check_tol(tol: float) -> None:
     """Require a relative tolerance in (0, 1). NaN and inf fail too: a NaN
     tol would silently pass every degeneracy guard."""

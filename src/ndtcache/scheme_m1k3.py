@@ -13,8 +13,8 @@ each user
     groups (one per chain layer), i.e. three receive dimensions,
 
 leaving 5 clean dimensions for the 5 desired symbols inside T = 8 slots.
-This module builds the fixed combinatorial structure (symbol layout, ZF
-map, alignment graph) and solves the per-slot precoders.
+This module states that fixed layout once, as module tables with their
+integer column forms, and solves the per-slot precoders.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ChannelSet, DegenerateChannel, check_tol, mod_bar
+from .model import DEGENERACY_TOL, ChannelSet, DegenerateChannel, check_tol, mod_bar
 
 T_SLOTS = 8
 NUM_FILES = 4
@@ -47,100 +47,53 @@ class SymbolId:
             raise ValueError(f"index must be in [1:{SYMBOLS_PER_FILE}], got {self.index}")
 
 
-# Canonical column orders used by every matrix in this module.
+# The scheme's layout, stated once. Users 1..3 request files 1..3, the
+# relay file 4, and the relay caches indices 1..4 of every file (4/5 of
+# it). TRANSMITTED_SYMBOLS, the column order of every matrix, are the 15
+# symbols of files 1..3 and the relay's one uncached symbol eta_{4,5}. The
+# base station sends all but index 4; the relay sends what it has cached.
+RN_CACHED: frozenset[SymbolId] = frozenset(
+    SymbolId(i, j) for i in range(1, NUM_FILES + 1) for j in range(1, 5)
+)
 TRANSMITTED_SYMBOLS: tuple[SymbolId, ...] = tuple(
     SymbolId(i, j) for i in range(1, 4) for j in range(1, 6)
 ) + (SymbolId(4, 5),)
 DENB_SYMBOLS: tuple[SymbolId, ...] = tuple(s for s in TRANSMITTED_SYMBOLS if s.index != 4)
-RN_SYMBOLS: tuple[SymbolId, ...] = tuple(
-    s for s in TRANSMITTED_SYMBOLS if s.file != 4 and s.index != 5
-)
-_COL = {s: n for n, s in enumerate(TRANSMITTED_SYMBOLS)}
-_DENB_COLS = np.array([_COL[s] for s in DENB_SYMBOLS])
-
-
-@dataclass(frozen=True)
-class SymbolLayout:
-    """Which symbols each transmitter sends and which the relay caches."""
-
-    denb_transmits: frozenset[SymbolId]
-    rn_transmits: frozenset[SymbolId]
-    rn_cached: frozenset[SymbolId]
-
-
-def symbol_layout() -> SymbolLayout:
-    """Fixed symbol placement: the base station sends the 13 symbols it
-    must (indices 1,2,3,5 of files 1..3 and eta_{4,5}), the relay sends
-    the 12 cached symbols of files 1..3 (indices 1..4), and the cache
-    holds indices 1..4 of all four files (fraction 4/5 of each file)."""
-    cached = frozenset(SymbolId(i, j) for i in range(1, 5) for j in range(1, 5))
-    return SymbolLayout(
-        denb_transmits=frozenset(DENB_SYMBOLS),
-        rn_transmits=frozenset(RN_SYMBOLS),
-        rn_cached=cached,
+RN_SYMBOLS: tuple[SymbolId, ...] = tuple(s for s in TRANSMITTED_SYMBOLS if s in RN_CACHED)
+# the relay's unknowns once it cancels what it has cached
+UNCACHED: tuple[SymbolId, ...] = tuple(s for s in DENB_SYMBOLS if s not in RN_CACHED)
+# At user k (file indices wrapped into [1:3]): three zero-forced symbols,
+# and the other eight interfering symbols in three alignment groups, one
+# per chain layer. The index-4 symbols link layers 1 and 2 across users,
+# the index-5 symbols layers 2 and 3.
+ZERO_FORCED: dict[int, tuple[SymbolId, ...]] = {
+    k: (SymbolId(_mbar3(k + 1), 1), SymbolId(_mbar3(k + 1), 2), SymbolId(_mbar3(k + 2), 3))
+    for k in (1, 2, 3)
+}
+ALIGNMENT_GROUPS: dict[int, tuple[tuple[SymbolId, ...], ...]] = {
+    k: (
+        (SymbolId(4, 5), SymbolId(_mbar3(k + 1), 4)),
+        (SymbolId(_mbar3(k + 2), 4), SymbolId(_mbar3(k + 2), 2), SymbolId(_mbar3(k + 1), 5)),
+        (SymbolId(_mbar3(k + 2), 5), SymbolId(_mbar3(k + 2), 1), SymbolId(_mbar3(k + 1), 3)),
     )
+    for k in (1, 2, 3)
+}
 
-
-@dataclass(frozen=True)
-class ZfMap:
-    """For each user k, the three symbols zero-forced at user k."""
-
-    by_ue: tuple[frozenset[SymbolId], ...]
-
-    def at_ue(self, k: int) -> frozenset[SymbolId]:
-        if not 1 <= k <= 3:
-            raise ValueError(f"user index must be in [1:3], got {k}")
-        return self.by_ue[k - 1]
-
-
-def zf_assignment() -> ZfMap:
-    """Zero-forcing map: at user k, symbols 1 and 2 of file (k+1) and
-    symbol 3 of file (k+2), file indices wrapped into [1:3]."""
-    by_ue = tuple(
-        frozenset(
-            {
-                SymbolId(_mbar3(k + 1), 1),
-                SymbolId(_mbar3(k + 1), 2),
-                SymbolId(_mbar3(k + 2), 3),
-            }
-        )
-        for k in (1, 2, 3)
-    )
-    return ZfMap(by_ue)
-
-
-@dataclass(frozen=True)
-class AlignmentGraph:
-    """Per-user alignment groups, one per chain layer.
-
-    At user k the eight non-zero-forced interference symbols split into
-    layer 1 = {eta_{4,5}, eta_{k+1,4}} (2 symbols), layer 2 =
-    {eta_{k+2,4}, eta_{k+2,2}, eta_{k+1,5}} and layer 3 =
-    {eta_{k+2,5}, eta_{k+2,1}, eta_{k+1,3}} (3 symbols each); the index-4
-    symbols link layers 1 and 2 across users, the index-5 symbols layers
-    2 and 3.
-    """
-
-    layers_by_ue: tuple[tuple[tuple[SymbolId, ...], ...], ...]
-
-    def groups_at_ue(self, k: int) -> tuple[tuple[SymbolId, ...], ...]:
-        if not 1 <= k <= 3:
-            raise ValueError(f"user index must be in [1:3], got {k}")
-        return self.layers_by_ue[k - 1]
-
-
-def alignment_graph() -> AlignmentGraph:
-    layers = []
-    for k in (1, 2, 3):
-        nxt, nnxt = _mbar3(k + 1), _mbar3(k + 2)
-        layers.append(
-            (
-                (SymbolId(4, 5), SymbolId(nxt, 4)),
-                (SymbolId(nnxt, 4), SymbolId(nnxt, 2), SymbolId(nxt, 5)),
-                (SymbolId(nnxt, 5), SymbolId(nnxt, 1), SymbolId(nxt, 3)),
-            )
-        )
-    return AlignmentGraph(tuple(layers))
+# Integer forms of the layout, so the checks index arrays instead of
+# hashing SymbolIds. Row k - 1 belongs to user k; the relay's positions
+# count among its DENB_SYMBOLS columns.
+COLUMN: dict[SymbolId, int] = {s: n for n, s in enumerate(TRANSMITTED_SYMBOLS)}
+DESIRED_COLS = np.array([[COLUMN[SymbolId(k, j)] for j in range(1, SYMBOLS_PER_FILE + 1)]
+                         for k in (1, 2, 3)])
+INTERFERENCE_COLS = np.array([[COLUMN[s] for s in TRANSMITTED_SYMBOLS if s.file != k]
+                              for k in (1, 2, 3)])
+ZERO_FORCED_COLS = np.array([[COLUMN[s] for s in ZERO_FORCED[k]] for k in (1, 2, 3)])
+ALIGNED_COLS = [[np.array([COLUMN[s] for s in group]) for group in ALIGNMENT_GROUPS[k]]
+                for k in (1, 2, 3)]
+DENB_COLS = np.array([COLUMN[s] for s in DENB_SYMBOLS])
+RN_CACHED_POS = np.array([n for n, s in enumerate(DENB_SYMBOLS) if s in RN_CACHED])
+UNCACHED_POS = np.array([DENB_SYMBOLS.index(s) for s in UNCACHED])
+ETA45 = UNCACHED.index(SymbolId(4, 5))  # eta_{4,5}'s place among UNCACHED
 
 
 @dataclass(frozen=True)
@@ -174,11 +127,10 @@ class PrecoderPlan:
             raise ValueError("scale must hold one positive factor per symbol")
         if slot_scale.shape != (T_SLOTS,) or np.any(slot_scale <= 0):
             raise ValueError("slot_scale must hold one positive factor per slot")
-        rn_set, denb_set = frozenset(RN_SYMBOLS), frozenset(DENB_SYMBOLS)
         for s in TRANSMITTED_SYMBOLS:
-            if s not in rn_set and np.any(beta[:, _COL[s]] != 0):
+            if s not in RN_SYMBOLS and np.any(beta[:, COLUMN[s]] != 0):
                 raise ValueError(f"{s} is not relay-transmitted but has nonzero beta")
-            if s not in denb_set and np.any(nu[:, _COL[s]] != 0):
+            if s not in DENB_SYMBOLS and np.any(nu[:, COLUMN[s]] != 0):
                 raise ValueError(f"{s} is not base-station-transmitted but has nonzero nu")
         for arr in (nu, beta, scale, slot_scale):
             arr.setflags(write=False)
@@ -188,13 +140,13 @@ class PrecoderPlan:
         object.__setattr__(self, "slot_scale", slot_scale)
 
     def nu_for(self, symbol: SymbolId) -> np.ndarray:
-        return self.nu[:, _COL[symbol]]
+        return self.nu[:, COLUMN[symbol]]
 
     def beta_for(self, symbol: SymbolId) -> np.ndarray:
-        return self.beta[:, _COL[symbol]]
+        return self.beta[:, COLUMN[symbol]]
 
     def scale_for(self, symbol: SymbolId) -> float:
-        return float(self.scale[_COL[symbol]])
+        return float(self.scale[COLUMN[symbol]])
 
     def raw_nu_for(self, symbol: SymbolId) -> np.ndarray:
         """Chain solution before any normalization."""
@@ -211,7 +163,7 @@ def _require_m1k3(ch: ChannelSet) -> None:
         )
 
 
-def solve_precoders(ch: ChannelSet, tol: float = 1e-9) -> PrecoderPlan:
+def solve_precoders(ch: ChannelSet, tol: float = DEGENERACY_TOL) -> PrecoderPlan:
     """Solve all per-slot precoders of the mu = 4/5 scheme.
 
     Each slot is independent. Writing g_k, h_k for the slot's user-k
@@ -249,7 +201,7 @@ def solve_precoders(ch: ChannelSet, tol: float = 1e-9) -> PrecoderPlan:
     return PrecoderPlan(nu=nu, beta=beta, scale=scale, slot_scale=slot_scale)
 
 
-def solve_precoder_batch(g: np.ndarray, h: np.ndarray, tol: float = 1e-9):
+def solve_precoder_batch(g: np.ndarray, h: np.ndarray, tol: float = DEGENERACY_TOL):
     """solve_precoders over leading batch axes. g and h (..., T_SLOTS, 3)
     hold the users' base-station and relay coefficients. Returns the
     PrecoderPlan arrays (nu, beta, scale, slot_scale) with the batch axes in
@@ -276,28 +228,28 @@ def solve_precoder_batch(g: np.ndarray, h: np.ndarray, tol: float = 1e-9):
     beta = np.zeros_like(nu)
     with np.errstate(all="ignore"):  # degenerate draws may divide by ~0
         nu45 = j13 * j23 * j33 * gk[1] * gk[2] * gk[3] * hk[1] * hk[2] * hk[3]
-        nu[..., _COL[SymbolId(4, 5)]] = nu45
+        nu[..., COLUMN[SymbolId(4, 5)]] = nu45
         for k in (1, 2, 3):
-            beta[..., _COL[SymbolId(_mbar3(k + 1), 4)]] = nu45 * gk[k] / hk[k]
+            beta[..., COLUMN[SymbolId(_mbar3(k + 1), 4)]] = nu45 * gk[k] / hk[k]
         for k in (1, 2, 3):
-            nu[..., _COL[SymbolId(_mbar3(k + 1), 5)]] = (
-                beta[..., _COL[SymbolId(_mbar3(k + 2), 4)]] * hk[k] / gk[k]
+            nu[..., COLUMN[SymbolId(_mbar3(k + 1), 5)]] = (
+                beta[..., COLUMN[SymbolId(_mbar3(k + 2), 4)]] * hk[k] / gk[k]
             )
         for k in (1, 2, 3):
             i2 = _mbar3(k + 2)
             b = _mbar3(k + 1)  # ZF user of eta_{i2,1} and eta_{i2,2}
-            target2 = beta[..., _COL[SymbolId(i2, 4)]] * hk[k]
-            nu[..., _COL[SymbolId(i2, 2)]] = target2 * hk[b] / det[(k, b)]
-            beta[..., _COL[SymbolId(i2, 2)]] = -target2 * gk[b] / det[(k, b)]
+            target2 = beta[..., COLUMN[SymbolId(i2, 4)]] * hk[k]
+            nu[..., COLUMN[SymbolId(i2, 2)]] = target2 * hk[b] / det[(k, b)]
+            beta[..., COLUMN[SymbolId(i2, 2)]] = -target2 * gk[b] / det[(k, b)]
 
-            target3 = nu[..., _COL[SymbolId(i2, 5)]] * gk[k]
-            nu[..., _COL[SymbolId(i2, 1)]] = target3 * hk[b] / det[(k, b)]
-            beta[..., _COL[SymbolId(i2, 1)]] = -target3 * gk[b] / det[(k, b)]
+            target3 = nu[..., COLUMN[SymbolId(i2, 5)]] * gk[k]
+            nu[..., COLUMN[SymbolId(i2, 1)]] = target3 * hk[b] / det[(k, b)]
+            beta[..., COLUMN[SymbolId(i2, 1)]] = -target3 * gk[b] / det[(k, b)]
 
             i3 = _mbar3(k + 1)
             b3 = _mbar3(k + 2)  # ZF user of eta_{i3,3}
-            nu[..., _COL[SymbolId(i3, 3)]] = target3 * hk[b3] / det[(k, b3)]
-            beta[..., _COL[SymbolId(i3, 3)]] = -target3 * gk[b3] / det[(k, b3)]
+            nu[..., COLUMN[SymbolId(i3, 3)]] = target3 * hk[b3] / det[(k, b3)]
+            beta[..., COLUMN[SymbolId(i3, 3)]] = -target3 * gk[b3] / det[(k, b3)]
 
         slot_peak = np.maximum(np.abs(nu), np.abs(beta)).max(axis=-1)
         degenerate |= np.any(slot_peak == 0, axis=-1)  # identically zero slot
@@ -329,28 +281,23 @@ def effective_channel_batch(nu, beta, f, g, h, receiver: str) -> np.ndarray:
     solve_precoder_batch returns them, f (..., T_SLOTS, 1), g and h
     (..., T_SLOTS, 3)."""
     if receiver == "rn":
-        return f * nu[..., _DENB_COLS]
+        return f * nu[..., DENB_COLS]
     if receiver in ("ue1", "ue2", "ue3"):
         k = int(receiver[2])
         return g[..., k - 1 : k] * nu + h[..., k - 1 : k] * beta
     raise ValueError(f"receiver must be 'ue1'..'ue3' or 'rn', got {receiver!r}")
 
 
-def rn_cache_cancel(matrix: np.ndarray, layout: SymbolLayout) -> np.ndarray:
-    """Strip cached-symbol columns from the relay's 8 x 13 receive matrix.
+def rn_cache_cancel(matrix: np.ndarray) -> np.ndarray:
+    """Strip cached-symbol columns from the relay's 8 x 13 receive matrix,
+    or a stack of them (..., 8, 13).
 
-    The relay knows every transmitted symbol with index <= 4, subtracts
-    their contribution, and is left with the 8 x 4 system over the
-    uncached unknowns {eta_{1,5}, eta_{2,5}, eta_{3,5}, eta_{4,5}}.
+    The relay knows every RN_CACHED symbol, subtracts their contribution,
+    and is left with the 8 x 4 system over the UNCACHED unknowns
+    {eta_{1,5}, eta_{2,5}, eta_{3,5}, eta_{4,5}}.
     """
     matrix = np.asarray(matrix)
-    if matrix.shape != (T_SLOTS, len(DENB_SYMBOLS)):
-        raise ValueError(f"expected the {T_SLOTS} x {len(DENB_SYMBOLS)} relay matrix")
-    keep = [n for n, s in enumerate(DENB_SYMBOLS) if s not in layout.rn_cached]
-    return matrix[:, keep]
-
-
-def uncached_unknowns() -> tuple[SymbolId, ...]:
-    """Column order of the post-cancellation relay system."""
-    layout = symbol_layout()
-    return tuple(s for s in DENB_SYMBOLS if s not in layout.rn_cached)
+    if matrix.shape[-2:] != (T_SLOTS, len(DENB_SYMBOLS)):
+        raise ValueError(f"expected {T_SLOTS} x {len(DENB_SYMBOLS)} relay matrices, "
+                         f"got shape {matrix.shape}")
+    return matrix[..., UNCACHED_POS]

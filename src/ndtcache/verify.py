@@ -31,20 +31,26 @@ from fractions import Fraction
 
 import numpy as np
 
-from .corner import miso_zf_batch, unicast_schedule, user_groups, user_rows
-from .model import ChannelSet, NetworkConfig, Rational, check_coefficients, check_tol
+from .corner import miso_ndt_and_dof, miso_zf_batch, unicast_schedule, user_groups, user_rows
+from .model import DEGENERACY_TOL, ChannelSet, NetworkConfig, Rational, check_coefficients, check_tol
 from .scheme_m1k3 import (
-    DENB_SYMBOLS,
+    ALIGNED_COLS,
+    COLUMN,
+    DENB_COLS,
+    DESIRED_COLS,
+    ETA45,
+    INTERFERENCE_COLS,
+    RN_CACHED_POS,
     SYMBOLS_PER_FILE,
     T_SLOTS,
     TRANSMITTED_SYMBOLS,
+    UNCACHED,
+    ZERO_FORCED_COLS,
     SymbolId,
-    alignment_graph,
     effective_channel_batch,
+    rn_cache_cancel,
     solve_precoder_batch,
     solve_precoders,  # noqa: F401  kept reachable as ndtcache.verify.solve_precoders
-    uncached_unknowns,
-    zf_assignment,
 )
 
 # Pass thresholds for a verification trial. Rank decisions use a cut far
@@ -59,22 +65,6 @@ RANK_REL_TOL = 1e-12
 _MAX_REDRAWS = 8
 BLOCK_TRIALS = 64  # memory is one block's arrays; larger blocks were not faster
 
-# Column indices of the M = 1, K = 3 scheme, so the checks index arrays
-# instead of hashing SymbolIds. Row k - 1 belongs to user k.
-_COL = {s: n for n, s in enumerate(TRANSMITTED_SYMBOLS)}
-_DESIRED = np.array([[_COL[SymbolId(k, j)] for j in range(1, SYMBOLS_PER_FILE + 1)]
-                     for k in (1, 2, 3)])
-_INTERFERENCE = np.array([[n for n in range(len(_COL)) if n not in des] for des in _DESIRED.tolist()])
-_ZERO_FORCED = np.array([[_COL[s] for s in zf_assignment().at_ue(k)] for k in (1, 2, 3)])
-_ALIGNED = [[np.array([_COL[s] for s in group]) for group in alignment_graph().groups_at_ue(k)]
-            for k in (1, 2, 3)]
-# The relay: its 13 heard symbols, the 9 it has cached (positions among the
-# 13), its 4 unknowns (likewise) and where eta_{4,5} sits among those.
-_UNKNOWN = uncached_unknowns()
-_DENB = np.array([_COL[s] for s in DENB_SYMBOLS])
-_RN_KNOWN = np.array([n for n, s in enumerate(DENB_SYMBOLS) if s not in _UNKNOWN])
-_RN_UNKNOWN = np.array([DENB_SYMBOLS.index(s) for s in _UNKNOWN])
-_ETA45 = _UNKNOWN.index(SymbolId(4, 5))
 # Signs that turn "lowest desired rank, highest interference rank, lowest
 # total rank" into one elementwise minimum.
 _WORST = np.array([1, -1, 1])
@@ -335,7 +325,7 @@ def _check_ue(k: int, E: np.ndarray, syms: np.ndarray, checks: list):
     """User k's checks on stacked 8 x 16 matrices E; appends its problems
     to ``checks`` and returns per trial its ranks, its (ZF, alignment)
     residuals, its decode error and its full singular values."""
-    des, intf = _DESIRED[k - 1], _INTERFERENCE[k - 1]
+    des, intf = DESIRED_COLS[k - 1], INTERFERENCE_COLS[k - 1]
     svd = np.linalg.svd
     d_rank, _ = _rank_gap(svd(E[..., des], compute_uv=False), RANK_REL_TOL)
     u_intf, s_intf, _ = svd(E[..., intf])
@@ -344,9 +334,9 @@ def _check_ue(k: int, E: np.ndarray, syms: np.ndarray, checks: list):
     t_rank, _ = _rank_gap(s_total, RANK_REL_TOL)
 
     peak = np.abs(E).max(axis=(-2, -1))
-    zf_res = np.abs(E[..., _ZERO_FORCED[k - 1]]).max(axis=(-2, -1)) / peak
+    zf_res = np.abs(E[..., ZERO_FORCED_COLS[k - 1]]).max(axis=(-2, -1)) / peak
     align_res = np.zeros(len(E))
-    for cols in _ALIGNED[k - 1]:
+    for cols in ALIGNED_COLS[k - 1]:
         sv = svd(E[..., cols], compute_uv=False)
         align_res = np.fmax(align_res, sv[:, 1] / sv[:, 0])
 
@@ -374,13 +364,13 @@ def _check_ue(k: int, E: np.ndarray, syms: np.ndarray, checks: list):
 def _check_rn(rn: np.ndarray, syms: np.ndarray, checks: list):
     """The relay's checks on stacked 8 x 13 matrices, returning what
     _check_ue returns (zero residuals, post-cancellation spectrum)."""
-    cancelled = rn[..., _RN_UNKNOWN]
+    cancelled = rn_cache_cancel(rn)
     s_rn = np.linalg.svd(cancelled, compute_uv=False)
     rn_rank, _ = _rank_gap(s_rn, RANK_REL_TOL)
-    heard = syms[:, _DENB]
-    y = rn @ heard[..., None] - rn[..., _RN_KNOWN] @ heard[:, _RN_KNOWN, None]
-    truth = syms[:, _COL[SymbolId(4, 5)]]
-    err = np.abs(_least_squares(cancelled, y)[:, _ETA45, 0] - truth) / np.abs(truth)
+    heard = syms[:, DENB_COLS]
+    y = rn @ heard[..., None] - rn[..., RN_CACHED_POS] @ heard[:, RN_CACHED_POS, None]
+    truth = syms[:, COLUMN[SymbolId(4, 5)]]
+    err = np.abs(_least_squares(cancelled, y)[:, ETA45, 0] - truth) / np.abs(truth)
     checks += [
         (rn_rank != 4, lambda i: f"rn post-cancellation rank {rn_rank[i]} != 4"),
         (err > DECODE_ERROR_MAX, lambda i: f"rn decode error {err[i]:.3e}"),
@@ -389,7 +379,7 @@ def _check_rn(rn: np.ndarray, syms: np.ndarray, checks: list):
     return ranks, np.zeros((len(rn), 2)), err, s_rn
 
 
-def verify_m1k3(seed, trials: int, tol: float = 1e-9) -> VerificationReport:
+def verify_m1k3(seed, trials: int, tol: float = DEGENERACY_TOL) -> VerificationReport:
     """Monte Carlo verification of the mu = 4/5, M = 1, K = 3 scheme.
 
     Per trial: draw channels (redrawing on degeneracy), solve precoders,
@@ -416,9 +406,9 @@ def verify_m1k3(seed, trials: int, tol: float = 1e-9) -> VerificationReport:
         # each user decodes its desired columns, the relay eta_{4,5} alone,
         # all in T_SLOTS slots; a file is SYMBOLS_PER_FILE symbols
         ndt=Fraction(T_SLOTS, SYMBOLS_PER_FILE),
-        per_ue_dof=Fraction(_DESIRED.shape[1], T_SLOTS),
+        per_ue_dof=Fraction(DESIRED_COLS.shape[1], T_SLOTS),
         rn_dof=Fraction(1, T_SLOTS),
-        sum_dof=Fraction(_DESIRED.size + 1, T_SLOTS),
+        sum_dof=Fraction(DESIRED_COLS.size + 1, T_SLOTS),
     )
 
 
@@ -438,8 +428,8 @@ def _verify_unicast(seed, trials: int, cfg: NetworkConfig) -> VerificationReport
                  spectra=lambda: np.abs(coeff[0])[:, None])
     return run.report(
         ndt=schedule.ndt,
-        per_ue_dof=Fraction(1, cfg.K + cfg.M),
-        rn_dof=Fraction(1, cfg.K + cfg.M),
+        per_ue_dof=Fraction(1, len(schedule.slots)),
+        rn_dof=Fraction(1, len(schedule.slots)),
         sum_dof=Fraction(1),
     )
 
@@ -473,16 +463,17 @@ def _verify_miso(seed, trials: int, cfg: NetworkConfig, tol: float):
                  residuals=np.stack([cross.T, np.zeros_like(cross.T)], axis=-1),
                  spectra=lambda: [sv[0] for sv, group in zip(svs, groups) for _ in group])
 
-    served = min(cfg.M + 1, cfg.K)
+    ndt, served = miso_ndt_and_dof(groups)
     return run.report(
-        ndt=max(Fraction(cfg.K, cfg.M + 1), Fraction(1)),
+        ndt=ndt,
         per_ue_dof=Fraction(served, cfg.K),
         rn_dof=Fraction(0),
         sum_dof=Fraction(served),
     )
 
 
-def verify_corner(seed, trials: int, cfg: NetworkConfig, tol: float = 1e-9) -> VerificationReport:
+def verify_corner(seed, trials: int, cfg: NetworkConfig,
+                  tol: float = DEGENERACY_TOL) -> VerificationReport:
     """Verify the extremal-cache schemes: unicasting at mu = 0 (NDT K + M,
     decoding is a scalar division) or MISO zero-forcing at mu = 1 (NDT
     max{K/(M+1), 1}, cross-user gains must vanish to tolerance)."""
@@ -517,22 +508,22 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
     powers = 10.0 ** (snrs / 10.0)
     receivers = ["ue1", "ue2", "ue3", "rn"]
     totals = np.zeros((len(receivers), len(snrs)))
-    others = [n for n in range(len(_RN_UNKNOWN)) if n != _ETA45]
+    others = [n for n in range(len(UNCACHED)) if n != ETA45]
 
-    run = _TrialRun(seed, trials, (T_SLOTS, 1, 3), _solve_m1k3(1e-9))
+    run = _TrialRun(seed, trials, (T_SLOTS, 1, 3), _solve_m1k3(DEGENERACY_TOL))
     done = 0
     for _, (f, g, H), (nu, beta), _ in run.blocks():
         rates = np.empty((len(nu), len(receivers), len(snrs)))
         for k in (1, 2, 3):
             E = effective_channel_batch(nu, beta, f, g, H[..., 0], f"ue{k}")
-            u = np.linalg.svd(E[..., _INTERFERENCE[k - 1]])[0]
-            geff = u[..., 3:].conj().swapaxes(-1, -2) @ E[..., _DESIRED[k - 1]]
+            u = np.linalg.svd(E[..., INTERFERENCE_COLS[k - 1]])[0]
+            geff = u[..., 3:].conj().swapaxes(-1, -2) @ E[..., DESIRED_COLS[k - 1]]
             gram = geff @ geff.conj().swapaxes(-1, -2)
             _, logdet = np.linalg.slogdet(np.eye(5) + np.multiply.outer(powers, gram))
             rates[:, k - 1] = logdet.T / math.log(2) / T_SLOTS
-        cancelled = effective_channel_batch(nu, beta, f, g, H[..., 0], "rn")[..., _RN_UNKNOWN]
+        cancelled = rn_cache_cancel(effective_channel_batch(nu, beta, f, g, H[..., 0], "rn"))
         u = np.linalg.svd(cancelled[..., others])[0]
-        geff = u[..., 3:].conj().swapaxes(-1, -2) @ cancelled[..., _ETA45, None]
+        geff = u[..., 3:].conj().swapaxes(-1, -2) @ cancelled[..., ETA45, None]
         gains = np.real(geff.conj().swapaxes(-1, -2) @ geff)[:, 0, 0]
         rates[:, 3] = np.log2(1.0 + np.multiply.outer(gains, powers)) / T_SLOTS
         # sequential over trials, as np.sum's pairwise order would depend on the block size

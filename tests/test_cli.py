@@ -286,6 +286,7 @@ class TestInputHardening:
          "--tol must lie in (0, 1), got -1e-09"),
         (["verify-m1k3", "--tol", "-inf"], "--tol must lie in (0, 1), got -inf"),
         (["bounds", "--mu", "-1/2"], "--mu must lie in [0, 1], got -1/2"),
+        (["verify-m1k3", "--seed", "-1"], "--seed must be non-negative, got -1"),
     ])
     def test_negative_values_reach_the_range_checks(self, capsys, args, detail):
         code, out, err = run_cli(capsys, *args)
@@ -382,7 +383,7 @@ _VALUES = {
     "k": (["1", "2", "3", "4"], ["0", "x"]),
     "mu": (["0", "1", "1/2", "4/5", "0.8", "1/3"], ["2", "-1/2", "-0.8", "abc", "1/0"]),
     "grid": (["1", "3", "8"], ["0", "-2", "x"]),
-    "seed": (["0", "1", "7"], ["x"]),
+    "seed": (["0", "1", "7"], ["x", "-1"]),
     "trials": (["1", "2", "3"], ["0", "-1"]),
     "tol": (["1e-9", "1e-3", "0.5"], ["0", "1", "nan", "inf", "x", "-1e-9", "-0.5", "-inf"]),
     "snr_db": (["40,50,60", "30,45,60"], ["40,50", "40,45,50", "nan,50,60", "a"]),

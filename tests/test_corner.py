@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ndtcache.bounds import lower_bound
-from ndtcache.corner import miso_zf_plan, unicast_schedule
+from ndtcache.corner import miso_ndt_and_dof, miso_zf_plan, unicast_schedule
 from ndtcache.model import ChannelSet, DegenerateChannel, NetworkConfig
 from ndtcache.verify import draw_channels
 
@@ -75,6 +75,7 @@ class TestMisoZfPlan:
                 plan = miso_zf_plan(ch, cfg(M, K, 1))
                 assert plan.ndt == lower_bound(cfg(M, K, 1))
                 assert plan.ndt == max(Fraction(K, M + 1), Fraction(1))
+                assert miso_ndt_and_dof(plan.groups) == (plan.ndt, min(M + 1, K))
 
     def test_nulling_residuals_over_many_draws(self):
         worst = 0.0

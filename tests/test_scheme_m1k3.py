@@ -3,23 +3,30 @@ import pytest
 
 from ndtcache.model import ChannelSet, DegenerateChannel, mod_bar
 from ndtcache.scheme_m1k3 import (
+    ALIGNED_COLS,
+    ALIGNMENT_GROUPS,
+    COLUMN,
+    DENB_COLS,
     DENB_SYMBOLS,
+    DESIRED_COLS,
+    ETA45,
+    INTERFERENCE_COLS,
+    RN_CACHED,
+    RN_CACHED_POS,
     RN_SYMBOLS,
     T_SLOTS,
     TRANSMITTED_SYMBOLS,
+    UNCACHED,
+    UNCACHED_POS,
+    ZERO_FORCED,
+    ZERO_FORCED_COLS,
     PrecoderPlan,
     SymbolId,
-    alignment_graph,
     effective_channel_matrix,
     rn_cache_cancel,
     solve_precoders,
-    symbol_layout,
-    uncached_unknowns,
-    zf_assignment,
 )
 from ndtcache.verify import draw_channels
-
-COL = {s: n for n, s in enumerate(TRANSMITTED_SYMBOLS)}
 
 
 def constant_channels(g_row, h_col, f_val=1.0):
@@ -41,45 +48,60 @@ def zero_plan():
 
 class TestSymbolLayout:
     def test_relay_target_symbol_is_uncached_and_sent_by_base_station(self):
-        layout = symbol_layout()
-        assert SymbolId(4, 5) in layout.denb_transmits
-        assert SymbolId(4, 5) not in layout.rn_cached
+        assert SymbolId(4, 5) in DENB_SYMBOLS
+        assert SymbolId(4, 5) not in RN_CACHED
 
     def test_transmit_counts(self):
-        layout = symbol_layout()
-        assert len(layout.denb_transmits) == 13
-        assert len(layout.rn_transmits) == 12
-        assert len(layout.denb_transmits | layout.rn_transmits) == 16
-        assert layout.denb_transmits | layout.rn_transmits == set(TRANSMITTED_SYMBOLS)
+        assert len(set(DENB_SYMBOLS)) == len(DENB_SYMBOLS) == 13
+        assert len(set(RN_SYMBOLS)) == len(RN_SYMBOLS) == 12
+        assert set(DENB_SYMBOLS) | set(RN_SYMBOLS) == set(TRANSMITTED_SYMBOLS)
+        assert len(set(TRANSMITTED_SYMBOLS)) == 16
 
     def test_cache_holds_four_fifths_of_every_file(self):
-        layout = symbol_layout()
         for i in range(1, 5):
-            cached = {s for s in layout.rn_cached if s.file == i}
+            cached = {s for s in RN_CACHED if s.file == i}
             assert len(cached) == 4
             assert {s.index for s in cached} == {1, 2, 3, 4}
+        assert len(RN_CACHED) == 16
 
     def test_index4_relay_only_index5_base_station_only(self):
-        layout = symbol_layout()
         for i in range(1, 4):
-            assert SymbolId(i, 4) not in layout.denb_transmits
-            assert SymbolId(i, 4) in layout.rn_transmits
-            assert SymbolId(i, 5) in layout.denb_transmits
-            assert SymbolId(i, 5) not in layout.rn_transmits
+            assert SymbolId(i, 4) not in DENB_SYMBOLS
+            assert SymbolId(i, 4) in RN_SYMBOLS
+            assert SymbolId(i, 5) in DENB_SYMBOLS
+            assert SymbolId(i, 5) not in RN_SYMBOLS
+
+    def test_integer_tables_are_columns_of_the_symbol_tables(self):
+        assert COLUMN == {s: n for n, s in enumerate(TRANSMITTED_SYMBOLS)}
+        col = lambda symbols: [COLUMN[s] for s in symbols]
+        pos = lambda symbols: [DENB_SYMBOLS.index(s) for s in symbols]
+        for k in (1, 2, 3):
+            desired = [SymbolId(k, j) for j in range(1, 6)]
+            interference = [s for s in TRANSMITTED_SYMBOLS if s.file != k]
+            assert DESIRED_COLS[k - 1].tolist() == col(desired)
+            assert INTERFERENCE_COLS[k - 1].tolist() == col(interference)
+            assert ZERO_FORCED_COLS[k - 1].tolist() == col(ZERO_FORCED[k])
+            assert [cols.tolist() for cols in ALIGNED_COLS[k - 1]] == [
+                col(group) for group in ALIGNMENT_GROUPS[k]]
+        assert DENB_COLS.tolist() == col(DENB_SYMBOLS)
+        assert RN_CACHED_POS.tolist() == pos(s for s in DENB_SYMBOLS if s in RN_CACHED)
+        assert UNCACHED_POS.tolist() == pos(UNCACHED)
+        assert UNCACHED[ETA45] == SymbolId(4, 5)
 
 
 class TestZfAssignment:
     def test_exact_map(self):
-        zf = zf_assignment()
-        assert zf.at_ue(1) == {SymbolId(2, 1), SymbolId(2, 2), SymbolId(3, 3)}
-        assert zf.at_ue(2) == {SymbolId(3, 1), SymbolId(3, 2), SymbolId(1, 3)}
-        assert zf.at_ue(3) == {SymbolId(1, 1), SymbolId(1, 2), SymbolId(2, 3)}
+        assert set(ZERO_FORCED[1]) == {SymbolId(2, 1), SymbolId(2, 2), SymbolId(3, 3)}
+        assert set(ZERO_FORCED[2]) == {SymbolId(3, 1), SymbolId(3, 2), SymbolId(1, 3)}
+        assert set(ZERO_FORCED[3]) == {SymbolId(1, 1), SymbolId(1, 2), SymbolId(2, 3)}
+        assert sorted(ZERO_FORCED) == [1, 2, 3]
+        with pytest.raises(KeyError):
+            ZERO_FORCED[4]
 
     def test_each_symbol_nulled_exactly_once_never_at_its_requester(self):
-        zf = zf_assignment()
         seen = []
         for k in (1, 2, 3):
-            for s in zf.at_ue(k):
+            for s in ZERO_FORCED[k]:
                 seen.append(s)
                 assert s.file != k  # user k wants file k
         assert len(seen) == 9
@@ -89,24 +111,24 @@ class TestZfAssignment:
 
 class TestAlignmentGraph:
     def test_group_sizes_and_partition(self):
-        graph = alignment_graph()
-        zf = zf_assignment()
         for k in (1, 2, 3):
-            groups = graph.groups_at_ue(k)
+            groups = ALIGNMENT_GROUPS[k]
             assert tuple(len(g) for g in groups) == (2, 3, 3)
             members = [s for g in groups for s in g]
             assert len(members) == len(set(members)) == 8
             interference = {s for s in TRANSMITTED_SYMBOLS if s.file != k}
-            assert set(members) == interference - zf.at_ue(k)
+            assert set(members) == interference - set(ZERO_FORCED[k])
+        assert sorted(ALIGNMENT_GROUPS) == [1, 2, 3]
+        with pytest.raises(KeyError):
+            ALIGNMENT_GROUPS[0]
 
     def test_chain_linkage(self):
         # index-4 symbols appear in layer 1 at one user and layer 2 at
         # another; index-5 symbols of files 1..3 link layers 2 and 3
-        graph = alignment_graph()
         for i in (1, 2, 3):
             layer_of = {}
             for k in (1, 2, 3):
-                for ln, group in enumerate(graph.groups_at_ue(k), start=1):
+                for ln, group in enumerate(ALIGNMENT_GROUPS[k], start=1):
                     if SymbolId(i, 4) in group:
                         layer_of.setdefault(SymbolId(i, 4), set()).add(ln)
                     if SymbolId(i, 5) in group:
@@ -136,10 +158,9 @@ class TestSolvePrecoders:
     def test_zf_conditions_enforced(self):
         ch = draw_channels(6, T_SLOTS, 1, 3)
         plan = solve_precoders(ch)
-        zf = zf_assignment()
         for k in (1, 2, 3):
             g, h = ch.g[:, k - 1], ch.H[:, k - 1, 0]
-            for s in zf.at_ue(k):
+            for s in ZERO_FORCED[k]:
                 resid = np.abs(g * plan.nu_for(s) + h * plan.beta_for(s))
                 assert resid.max() < 1e-12
 
@@ -211,21 +232,19 @@ class TestEffectiveChannelMatrix:
     def test_zero_forced_columns_vanish(self):
         ch = draw_channels(12, T_SLOTS, 1, 3)
         plan = solve_precoders(ch)
-        zf = zf_assignment()
         for k in (1, 2, 3):
             E = effective_channel_matrix(plan, ch, f"ue{k}")
             peak = np.abs(E).max()
-            for s in zf.at_ue(k):
-                assert np.abs(E[:, COL[s]]).max() / peak < 1e-12
+            for s in ZERO_FORCED[k]:
+                assert np.abs(E[:, COLUMN[s]]).max() / peak < 1e-12
 
     def test_alignment_groups_are_colinear(self):
         ch = draw_channels(13, T_SLOTS, 1, 3)
         plan = solve_precoders(ch)
-        graph = alignment_graph()
         for k in (1, 2, 3):
             E = effective_channel_matrix(plan, ch, f"ue{k}")
-            for group in graph.groups_at_ue(k):
-                sub = E[:, [COL[s] for s in group]]
+            for group in ALIGNMENT_GROUPS[k]:
+                sub = E[:, [COLUMN[s] for s in group]]
                 sv = np.linalg.svd(sub, compute_uv=False)
                 assert sv[1] / sv[0] < 1e-12
 
@@ -242,7 +261,7 @@ class TestEffectiveChannelMatrix:
             plan = solve_precoders(ch)
             for k in (1, 2, 3):
                 E = effective_channel_matrix(plan, ch, f"ue{k}")
-                des = [COL[SymbolId(k, j)] for j in range(1, 6)]
+                des = [COLUMN[SymbolId(k, j)] for j in range(1, 6)]
                 intf = [n for n in range(16) if n not in des]
                 sv_d = np.linalg.svd(E[:, des], compute_uv=False)
                 sv_i = np.linalg.svd(E[:, intf], compute_uv=False)
@@ -255,46 +274,49 @@ class TestEffectiveChannelMatrix:
     def test_dimension_accounting(self):
         # per user: 5 desired + 8 aligned + 3 zero-forced symbols; the
         # receive space splits into 5 + 3 = 8 = T occupied dimensions
-        zf = zf_assignment()
-        graph = alignment_graph()
         for k in (1, 2, 3):
-            aligned = sum(len(g) for g in graph.groups_at_ue(k))
-            assert 5 + aligned + len(zf.at_ue(k)) == 16
-            assert 5 + len(graph.groups_at_ue(k)) == T_SLOTS
+            aligned = sum(len(g) for g in ALIGNMENT_GROUPS[k])
+            assert 5 + aligned + len(ZERO_FORCED[k]) == 16
+            assert 5 + len(ALIGNMENT_GROUPS[k]) == T_SLOTS
 
 
 class TestRnCacheCancel:
     def test_keeps_the_four_uncached_columns(self):
         ch = draw_channels(16, T_SLOTS, 1, 3)
         plan = solve_precoders(ch)
-        cancelled = rn_cache_cancel(
-            effective_channel_matrix(plan, ch, "rn"), symbol_layout()
-        )
+        rn = effective_channel_matrix(plan, ch, "rn")
+        cancelled = rn_cache_cancel(rn)
         assert cancelled.shape == (8, 4)
-        assert uncached_unknowns() == (
-            SymbolId(1, 5), SymbolId(2, 5), SymbolId(3, 5), SymbolId(4, 5),
-        )
+        assert UNCACHED == (SymbolId(1, 5), SymbolId(2, 5), SymbolId(3, 5), SymbolId(4, 5))
+        for n, s in enumerate(UNCACHED):
+            assert np.array_equal(cancelled[:, n], rn[:, DENB_SYMBOLS.index(s)])
 
     def test_generic_rank_four(self):
         for seed in range(100):
             ch = draw_channels((17, seed), T_SLOTS, 1, 3)
             plan = solve_precoders(ch)
-            cancelled = rn_cache_cancel(
-                effective_channel_matrix(plan, ch, "rn"), symbol_layout()
-            )
+            cancelled = rn_cache_cancel(effective_channel_matrix(plan, ch, "rn"))
             sv = np.linalg.svd(cancelled, compute_uv=False)
             assert (sv >= 1e-12 * sv[0]).sum() == 4
 
     def test_zero_plan_rank_zero(self):
         ch = draw_channels(18, T_SLOTS, 1, 3)
-        cancelled = rn_cache_cancel(
-            effective_channel_matrix(zero_plan(), ch, "rn"), symbol_layout()
-        )
+        cancelled = rn_cache_cancel(effective_channel_matrix(zero_plan(), ch, "rn"))
         assert not cancelled.any()
 
+    def test_stack_equals_one_call_per_matrix(self):
+        stack = np.stack([effective_channel_matrix(solve_precoders(ch), ch, "rn")
+                          for ch in (draw_channels((19, n), T_SLOTS, 1, 3) for n in range(5))])
+        assert stack.shape == (5, 8, 13)
+        cancelled = rn_cache_cancel(stack)
+        assert cancelled.shape == (5, 8, 4)
+        for rn, one in zip(stack, cancelled):
+            assert np.array_equal(rn_cache_cancel(rn), one)
+
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            rn_cache_cancel(np.zeros((8, 16), complex), symbol_layout())
+        for shape in [(8, 16), (5, 8, 16), (5, 13, 8), (13,)]:
+            with pytest.raises(ValueError):
+                rn_cache_cancel(np.zeros(shape, complex))
 
 
 class TestPrecoderPlanValidation:
@@ -302,7 +324,7 @@ class TestPrecoderPlanValidation:
         n = len(TRANSMITTED_SYMBOLS)
         nu = np.zeros((T_SLOTS, n), complex)
         beta = np.zeros((T_SLOTS, n), complex)
-        beta[0, COL[SymbolId(1, 5)]] = 1.0  # base-station-only symbol
+        beta[0, COLUMN[SymbolId(1, 5)]] = 1.0  # base-station-only symbol
         with pytest.raises(ValueError):
             PrecoderPlan(nu=nu, beta=beta, scale=np.ones(n), slot_scale=np.ones(T_SLOTS))
 

@@ -376,7 +376,6 @@ class TestReportFields:
             effective_channel_matrix,
             rn_cache_cancel,
             solve_precoders,
-            symbol_layout,
         )
 
         report = verify_m1k3(seed=3, trials=4)
@@ -385,7 +384,7 @@ class TestReportFields:
         for k, sub in enumerate(report.ue_reports, start=1):
             E = effective_channel_matrix(plan, ch, f"ue{k}")
             assert sub.singular_values == tuple(np.linalg.svd(E, compute_uv=False))
-        cancelled = rn_cache_cancel(effective_channel_matrix(plan, ch, "rn"), symbol_layout())
+        cancelled = rn_cache_cancel(effective_channel_matrix(plan, ch, "rn"))
         (rn,) = report.rn_reports
         assert rn.singular_values == tuple(np.linalg.svd(cancelled, compute_uv=False))
 
