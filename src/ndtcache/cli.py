@@ -19,6 +19,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -167,13 +168,13 @@ def _exact(point, curve, column: str):
 
 
 def _tradeoff(cfg: RunConfig):
-    lb_curve = lower_bound_curve(cfg.m, cfg.k)
     envelope = memory_sharing_envelope(achievable_catalog(cfg.m, cfg.k))
     mus = [cfg.mu] if cfg.mu is not None else [Fraction(i, cfg.grid) for i in range(cfg.grid + 1)]
-    data = []
-    for mu in mus:
-        lb, ach = lb_curve.evaluate(mu), envelope.evaluate(mu)
-        data.append(_cells(mu=mu, lower_bound=lb, achievable_envelope=ach, gap=ach - lb))
+    data = [
+        _cells(mu=mu, lower_bound=lb, achievable_envelope=ach, gap=ach - lb)
+        for mu, lb, ach in zip(mus, lower_bound_curve(cfg.m, cfg.k).values(mus),
+                               envelope.values(mus))
+    ]
     return data, list(data[0])
 
 
@@ -269,7 +270,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process on the first ``main``
+    call and reused: argparse keeps no state between parses. That saves
+    time only where ``main`` runs many times in one process (library
+    use, tests); a one-shot ``ndtcache`` call builds it once either way."""
     parser = _Parser(prog="ndtcache", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -289,20 +295,28 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """RunConfig from the options the subcommand was given."""
     opts = dict(vars(args))
     if "mu" in opts:
-        opts["mu"] = as_rational(opts["mu"])
+        try:
+            opts["mu"] = as_rational(opts["mu"])
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"--mu must be a fraction such as 4/5 or a decimal such as 0.8, "
+                             f"got {opts['mu']!r}") from None
         if not 0 <= opts["mu"] <= 1:
             raise UsageError(f"--mu must lie in [0, 1], got {opts['mu']}")
         if "grid" in opts:
             raise UsageError("--mu and --grid are mutually exclusive")
     if "snr_db" in opts:
-        opts["snr_db"] = tuple(float(x) for x in opts["snr_db"].split(","))
+        try:
+            opts["snr_db"] = tuple(float(x) for x in opts["snr_db"].split(","))
+        except ValueError:
+            raise UsageError(f"--snr-db must be comma-separated numbers, "
+                             f"got {opts['snr_db']!r}") from None
     return RunConfig(**opts)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         return run(_config_from_args(build_parser().parse_args(argv)))
-    except (ValueError, ZeroDivisionError) as exc:  # UsageError is a ValueError
+    except ValueError as exc:  # UsageError is a ValueError
         _error_line("usage", str(exc))
         return EXIT_USAGE
 

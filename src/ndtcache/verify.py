@@ -159,7 +159,7 @@ def draw_channels(seed, T: int, M: int, K: int) -> ChannelSet:
     """
     if T < 1 or M < 1 or K < 1:
         raise ValueError("T, M and K must be positive")
-    f, g, H = _draw_cn([seed], ((T, M), (T, K), (T, K, M)))
+    f, g, H = _draw_cn([_key(seed)], ((T, M), (T, K), (T, K, M)))
     return ChannelSet(T=T, f=f[0], g=g[0], H=H[0])
 
 
@@ -202,7 +202,11 @@ def _least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _key(seed, *extra: int) -> tuple[int, ...]:
+    """The generator key of a seed (an int or a tuple of ints) and the
+    trial and attempt indices after it."""
     base = seed if isinstance(seed, tuple) else (seed,)
+    if min(base, default=0) < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return base + extra
 
 

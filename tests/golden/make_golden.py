@@ -59,6 +59,13 @@ def _cases() -> dict[str, Case]:
             cases[f"{command}_m{m}_k{k}.csv"] = [command, "--m", str(m), "--k", str(k)]
     cases["tradeoff_m1_k3.csv"] = ["tradeoff", "--m", "1", "--k", "3"]
     cases["tradeoff_m2_k2_grid12.csv"] = ["tradeoff", "--m", "2", "--k", "2", "--grid", "12"]
+    # Grid points on and between breakpoints: mu = 4/5 with grid 5, mu =
+    # 4/9 with grid 9, a fine odd grid, and a wide table with the default.
+    cases["tradeoff_m1_k3_grid5.csv"] = ["tradeoff", "--m", "1", "--k", "3", "--grid", "5"]
+    cases["tradeoff_m2_k2_grid9.csv"] = ["tradeoff", "--m", "2", "--k", "2", "--grid", "9"]
+    cases["tradeoff_m3_k7_grid97"] = ["tradeoff", "--m", "3", "--k", "7", "--grid", "97",
+                                      "--format", "json"]
+    cases["tradeoff_m12_k5.csv"] = ["tradeoff", "--m", "12", "--k", "5"]
     for command, m, k, mu in (("bounds", 1, 3, "4/5"), ("bounds", 3, 4, "1/3"),
                               ("optimal", 1, 3, "4/5"), ("optimal", 2, 2, "1/3"),
                               ("tradeoff", 1, 3, "4/5"), ("tradeoff", 3, 4, "1/3")):

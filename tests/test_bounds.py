@@ -11,6 +11,7 @@ from ndtcache.bounds import (
     BoundComponentIndex,
     NdtCurve,
     UncharacterizedConfigError,
+    _component_line,
     _upper_envelope,
     achievable_catalog,
     bound_component_indices,
@@ -92,7 +93,19 @@ def assert_vertices_only(curve):
     assert all(s1 < s2 for s1, s2 in zip(slopes, slopes[1:])), "collinear breakpoint"
 
 
+def scan_evaluate(curve, mu):
+    """Reference interpolation: scan the segments for the first holding mu."""
+    for (x1, y1), (x2, y2) in zip(curve.breakpoints, curve.breakpoints[1:]):
+        if x1 <= mu <= x2:
+            return y1 + (y2 - y1) * (mu - x1) / (x2 - x1)
+    raise AssertionError(f"no segment holds {mu}")
+
+
 small = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4))
+# Large, pairwise coprime denominators, so the hull's exact turn tests
+# multiply large numerators and denominators.
+LARGE_PRIMES = (999983, 1000003, 2147483647, 4294967291, 10**12 + 39)
+large = st.builds(Fraction, st.integers(-10**15, 10**15), st.sampled_from(LARGE_PRIMES))
 
 
 @st.composite
@@ -110,12 +123,26 @@ def line_sets(draw):
 
 
 @st.composite
-def point_sets(draw):
+def convex_curves(draw):
+    """A valid curve: breakpoints on a mu grid of twelfths, non-decreasing
+    non-positive slopes, and an end value >= 1."""
+    inner = draw(st.sets(st.integers(1, 11), max_size=5))
+    xs = [Fraction(0), *(Fraction(i, 12) for i in sorted(inner)), Fraction(1)]
+    slopes = sorted(draw(st.lists(st.builds(Fraction, st.integers(-20, 0), st.integers(1, 5)),
+                                  min_size=len(xs) - 1, max_size=len(xs) - 1)))
+    ys = [1 + draw(st.builds(Fraction, st.integers(0, 9), st.integers(1, 3)))]
+    for x1, x2, slope in reversed(list(zip(xs, xs[1:], slopes))):
+        ys.append(ys[-1] - slope * (x2 - x1))
+    return NdtCurve(tuple(zip(xs, reversed(ys))))
+
+
+@st.composite
+def point_sets(draw, coords=None):
     """Achievable points on a coarse mu grid, so mu values repeat, with
     both ends present and the lowest NDT at mu = 1, as memory sharing of
     real schemes gives."""
-    mus = st.builds(Fraction, st.integers(0, 6), st.just(6))
-    ndts = st.builds(Fraction, st.integers(3, 24), st.integers(1, 3))
+    mus, ndts = coords or (st.builds(Fraction, st.integers(0, 6), st.just(6)),
+                           st.builds(Fraction, st.integers(3, 24), st.integers(1, 3)))
     pairs = draw(st.lists(st.tuples(mus, ndts), max_size=8)) + [(Fraction(0), draw(ndts))]
     pairs.append((Fraction(1), min(ndt for _, ndt in pairs)))
     return [AchievablePoint(mu, ndt, "random", False) for mu, ndt in draw(st.permutations(pairs))]
@@ -199,6 +226,10 @@ class TestLowerBoundCurve:
         )
         assert lower_bound_curve(1, 1).breakpoints == ((0, 2), (1, 1))
 
+    def test_built_once_per_network(self):
+        assert lower_bound_curve(4, 7) is lower_bound_curve(4, 7)
+        assert lower_bound_curve(4, 7) is not lower_bound_curve(7, 4)
+
     def test_curve_equals_pointwise_max_at_random_rationals(self):
         import random
 
@@ -258,6 +289,35 @@ class TestExactHull:
             ]
             assert bps == pairwise_envelope(lines).breakpoints
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(large, large), min_size=1, max_size=7))
+    def test_large_coprime_denominators_match_pairwise_reference(self, lines):
+        lines = [(a, -abs(b)) for a, b in lines] + [(Fraction(1), Fraction(0))]
+        assert _upper_envelope(lines).breakpoints == pairwise_envelope(lines).breakpoints
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets((st.builds(Fraction, st.integers(0, 10**6), st.just(10**6 + 3)),
+                       st.builds(lambda a, q: 1 + Fraction(a, q), st.integers(0, 10**15),
+                                 st.sampled_from(LARGE_PRIMES)))))
+    def test_large_coprime_points_match_pairwise_oracle(self, points):
+        env = memory_sharing_envelope(points)
+        for mu in {p.mu for p in points} | {x for x, _ in env.breakpoints}:
+            assert env.evaluate(mu) == pairwise_sharing(points, mu)
+        assert_vertices_only(env)
+
+
+class TestComponentLine:
+    @pytest.mark.parametrize("M", range(1, 13))
+    def test_matches_the_fraction_formula(self, M):
+        for K in range(1, 13):
+            for idx in bound_component_indices(M, K):
+                ell, s = idx.ell, idx.s
+                sbar = M + 1 - s
+                b = -Fraction(1, s) * (sbar * (K - s + Fraction(sbar - 1, 2))
+                                       + Fraction(ell * (ell + 1), 2))
+                assert _component_line(M, K, ell, s) == (Fraction(K + ell, s), b)
+                assert all(type(c) is Fraction for c in _component_line(M, K, ell, s))
+
 
 class TestNdtCurve:
     def test_validation(self):
@@ -276,6 +336,27 @@ class TestNdtCurve:
         assert curve.evaluate(Fraction(9, 10)) == Fraction(31, 20)
         with pytest.raises(ValueError):
             curve.evaluate(Fraction(6, 5))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_walk_equals_per_point_values(self, data):
+        curve = data.draw(convex_curves())
+        pool = [Fraction(0), Fraction(1), *(x for x, _ in curve.breakpoints)]
+        pool += data.draw(st.lists(st.builds(Fraction, st.integers(0, 24), st.just(24)),
+                                   max_size=10))
+        mus = sorted(data.draw(st.lists(st.sampled_from(pool), max_size=20)))
+        assert curve.values(mus) == [scan_evaluate(curve, mu) for mu in mus]
+        assert curve.values(mus) == [curve.evaluate(mu) for mu in mus]
+
+    def test_walk_rejects_out_of_range_and_unsorted(self):
+        curve = lower_bound_curve(1, 3)
+        with pytest.raises(ValueError, match=r"^mu must lie in \[0, 1\], got -1/2$"):
+            curve.values([Fraction(-1, 2)])
+        with pytest.raises(ValueError, match=r"^mu must lie in \[0, 1\], got 6/5$"):
+            curve.values([Fraction(1, 2), Fraction(6, 5)])
+        with pytest.raises(ValueError, match=r"^mu values must be non-decreasing, got 1/3 after 1/2$"):
+            curve.values([Fraction(1, 2), Fraction(1, 3)])
+        assert curve.values([]) == []
 
 
 class TestOptimalNdt:

@@ -293,6 +293,19 @@ class TestInputHardening:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == json.dumps({"error": "usage", "detail": detail}) + "\n"
 
+    @pytest.mark.parametrize("args, detail", [
+        (["bounds", "--mu", value],
+         f"--mu must be a fraction such as 4/5 or a decimal such as 0.8, got '{value}'")
+        for value in ("abc", "1/0", "nan", "inf")
+    ] + [
+        (["rates", "--snr-db", "a,b,c"], "--snr-db must be comma-separated numbers, got 'a,b,c'"),
+        (["rates", "--snr-db", "40,,60"], "--snr-db must be comma-separated numbers, got '40,,60'"),
+    ])
+    def test_unparsable_values_name_their_option(self, capsys, args, detail):
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == json.dumps({"error": "usage", "detail": detail}) + "\n"
+
     def test_negative_snr_points_are_values(self, capsys):
         code, out, err = run_cli(capsys, "rates", "--trials", "2", "--snr-db", "-10,5,20",
                                  "--format", "csv")
@@ -381,12 +394,13 @@ class TestCommandTable:
 _VALUES = {
     "m": (["1", "2", "3", "4"], ["0", "-1", "x"]),
     "k": (["1", "2", "3", "4"], ["0", "x"]),
-    "mu": (["0", "1", "1/2", "4/5", "0.8", "1/3"], ["2", "-1/2", "-0.8", "abc", "1/0"]),
+    "mu": (["0", "1", "1/2", "4/5", "0.8", "1/3"],
+           ["2", "-1/2", "-0.8", "abc", "1/0", "nan", "inf"]),
     "grid": (["1", "3", "8"], ["0", "-2", "x"]),
     "seed": (["0", "1", "7"], ["x", "-1"]),
     "trials": (["1", "2", "3"], ["0", "-1"]),
     "tol": (["1e-9", "1e-3", "0.5"], ["0", "1", "nan", "inf", "x", "-1e-9", "-0.5", "-inf"]),
-    "snr_db": (["40,50,60", "30,45,60"], ["40,50", "40,45,50", "nan,50,60", "a"]),
+    "snr_db": (["40,50,60", "30,45,60"], ["40,50", "40,45,50", "nan,50,60", "a", "a,b,c"]),
     "format": (["csv", "json"], ["xml"]),
 }
 
@@ -446,5 +460,7 @@ def test_cli_fuzz_exit_codes_and_output(argv):
         (line,) = err.getvalue().splitlines()
         assert set(json.loads(line)) == {"error", "detail"}
         assert "expected one argument" not in line
+        # no bare Fraction or float parse message: each names its option
+        assert not any(bare in line for bare in ("Invalid literal", "Fraction(", "could not convert"))
         if code != EXIT_VERIFICATION:
             assert out.getvalue() == ""

@@ -412,6 +412,24 @@ class TestToleranceGuards:
             finite_snr_rates(0, [bad, 50.0, 60.0], trials=2)
 
 
+class TestSeedGuard:
+    @pytest.mark.parametrize("call", [
+        lambda: verify_m1k3(-1, 2),
+        lambda: draw_channels(-1, 8, 1, 3),
+        lambda: finite_snr_rates(-1, [40.0, 50.0, 60.0], 2),
+        lambda: verify_corner(-1, 2, NetworkConfig(M=1, K=2, N=3, mu=0)),
+        lambda: verify_corner(-1, 2, NetworkConfig(M=1, K=2, N=3, mu=1)),
+    ], ids=["verify_m1k3", "draw_channels", "finite_snr_rates", "verify_corner_mu0",
+            "verify_corner_mu1"])
+    def test_negative_seed_names_the_seed(self, call):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            call()
+
+    def test_negative_entry_of_a_tuple_seed(self):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got \(3, -2\)$"):
+            draw_channels((3, -2), 1, 1, 2)
+
+
 class TestStackedKernels:
     def test_stacked_rank_with_gap_matches_single_calls(self):
         rng = np.random.default_rng(8)
