@@ -7,6 +7,8 @@ linear-algebra layer.
 """
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,8 +35,23 @@ def as_rational(value: int | str | Rational) -> Rational:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        return _parse_rational(value.strip())
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def _parse_rational(text: str) -> Rational:
+    # Fraction builds 10 ** exponent before anything can check the value,
+    # and str() of a result with more digits than the int-to-str limit
+    # fails; refuse both, the exponent before any big integer is built.
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    exponent = re.search(r"[eE][-+]?(\d+(?:_\d+)*)$", text)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+        raise ValueError(f"{text!r} has an exponent beyond {limit}")
+    value = Fraction(text)
+    if max(abs(value.numerator), value.denominator) >= 10 ** limit:
+        raise ValueError(f"{text!r} has more than {limit} digits")
+    return value
 
 
 class DegenerateChannel(Exception):

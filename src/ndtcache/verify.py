@@ -6,26 +6,30 @@ alignment residuals plus subspace ranks, decode noiselessly, and account
 DoF/NDT. verify_m1k3, both branches of verify_corner (unicasting at
 mu = 0, MISO zero-forcing at mu = 1) and finite_snr_rates share one trial
 runner, ``_TrialRun``. Trial t at attempt a draws its channels, then its
-symbols, from one generator keyed (seed, t, a). Trials run in blocks of
+symbols, from one generator in the state ``default_rng((seed, t, a))``
+would have; the run checks its seed once. Trials run in blocks of
 BLOCK_TRIALS, stacked on a leading axis and checked by stacked
 np.linalg calls (decoding included, by pinv) and array ops, which give
 the same bits as one call per matrix; rate totals add up in trial order.
 So results do not depend on the block size, and memory is one block's
 arrays whatever the trial count. A block's draws come from one drawer,
-``_draw_cn``: each key's generator fills one row of a float buffer, and
-one array expression per part turns its (real, imaginary) column pairs
-into the block's complex values. The drawn channels are checked finite
-and nonzero once per block, with ChannelSet's messages; no ChannelSet is
-built per trial. Each user's interference SVD runs once and gives both
-its rank and the projection basis. Only a block's degenerate draws are
-redrawn, with attempt + 1; a trial still degenerate after _MAX_REDRAWS
-redraws ends the run with VerificationFailure, its report covering the
-trials before it. Verifiers hand the runner each block's checks and
-per-receiver diagnostics; the runner alone folds them into the report.
+``_draw_cn``: one array pass computes every key's PCG64 state, one
+generator set to each state in turn fills its key's row of a float
+buffer, and one array expression per part turns its (real, imaginary)
+column pairs into the block's complex values. The drawn channels are
+checked finite and nonzero once per block, with ChannelSet's messages;
+no ChannelSet is built per trial. Each user's interference SVD runs once
+and gives both its rank and the projection basis. Only a block's
+degenerate draws are redrawn, with attempt + 1; a trial still degenerate
+after _MAX_REDRAWS redraws ends the run with VerificationFailure, its
+report covering the trials before it. Verifiers hand the runner each
+block's checks and per-receiver diagnostics; the runner alone folds them
+into the report.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,22 +132,109 @@ class RateEstimate:
     fitted_slope: float
 
 
-def _draw_cn(keys, shapes) -> list[np.ndarray]:
-    """I.i.d. CN(0,1) arrays, per shape one of shape (len(keys), *shape).
+# SeedSequence's hash (numpy.random.bit_generator) and PCG64's seeding,
+# written out so that one array pass seeds a whole block; NumPy's
+# stream-compatibility policy (NEP 19) keeps both algorithms fixed.
+_POOL = 4  # SeedSequence's pool, in 32-bit words
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-    ``default_rng(key)`` fills its key's row of one float buffer: per
-    shape in order, its real parts, then its imaginary parts, as one
-    generator drawing each part in turn would. One array expression per
-    shape then makes the whole block's complex values.
+
+def _hash_consts(init: int, mult: int, calls) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of the (xor, multiplier) constants of the hash calls ``calls``:
+    call k xors init * mult**k and multiplies by init * mult**(k + 1), mod 2**32."""
+    const = lambda k: init * pow(mult, k, 2**32) & _MASK32
+    return (np.array([const(k) for k in calls], np.uint32)[:, None],
+            np.array([const(k + 1) for k in calls], np.uint32)[:, None])
+
+
+# The pool takes hash calls 0-3; then pool word src is hashed for each other
+# word in turn (calls 4 + 3 src ..), its own row a placeholder; a key word
+# src >= _POOL is hashed for every pool word (calls 4 src ..). The state is
+# eight hashes of the pool, cycled twice, with their own constants.
+_FILL = _hash_consts(_INIT_A, _MULT_A, range(_POOL))
+_SPREAD = [_hash_consts(_INIT_A, _MULT_A, [4 + 3 * src + d - (d > src) for d in range(_POOL)])
+           for src in range(_POOL)]
+_GENERATE = _hash_consts(0x8B51F9DD, 0x58F38DED, range(2 * _POOL))
+
+
+def _hashmix(words: np.ndarray, consts) -> np.ndarray:
+    xor, mul = consts
+    words = (words ^ xor) * mul
+    return words ^ words >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = x * _MIX_L - y * _MIX_R
+    return mixed ^ mixed >> 16
+
+
+def _key_words(prefix: tuple[int, ...], extra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 32-bit words of the keys prefix + tuple(extra[i]), key i in
+    column i, zero padded, and each key's word count. As in SeedSequence,
+    an int is its little-endian words, 0 one word; ``extra`` holds ints
+    below 2**64, one row per key."""
+    head = [x >> shift & _MASK32 for x in prefix for shift in range(0, max(x.bit_length(), 1), 32)]
+    extra = extra.astype(np.uint64).T
+    words = np.zeros((len(head) + 2 * len(extra), extra.shape[1]), np.uint32)
+    words[:len(head)] = np.array(head, np.uint32)[:, None]
+    words[len(head)::2] = extra & _MASK32
+    words[len(head) + 1::2] = extra >> 32
+    # each extra int keeps its high word only if that is nonzero
+    present = np.ones(words.shape, bool)
+    present[len(head) + 1::2] = words[len(head) + 1::2] != 0
+    order = np.argsort(~present, axis=0, kind="stable")
+    return np.take_along_axis(words, order, axis=0), present.sum(axis=0)
+
+
+def _pcg64_states(words: np.ndarray, counts: np.ndarray) -> list[tuple[int, int]]:
+    """The (state, inc) of ``PCG64(key)`` for each key of _key_words: the
+    key's words mixed into SeedSequence's pool, ``generate_state(4,
+    np.uint64)`` as (seed, inc) and PCG64's two seeding steps."""
+    width = max(int(counts.max()), _POOL)
+    padded = np.zeros((width, words.shape[1]), np.uint32)  # at least the pool, no unused rows
+    padded[:len(words)] = words[:width]
+    pool = _hashmix(padded[:_POOL], _FILL)
+    for src, consts in enumerate(_SPREAD):
+        mixed = _mix(pool, _hashmix(pool[src], consts))
+        mixed[src] = pool[src]
+        pool = mixed
+    for src in range(_POOL, width):  # the words of keys longer than the pool
+        consts = _hash_consts(_INIT_A, _MULT_A, range(4 * src, 4 * src + _POOL))
+        pool = np.where(counts > src, _mix(pool, _hashmix(padded[src], consts)), pool)
+    halves = _hashmix(np.concatenate([pool, pool]), _GENERATE).astype(np.uint64)
+    seeds = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*(halves[0::2] | halves[1::2] << 32).tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        seeds.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return seeds
+
+
+def _draw_cn(prefix: tuple[int, ...], extra: np.ndarray, shapes) -> list[np.ndarray]:
+    """I.i.d. CN(0,1) arrays, per shape one of shape (len(extra), *shape),
+    row i drawn as ``default_rng(prefix + tuple(extra[i]))`` would draw it.
+
+    One array pass computes every key's PCG64 state (_pcg64_states). One
+    Generator, set to each state in turn, fills its key's row of one float
+    buffer: per shape in order, its real parts, then its imaginary parts,
+    as one generator drawing each part in turn would. One array expression
+    per shape then makes the whole block's complex values.
     """
     sizes = [math.prod(shape) for shape in shapes]
-    normals = np.empty((len(keys), 2 * sum(sizes)))
-    for key, row in zip(keys, normals):
-        np.random.default_rng(key).standard_normal(out=row)
+    normals = np.empty((len(extra), 2 * sum(sizes)))
+    bits = np.random.PCG64(0)
+    fill = np.random.Generator(bits).standard_normal
+    state = bits.state  # a fresh generator's, given each key's (state, inc)
+    for (state["state"]["state"], state["state"]["inc"]), row in zip(
+            _pcg64_states(*_key_words(prefix, extra)), normals):
+        bits.state = state
+        fill(out=row)
     parts, start = [], 0
     for shape, size in zip(shapes, sizes):
         re, im = normals[:, start:start + size], normals[:, start + size:start + 2 * size]
-        parts.append(((re + 1j * im) / np.sqrt(2)).reshape(len(keys), *shape))
+        parts.append(((re + 1j * im) / np.sqrt(2)).reshape(len(extra), *shape))
         start += 2 * size
     return parts
 
@@ -159,7 +250,7 @@ def draw_channels(seed, T: int, M: int, K: int) -> ChannelSet:
     """
     if T < 1 or M < 1 or K < 1:
         raise ValueError("T, M and K must be positive")
-    f, g, H = _draw_cn([_key(seed)], ((T, M), (T, K), (T, K, M)))
+    f, g, H = _draw_cn(_key(seed), np.empty((1, 0), int), ((T, M), (T, K), (T, K, M)))
     return ChannelSet(T=T, f=f[0], g=g[0], H=H[0])
 
 
@@ -202,9 +293,14 @@ def _least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _key(seed, *extra: int) -> tuple[int, ...]:
-    """The generator key of a seed (an int or a tuple of ints) and the
-    trial and attempt indices after it."""
+    """The generator key of a seed (a non-negative int or a tuple of them)
+    and the trial and attempt indices after it. A run checks its seed once,
+    by taking its key prefix ``_key(seed)``."""
     base = seed if isinstance(seed, tuple) else (seed,)
+    try:
+        base = tuple(map(operator.index, base))
+    except TypeError:
+        raise TypeError(f"seed must be an int or a tuple of ints, got {seed!r}") from None
     if min(base, default=0) < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     return base + extra
@@ -225,8 +321,8 @@ class _TrialRun:
                  ranks: tuple[int, int, int] | None = None):
         if trials < 1:
             raise ValueError(f"trials must be positive, got {trials}")
-        self.seed, self.n, self.shape, self.solve, self.sym_sizes = (
-            seed, trials, shape, solve, sym_sizes)
+        self.prefix, self.n, self.shape, self.solve, self.sym_sizes = (
+            _key(seed), trials, shape, solve, sym_sizes)
         self.trials = self.failures = self.redraws = 0
         self.first_failure: str | None = None
         self.receivers = receivers
@@ -239,9 +335,9 @@ class _TrialRun:
     def _draw(self, trials, attempts) -> list[np.ndarray]:
         """Stacked f, g, H and symbol groups of one draw per (trial, attempt),
         with ChannelSet's check on the channels."""
-        keys = [_key(self.seed, int(t), int(a)) for t, a in zip(trials, attempts)]
         T, M, K = self.shape
-        drawn = _draw_cn(keys, ((T, M), (T, K), (T, K, M), *((n,) for n in self.sym_sizes)))
+        drawn = _draw_cn(self.prefix, np.column_stack([np.asarray(trials), attempts]),
+                         ((T, M), (T, K), (T, K, M), *((n,) for n in self.sym_sizes)))
         f, g, H = drawn[:3]
         check_coefficients(f=f, g=g, H=H)
         return drawn
@@ -332,7 +428,7 @@ def _check_ue(k: int, E: np.ndarray, syms: np.ndarray, checks: list):
     des, intf = DESIRED_COLS[k - 1], INTERFERENCE_COLS[k - 1]
     svd = np.linalg.svd
     d_rank, _ = _rank_gap(svd(E[..., des], compute_uv=False), RANK_REL_TOL)
-    u_intf, s_intf, _ = svd(E[..., intf])
+    u_intf, s_intf, _ = svd(E[..., intf], full_matrices=False)
     i_rank, i_gap = _rank_gap(s_intf, RANK_REL_TOL)
     s_total = svd(E, compute_uv=False)
     t_rank, _ = _rank_gap(s_total, RANK_REL_TOL)
@@ -520,7 +616,7 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
         rates = np.empty((len(nu), len(receivers), len(snrs)))
         for k in (1, 2, 3):
             E = effective_channel_batch(nu, beta, f, g, H[..., 0], f"ue{k}")
-            u = np.linalg.svd(E[..., INTERFERENCE_COLS[k - 1]])[0]
+            u = np.linalg.svd(E[..., INTERFERENCE_COLS[k - 1]], full_matrices=False)[0]
             geff = u[..., 3:].conj().swapaxes(-1, -2) @ E[..., DESIRED_COLS[k - 1]]
             gram = geff @ geff.conj().swapaxes(-1, -2)
             _, logdet = np.linalg.slogdet(np.eye(5) + np.multiply.outer(powers, gram))

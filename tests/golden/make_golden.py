@@ -81,6 +81,18 @@ def _cases() -> dict[str, Case]:
             "--seed", SEED, "--format", "csv",
         ]
     cases["rates_trials20.csv"] = ["rates", "--trials", "20", "--seed", SEED, "--format", "csv"]
+    # Seeds of several 32-bit words in the generator key: 2**64 + 1 is three
+    # words (70 trials leave a 6-key tail block), 2**32 is two (redraws
+    # across a block edge), and 0 is one.
+    cases["verify-corner_m2_k3_mu1_seed2e64+1"] = [
+        "verify-corner", "--m", "2", "--k", "3", "--mu", "1", "--trials", "70",
+        "--seed", "18446744073709551617",
+    ]
+    cases["verify-m1k3_tol3e-2_seed2e32"] = ["verify-m1k3", "--trials", "65", "--tol", "3e-2",
+                                             "--seed", "4294967296"]
+    cases["verify-corner_m1_k4_mu0_seed0"] = [
+        "verify-corner", "--m", "1", "--k", "4", "--mu", "0", "--trials", "9", "--seed", "0",
+    ]
     cases = {name: Case(argv) for name, argv in cases.items()}
     # Failed verifications (exit 2): MISO runs out of redraws at trial 0,
     # and verify-m1k3 at trial 48, each writing its partial report.

@@ -300,11 +300,26 @@ class TestInputHardening:
     ] + [
         (["rates", "--snr-db", "a,b,c"], "--snr-db must be comma-separated numbers, got 'a,b,c'"),
         (["rates", "--snr-db", "40,,60"], "--snr-db must be comma-separated numbers, got '40,,60'"),
+        # a result with more digits than int-to-str conversion allows
+        (["bounds", "--mu", "1e-20000"],
+         "--mu must be a fraction such as 4/5 or a decimal such as 0.8, got '1e-20000'"),
     ])
     def test_unparsable_values_name_their_option(self, capsys, args, detail):
         code, out, err = run_cli(capsys, *args)
         assert (code, out) == (EXIT_USAGE, "")
         assert err == json.dumps({"error": "usage", "detail": detail}) + "\n"
+
+    def test_huge_mu_exponent_exits_at_once(self):
+        # Fraction would build 10 ** 999999999 first: run it where a hang can time out
+        proc = subprocess.run(
+            [sys.executable, "-m", "ndtcache", "bounds", "--m", "1", "--k", "3",
+             "--mu", "1e999999999"], capture_output=True, text=True, timeout=20)
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+        assert proc.stderr == json.dumps({
+            "error": "usage",
+            "detail": "--mu must be a fraction such as 4/5 or a decimal such as 0.8, "
+                      "got '1e999999999'",
+        }) + "\n"
 
     def test_negative_snr_points_are_values(self, capsys):
         code, out, err = run_cli(capsys, "rates", "--trials", "2", "--snr-db", "-10,5,20",
@@ -395,7 +410,7 @@ _VALUES = {
     "m": (["1", "2", "3", "4"], ["0", "-1", "x"]),
     "k": (["1", "2", "3", "4"], ["0", "x"]),
     "mu": (["0", "1", "1/2", "4/5", "0.8", "1/3"],
-           ["2", "-1/2", "-0.8", "abc", "1/0", "nan", "inf"]),
+           ["2", "-1/2", "-0.8", "abc", "1/0", "nan", "inf", "1e-20000", "1e999999999"]),
     "grid": (["1", "3", "8"], ["0", "-2", "x"]),
     "seed": (["0", "1", "7"], ["x", "-1"]),
     "trials": (["1", "2", "3"], ["0", "-1"]),

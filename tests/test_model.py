@@ -55,6 +55,23 @@ class TestRational:
         with pytest.raises(TypeError):
             as_rational(0.8)
 
+    @pytest.mark.parametrize("text, problem", [
+        ("1e999999999", "has an exponent beyond 4300"),
+        ("1e-20000", "has an exponent beyond 4300"),
+        ("1e" + "9" * 5000, "has an exponent beyond 4300"),
+        ("1e-4300", "has more than 4300 digits"),
+        ("1e4300", "has more than 4300 digits"),
+    ])
+    def test_as_rational_refuses_what_str_could_not_print(self, text, problem):
+        # the default int-to-str limit is 4300 digits
+        with pytest.raises(ValueError, match=f"^'{text}' {problem}$"):
+            as_rational(text)
+
+    def test_as_rational_keeps_exponents_within_the_limit(self):
+        assert as_rational("1e-4299") == Fraction(1, 10**4299)
+        assert as_rational("25e-2") == Fraction(1, 4)
+        assert as_rational("1_0E1_0") == 10**11
+
 
 class TestNetworkConfig:
     def test_valid(self):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -428,6 +429,20 @@ class TestSeedGuard:
     def test_negative_entry_of_a_tuple_seed(self):
         with pytest.raises(ValueError, match=r"^seed must be non-negative, got \(3, -2\)$"):
             draw_channels((3, -2), 1, 1, 2)
+
+    @pytest.mark.parametrize("seed", [1.5, (1, 2.0), "3"], ids=["float", "tuple_float", "str"])
+    @pytest.mark.parametrize("call", [
+        lambda seed: verify_m1k3(seed, 2),
+        lambda seed: draw_channels(seed, 8, 1, 3),
+        lambda seed: finite_snr_rates(seed, [40.0, 50.0, 60.0], 2),
+        lambda seed: verify_corner(seed, 2, NetworkConfig(M=1, K=2, N=3, mu=0)),
+        lambda seed: verify_corner(seed, 2, NetworkConfig(M=1, K=2, N=3, mu=1)),
+    ], ids=["verify_m1k3", "draw_channels", "finite_snr_rates", "verify_corner_mu0",
+            "verify_corner_mu1"])
+    def test_non_integer_seed_is_a_type_error(self, call, seed):
+        message = f"seed must be an int or a tuple of ints, got {seed!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call(seed)
 
 
 class TestStackedKernels:
