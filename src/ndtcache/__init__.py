@@ -22,10 +22,9 @@ from .bounds import (
     optimal_ndt,
     optimal_ndt_curve,
 )
-from .corner import MisoZfPlan, TdmaSchedule, miso_zf_plan, unicast_schedule
+from .corner import TdmaSchedule, miso_zf_plan, unicast_schedule
 from .model import (
     ChannelSet,
-    DegenerateChannel,
     DemandVector,
     NetworkConfig,
     Rational,
@@ -34,7 +33,6 @@ from .model import (
     worst_case_demand,
 )
 from .scheme_m1k3 import (
-    PrecoderPlan,
     SymbolId,
     effective_channel_matrix,
     rn_cache_cancel,
@@ -58,12 +56,9 @@ __all__ = [
     "BoundComponentIndex",
     "CHARACTERIZED",
     "ChannelSet",
-    "DegenerateChannel",
     "DemandVector",
-    "MisoZfPlan",
     "NdtCurve",
     "NetworkConfig",
-    "PrecoderPlan",
     "RateEstimate",
     "Rational",
     "SubspaceReport",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .model import NetworkConfig, Rational
+from .model import NetworkConfig, Rational, as_rational
 
 # Closed-form optimal-NDT branches a + b*mu for every (M, K) whose full
 # tradeoff curve is proven, written down directly (not derived from the
@@ -96,11 +96,12 @@ class NdtCurve:
     def values(self, mus: Iterable[Rational]) -> list[Rational]:
         """Exact values at non-decreasing mus, by linear interpolation in
         one walk over the segments; each segment's slope is computed at
-        most once."""
+        most once. Each mu goes through as_rational, so a binary float is
+        a TypeError, as it is for NetworkConfig."""
         bps, out = self.breakpoints, []
         i, line, last = 0, None, 0  # line: (a, b) of segment i as a + b*mu
         for mu in mus:
-            mu = Fraction(mu)
+            mu = as_rational(mu)
             if not last <= mu <= 1:
                 if 0 <= mu <= 1:
                     raise ValueError(f"mu values must be non-decreasing, got {mu} after {last}")

@@ -41,6 +41,10 @@ EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_UNCHARACTERIZED = 3
 
+# The largest --grid: tradeoff holds every row in memory, so its time and
+# memory grow with the grid; this keeps a run to seconds and hundreds of MB.
+MAX_GRID = 100_000
+
 
 class UsageError(ValueError):
     pass
@@ -69,6 +73,8 @@ class RunConfig:
             raise UsageError("M and K must be positive")
         if self.grid < 1:
             raise UsageError("--grid must be positive")
+        if self.grid > MAX_GRID:
+            raise UsageError(f"--grid must be at most {MAX_GRID}, got {self.grid}")
         if self.trials < 1:
             raise UsageError("--trials must be positive")
         if self.seed < 0:

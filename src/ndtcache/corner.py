@@ -9,13 +9,12 @@ M + 1 (NDT max{K/(M+1), 1}; relays need no delivery).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .model import (DEGENERACY_TOL, ChannelSet, DegenerateChannel, NetworkConfig, Rational,
-                    check_tol, worst_case_demand)
+from .model import DEGENERACY_TOL, NetworkConfig, Rational, check_tol, worst_case_demand
 
 
 @dataclass(frozen=True)
@@ -38,24 +37,6 @@ def unicast_schedule(cfg: NetworkConfig) -> TdmaSchedule:
     return TdmaSchedule(slots=slots, ndt=Fraction(cfg.K + cfg.M))
 
 
-@dataclass(frozen=True)
-class MisoZfPlan:
-    """Zero-forcing beamformers for the (M+1)-antenna virtual transmitter.
-
-    Users are partitioned into ceil(K/(M+1)) groups; group g is served in
-    slot g with beamformer matrix W[g] of shape (M+1, len(group)), column
-    i nulling every other user of the group. slot_shares[g] is the
-    fraction of a signaling unit the group needs (group size over M + 1),
-    so the total NDT is max{K/(M+1), 1}.
-    """
-
-    groups: tuple[tuple[int, ...], ...]
-    beamformers: tuple[np.ndarray, ...] = field(repr=False)
-    slot_shares: tuple[Rational, ...]
-    ndt: Rational
-    nulling_residual: float
-
-
 def user_rows(g: np.ndarray, H: np.ndarray, group: tuple[int, ...]) -> np.ndarray:
     """Rows (..., len(group), M + 1) of the group's users against the antennas
     (base station, relay 1..M) in one slot; g is (..., K), H is (..., K, M)."""
@@ -76,44 +57,30 @@ def miso_ndt_and_dof(groups: tuple[tuple[int, ...], ...]) -> tuple[Rational, int
     return Fraction(sum(map(len, groups)), served), served
 
 
-def miso_zf_plan(ch: ChannelSet, cfg: NetworkConfig, tol: float = DEGENERACY_TOL) -> MisoZfPlan:
-    """Compute per-group zero-forcing beamformers at mu = 1.
+def miso_zf_plan(g: np.ndarray, H: np.ndarray, tol: float = DEGENERACY_TOL):
+    """Per-group zero-forcing beamformers at mu = 1: g is (..., T, K), H is
+    (..., T, K, M), leading axes a batch of draws, and group i of
+    user_groups(M, K) uses slot i. Beamformers are the pseudo-inverse of
+    the group rows (unit gain at the intended user, zero at the rest, up
+    to rounding), by stacked SVD and pinv per group.
 
-    Group g uses slot g of ``ch``. Beamformers are the pseudo-inverse of
-    the stacked group rows (unit gain at the intended user, zero at the
-    rest, up to rounding). A group whose channel matrix has a relative
-    singular value below tol raises DegenerateChannel.
-    """
-    if cfg.mu != 1:
-        raise ValueError(f"MISO zero-forcing applies at mu = 1 only, got mu = {cfg.mu}")
-    if ch.M != cfg.M or ch.K != cfg.K:
-        raise ValueError("channel dimensions do not match the configuration")
-    groups = user_groups(cfg.M, cfg.K)
-    if ch.T < len(groups):
-        raise ValueError(f"need at least {len(groups)} slots, got T = {ch.T}")
-    beamformers, _, cross, degenerate = miso_zf_batch(ch.g, ch.H, tol)
-    if degenerate:
-        raise DegenerateChannel("a group channel matrix is near rank-deficient")
-    return MisoZfPlan(
-        groups=groups,
-        beamformers=tuple(beamformers),
-        slot_shares=tuple(Fraction(len(g), cfg.M + 1) for g in groups),
-        ndt=miso_ndt_and_dof(groups)[0],
-        nulling_residual=float(np.fmax.reduce(cross)),
-    )
-
-
-def miso_zf_batch(g: np.ndarray, H: np.ndarray, tol: float = DEGENERACY_TOL):
-    """miso_zf_plan's solve over leading batch axes, stacked SVD and pinv per
-    group: g is (..., T, K), H is (..., T, K, M), group i uses slot i.
     Returns per group the (..., M + 1, len(group)) beamformers and the
     singular values of its rows; per user k at column k - 1 its largest
     cross gain over its group's weakest direct gain (the nulling residual
-    is their maximum); and the mask of draws with a degenerate group."""
+    is their maximum); and the mask of degenerate draws, those where a
+    group's rows have a singular value below tol relative to the largest.
+    """
     check_tol(tol)
+    g, H = np.asarray(g), np.asarray(H)
+    if H.ndim < 3 or H.shape[:-1] != g.shape or 0 in H.shape[-2:]:
+        raise ValueError(f"g (..., T, K) and H (..., T, K, M) must match with K, M >= 1, "
+                         f"got {g.shape} and {H.shape}")
+    groups = user_groups(H.shape[-1], g.shape[-1])
+    if g.shape[-2] < len(groups):
+        raise ValueError(f"need at least {len(groups)} slots, got T = {g.shape[-2]}")
     beamformers, svs, cross = [], [], []
     degenerate = np.zeros(g.shape[:-2], dtype=bool)
-    for t, group in enumerate(user_groups(H.shape[-1], g.shape[-1])):
+    for t, group in enumerate(groups):
         C = user_rows(g[..., t, :], H[..., t, :, :], group)
         sv = np.linalg.svd(C, compute_uv=False)
         degenerate |= sv[..., -1] < tol * sv[..., 0]

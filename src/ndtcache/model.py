@@ -54,11 +54,6 @@ def _parse_rational(text: str) -> Rational:
     return value
 
 
-class DegenerateChannel(Exception):
-    """A channel draw hit a measure-zero degeneracy (vanishing determinant
-    or alignment coefficient); the caller should redraw."""
-
-
 # Default relative tolerance of the degeneracy guards and the redraw decision.
 DEGENERACY_TOL = 1e-9
 
@@ -165,11 +160,3 @@ class ChannelSet:
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "H", H)
-
-    @property
-    def M(self) -> int:
-        return self.f.shape[1]
-
-    @property
-    def K(self) -> int:
-        return self.g.shape[1]

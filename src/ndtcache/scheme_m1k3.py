@@ -18,11 +18,11 @@ integer column forms, and solves the per-slot precoders.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEGENERACY_TOL, ChannelSet, DegenerateChannel, check_tol, mod_bar
+from .model import DEGENERACY_TOL, check_tol, mod_bar
 
 T_SLOTS = 8
 NUM_FILES = 4
@@ -96,75 +96,15 @@ UNCACHED_POS = np.array([DENB_SYMBOLS.index(s) for s in UNCACHED])
 ETA45 = UNCACHED.index(SymbolId(4, 5))  # eta_{4,5}'s place among UNCACHED
 
 
-@dataclass(frozen=True)
-class PrecoderPlan:
-    """Solved per-slot precoders for all 16 transmitted symbols.
-
-    nu[t, c] and beta[t, c] hold the base-station and relay precoders of
-    TRANSMITTED_SYMBOLS[c] at slot t, already normalized: the raw chain
-    solution was multiplied by slot_scale[t] (one positive factor shared
-    by every symbol of slot t, which leaves all per-slot conditions
-    untouched) and then by scale[c] (one positive factor per symbol,
-    uniform across slots). Dividing both back out recovers the raw
-    solution. Relay-only symbols (index 4) have nu identically zero,
-    base-station-only symbols (index 5) have beta identically zero.
-    """
-
-    nu: np.ndarray = field(repr=False)
-    beta: np.ndarray = field(repr=False)
-    scale: np.ndarray = field(repr=False)
-    slot_scale: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        nu = np.asarray(self.nu, dtype=complex)
-        beta = np.asarray(self.beta, dtype=complex)
-        scale = np.asarray(self.scale, dtype=float)
-        slot_scale = np.asarray(self.slot_scale, dtype=float)
-        n = len(TRANSMITTED_SYMBOLS)
-        if nu.shape != (T_SLOTS, n) or beta.shape != (T_SLOTS, n):
-            raise ValueError(f"nu and beta must be {T_SLOTS} x {n}")
-        if scale.shape != (n,) or np.any(scale <= 0):
-            raise ValueError("scale must hold one positive factor per symbol")
-        if slot_scale.shape != (T_SLOTS,) or np.any(slot_scale <= 0):
-            raise ValueError("slot_scale must hold one positive factor per slot")
-        for s in TRANSMITTED_SYMBOLS:
-            if s not in RN_SYMBOLS and np.any(beta[:, COLUMN[s]] != 0):
-                raise ValueError(f"{s} is not relay-transmitted but has nonzero beta")
-            if s not in DENB_SYMBOLS and np.any(nu[:, COLUMN[s]] != 0):
-                raise ValueError(f"{s} is not base-station-transmitted but has nonzero nu")
-        for arr in (nu, beta, scale, slot_scale):
-            arr.setflags(write=False)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "slot_scale", slot_scale)
-
-    def nu_for(self, symbol: SymbolId) -> np.ndarray:
-        return self.nu[:, COLUMN[symbol]]
-
-    def beta_for(self, symbol: SymbolId) -> np.ndarray:
-        return self.beta[:, COLUMN[symbol]]
-
-    def scale_for(self, symbol: SymbolId) -> float:
-        return float(self.scale[COLUMN[symbol]])
-
-    def raw_nu_for(self, symbol: SymbolId) -> np.ndarray:
-        """Chain solution before any normalization."""
-        return self.nu_for(symbol) / (self.slot_scale * self.scale_for(symbol))
-
-    def raw_beta_for(self, symbol: SymbolId) -> np.ndarray:
-        return self.beta_for(symbol) / (self.slot_scale * self.scale_for(symbol))
-
-
-def _require_m1k3(ch: ChannelSet) -> None:
-    if (ch.T, ch.M, ch.K) != (T_SLOTS, 1, 3):
-        raise ValueError(
-            f"scheme needs T={T_SLOTS}, M=1, K=3 channels, got T={ch.T}, M={ch.M}, K={ch.K}"
-        )
-
-
-def solve_precoders(ch: ChannelSet, tol: float = DEGENERACY_TOL) -> PrecoderPlan:
+def solve_precoders(g: np.ndarray, h: np.ndarray, tol: float = DEGENERACY_TOL):
     """Solve all per-slot precoders of the mu = 4/5 scheme.
+
+    g and h (..., T_SLOTS, 3) hold the users' base-station and relay
+    coefficients; leading axes are a batch of draws, and one draw has
+    none. Returns (nu, beta, scale, slot_scale, degenerate) with the batch
+    axes in front: column c of nu and beta (..., T_SLOTS, 16) holds the
+    precoders of TRANSMITTED_SYMBOLS[c]. nu is zero for relay-only symbols
+    (index 4), beta for base-station-only ones (index 5).
 
     Each slot is independent. Writing g_k, h_k for the slot's user-k
     coefficients from base station and relay:
@@ -181,32 +121,27 @@ def solve_precoders(ch: ChannelSet, tol: float = DEGENERACY_TOL) -> PrecoderPlan
        eta_{k+1,3} against the now-known nu of the index-5 symbols.
     5. Normalize. The raw chain inherits the product nu_{4,5}, whose
        magnitude swings over many orders across slots, so first every
-       slot is rescaled by a common positive factor (the whole chain is
-       linear in nu_{4,5}[t], hence all per-slot ZF and alignment
-       equalities survive verbatim), then each symbol gets one positive
-       factor uniform across slots so its peak precoder magnitude is 1.
-       The per-symbol step keeps zero-forced entries exactly zero and
-       alignment groups colinear, though the literal per-slot equalities
-       then only hold for the raw values (see raw_nu_for/raw_beta_for).
+       slot is multiplied by slot_scale, a common positive factor (the
+       whole chain is linear in nu_{4,5}[t], hence all per-slot ZF and
+       alignment equalities survive verbatim), then each symbol by scale,
+       one positive factor uniform across slots, so its peak precoder
+       magnitude is 1. The per-symbol step keeps zero-forced entries
+       exactly zero and alignment groups colinear, though the literal
+       per-slot equalities then only hold for the raw chain,
+       nu / (slot_scale[..., None] * scale[..., None, :]), and for beta.
 
-    The 2x2 determinants all coincide with +-j terms, so a j term with
-    magnitude below tol (relative to the squared slot channel scale)
-    raises DegenerateChannel; so does a channel coefficient below tol
+    The 2x2 determinants all coincide with +-j terms, so a draw with a j
+    term of magnitude below tol (relative to the squared slot channel
+    scale) is degenerate; so is one with a channel coefficient below tol
     relative to the slot scale, since steps 2-3 divide by g_k and h_k.
+    ``degenerate`` (the batch shape) flags those draws; their other
+    outputs are meaningless.
     """
-    _require_m1k3(ch)
-    nu, beta, scale, slot_scale, degenerate = solve_precoder_batch(ch.g, ch.H[..., 0], tol)
-    if degenerate:
-        raise DegenerateChannel("a j term or a user coefficient is below tolerance in some slot")
-    return PrecoderPlan(nu=nu, beta=beta, scale=scale, slot_scale=slot_scale)
-
-
-def solve_precoder_batch(g: np.ndarray, h: np.ndarray, tol: float = DEGENERACY_TOL):
-    """solve_precoders over leading batch axes. g and h (..., T_SLOTS, 3)
-    hold the users' base-station and relay coefficients. Returns the
-    PrecoderPlan arrays (nu, beta, scale, slot_scale) with the batch axes in
-    front and the mask of draws that would raise DegenerateChannel."""
     check_tol(tol)
+    g, h = np.asarray(g), np.asarray(h)
+    if g.shape[-2:] != (T_SLOTS, 3) or g.shape != h.shape:
+        raise ValueError(f"g and h must both have shape (..., {T_SLOTS}, 3), "
+                         f"got {g.shape} and {h.shape}")
     gk = {k: g[..., k - 1] for k in (1, 2, 3)}
     hk = {k: h[..., k - 1] for k in (1, 2, 3)}
     j13 = gk[2] * hk[3] - gk[3] * hk[2]
@@ -264,22 +199,16 @@ def solve_precoder_batch(g: np.ndarray, h: np.ndarray, tol: float = DEGENERACY_T
         return nu, beta, scale, slot_scale, degenerate
 
 
-def effective_channel_matrix(plan: PrecoderPlan, ch: ChannelSet, receiver: str) -> np.ndarray:
-    """Effective receive matrix over the T = 8 slots.
+def effective_channel_matrix(nu, beta, f, g, h, receiver: str) -> np.ndarray:
+    """Effective receive matrix over the T = 8 slots, with any leading
+    batch axes: nu and beta as solve_precoders returns them, f
+    (..., T_SLOTS, 1), g and h (..., T_SLOTS, 3).
 
     For receiver "ue1".."ue3": an 8 x 16 matrix whose column for symbol x
     is g_k[t] nu_x[t] + h_k[t] beta_x[t], columns in TRANSMITTED_SYMBOLS
     order. For "rn": the 8 x 13 matrix f_1[t] nu_x[t] over DENB_SYMBOLS
     (the relay hears only the base station).
     """
-    _require_m1k3(ch)
-    return effective_channel_batch(plan.nu, plan.beta, ch.f, ch.g, ch.H[..., 0], receiver)
-
-
-def effective_channel_batch(nu, beta, f, g, h, receiver: str) -> np.ndarray:
-    """effective_channel_matrix over leading batch axes: nu and beta as
-    solve_precoder_batch returns them, f (..., T_SLOTS, 1), g and h
-    (..., T_SLOTS, 3)."""
     if receiver == "rn":
         return f * nu[..., DENB_COLS]
     if receiver in ("ue1", "ue2", "ue3"):

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .corner import miso_ndt_and_dof, miso_zf_batch, unicast_schedule, user_groups, user_rows
+from .corner import miso_ndt_and_dof, miso_zf_plan, unicast_schedule, user_groups, user_rows
 from .model import DEGENERACY_TOL, ChannelSet, NetworkConfig, Rational, check_coefficients, check_tol
 from .scheme_m1k3 import (
     ALIGNED_COLS,
@@ -51,10 +51,9 @@ from .scheme_m1k3 import (
     UNCACHED,
     ZERO_FORCED_COLS,
     SymbolId,
-    effective_channel_batch,
+    effective_channel_matrix,
     rn_cache_cancel,
-    solve_precoder_batch,
-    solve_precoders,  # noqa: F401  kept reachable as ndtcache.verify.solve_precoders
+    solve_precoders,
 )
 
 # Pass thresholds for a verification trial. Rank decisions use a cut far
@@ -248,6 +247,7 @@ def draw_channels(seed, T: int, M: int, K: int) -> ChannelSet:
     use, so trial t at attempt a draws ``draw_channels((seed, t, a), ...)``
     and then, from the same generator, its symbols.
     """
+    T, M, K = _count("T", T), _count("M", M), _count("K", K)
     if T < 1 or M < 1 or K < 1:
         raise ValueError("T, M and K must be positive")
     f, g, H = _draw_cn(_key(seed), np.empty((1, 0), int), ((T, M), (T, K), (T, K, M)))
@@ -306,6 +306,14 @@ def _key(seed, *extra: int) -> tuple[int, ...]:
     return base + extra
 
 
+def _count(name: str, value) -> int:
+    """operator.index(value), or a TypeError that names the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an int, got {value!r}") from None
+
+
 class _TrialRun:
     """Trials 0 .. trials - 1 of one run, in blocks, and their report.
     ``shape`` is (T, M, K) of a draw; ``solve(f, g, H)`` maps stacked
@@ -319,6 +327,7 @@ class _TrialRun:
     def __init__(self, seed, trials: int, shape: tuple[int, int, int], solve,
                  sym_sizes: tuple[int, ...] = (), receivers: tuple[str, ...] = (),
                  ranks: tuple[int, int, int] | None = None):
+        trials = _count("trials", trials)
         if trials < 1:
             raise ValueError(f"trials must be positive, got {trials}")
         self.prefix, self.n, self.shape, self.solve, self.sym_sizes = (
@@ -416,7 +425,7 @@ class _TrialRun:
 
 def _solve_m1k3(tol: float):
     def solve(f, g, H):
-        nu, beta, _, _, degenerate = solve_precoder_batch(g, H[..., 0], tol)
+        nu, beta, _, _, degenerate = solve_precoders(g, H[..., 0], tol)
         return (nu, beta), degenerate
     return solve
 
@@ -494,7 +503,7 @@ def verify_m1k3(seed, trials: int, tol: float = DEGENERACY_TOL) -> VerificationR
     run = _TrialRun(seed, trials, (T_SLOTS, 1, 3), _solve_m1k3(tol), (len(TRANSMITTED_SYMBOLS),),
                     ("ue1", "ue2", "ue3", "rn1"))
     for start, (f, g, H), (nu, beta), (syms,) in run.blocks():
-        receive = lambda r: effective_channel_batch(nu, beta, f, g, H[..., 0], r)
+        receive = lambda r: effective_channel_matrix(nu, beta, f, g, H[..., 0], r)
         checks: list = []
         ranks, res, errs, svs = zip(
             *[_check_ue(k, receive(f"ue{k}"), syms, checks) for k in (1, 2, 3)],
@@ -538,7 +547,7 @@ def _verify_miso(seed, trials: int, cfg: NetworkConfig, tol: float):
     groups = user_groups(cfg.M, cfg.K)
 
     def solve(f, g, H):
-        beamformers, svs, cross, degenerate = miso_zf_batch(g, H, tol)
+        beamformers, svs, cross, degenerate = miso_zf_plan(g, H, tol)
         return (*beamformers, *svs, cross), degenerate
 
     run = _TrialRun(seed, trials, (len(groups), cfg.M, cfg.K), solve, tuple(map(len, groups)),
@@ -615,13 +624,13 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
     for _, (f, g, H), (nu, beta), _ in run.blocks():
         rates = np.empty((len(nu), len(receivers), len(snrs)))
         for k in (1, 2, 3):
-            E = effective_channel_batch(nu, beta, f, g, H[..., 0], f"ue{k}")
+            E = effective_channel_matrix(nu, beta, f, g, H[..., 0], f"ue{k}")
             u = np.linalg.svd(E[..., INTERFERENCE_COLS[k - 1]], full_matrices=False)[0]
             geff = u[..., 3:].conj().swapaxes(-1, -2) @ E[..., DESIRED_COLS[k - 1]]
             gram = geff @ geff.conj().swapaxes(-1, -2)
             _, logdet = np.linalg.slogdet(np.eye(5) + np.multiply.outer(powers, gram))
             rates[:, k - 1] = logdet.T / math.log(2) / T_SLOTS
-        cancelled = rn_cache_cancel(effective_channel_batch(nu, beta, f, g, H[..., 0], "rn"))
+        cancelled = rn_cache_cancel(effective_channel_matrix(nu, beta, f, g, H[..., 0], "rn"))
         u = np.linalg.svd(cancelled[..., others])[0]
         geff = u[..., 3:].conj().swapaxes(-1, -2) @ cancelled[..., ETA45, None]
         gains = np.real(geff.conj().swapaxes(-1, -2) @ geff)[:, 0, 0]

@@ -358,6 +358,17 @@ class TestNdtCurve:
             curve.values([Fraction(1, 2), Fraction(1, 3)])
         assert curve.values([]) == []
 
+    def test_binary_float_is_the_model_type_error(self):
+        # 0.8 as a float is 3602879701896397/4503599627370496, not 4/5
+        with pytest.raises(TypeError) as from_model:
+            NetworkConfig(M=1, K=3, N=4, mu=0.8)
+        curve = lower_bound_curve(1, 3)
+        for call in (lambda: curve.evaluate(0.8), lambda: curve.values([Fraction(1, 2), 0.8])):
+            with pytest.raises(TypeError) as from_curve:
+                call()
+            assert str(from_curve.value) == str(from_model.value)
+        assert curve.evaluate("0.8") == curve.evaluate(Fraction(4, 5)) == Fraction(8, 5)
+
 
 class TestOptimalNdt:
     def test_known_values(self):

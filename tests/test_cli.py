@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import resource
 import subprocess
 import sys
 import tempfile
@@ -18,6 +19,7 @@ from ndtcache.cli import (
     EXIT_UNCHARACTERIZED,
     EXIT_USAGE,
     EXIT_VERIFICATION,
+    MAX_GRID,
     RunConfig,
     emit,
     main,
@@ -72,6 +74,7 @@ class TestTradeoff:
         (["--grid", "0", "--mu", "1/2"], "--mu and --grid are mutually exclusive"),
         (["--mu", "2", "--grid", "10"], "--mu must lie in [0, 1], got 2"),
         (["--grid", "0"], "--grid must be positive"),
+        (["--grid", "100001"], "--grid must be at most 100000, got 100001"),
     ])
     def test_grid_usage_error_lines(self, capsys, args, detail):
         code, out, err = run_cli(capsys, "tradeoff", "--m", "1", "--k", "3", *args)
@@ -321,6 +324,21 @@ class TestInputHardening:
                       "got '1e999999999'",
         }) + "\n"
 
+    def test_huge_grid_exits_at_once(self):
+        # 3e6 rows once ran out of memory with a traceback: run it capped at
+        # 1 GB of address space, where a hang can time out
+        cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1024**3,) * 2)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ndtcache", "tradeoff", "--m", "1", "--k", "3",
+             "--grid", "3000000"], capture_output=True, text=True, timeout=20, preexec_fn=cap)
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+        assert proc.stderr == json.dumps({
+            "error": "usage", "detail": "--grid must be at most 100000, got 3000000"}) + "\n"
+
+    def test_grid_limit_is_one_constant(self):
+        # the limit itself is accepted; one more is a usage error (TestTradeoff)
+        assert RunConfig("tradeoff", grid=MAX_GRID).grid == MAX_GRID == 100_000
+
     def test_negative_snr_points_are_values(self, capsys):
         code, out, err = run_cli(capsys, "rates", "--trials", "2", "--snr-db", "-10,5,20",
                                  "--format", "csv")
@@ -411,7 +429,7 @@ _VALUES = {
     "k": (["1", "2", "3", "4"], ["0", "x"]),
     "mu": (["0", "1", "1/2", "4/5", "0.8", "1/3"],
            ["2", "-1/2", "-0.8", "abc", "1/0", "nan", "inf", "1e-20000", "1e999999999"]),
-    "grid": (["1", "3", "8"], ["0", "-2", "x"]),
+    "grid": (["1", "3", "8"], ["0", "-2", "x", "3000000"]),
     "seed": (["0", "1", "7"], ["x", "-1"]),
     "trials": (["1", "2", "3"], ["0", "-1"]),
     "tol": (["1e-9", "1e-3", "0.5"], ["0", "1", "nan", "inf", "x", "-1e-9", "-0.5", "-inf"]),

@@ -127,7 +127,7 @@ class TestChannelSet:
             g=rng.standard_normal((4, 3)) + 1j,
             H=rng.standard_normal((4, 3, 2)) + 1j,
         )
-        assert (ch.M, ch.K) == (2, 3)
+        assert (ch.f.shape, ch.g.shape, ch.H.shape) == ((4, 2), (4, 3), (4, 3, 2))
         with pytest.raises(ValueError):
             ch.g[0, 0] = 0.0
 

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from ndtcache.model import ChannelSet, DegenerateChannel, mod_bar
+from ndtcache.model import ChannelSet, mod_bar
 from ndtcache.scheme_m1k3 import (
     ALIGNED_COLS,
     ALIGNMENT_GROUPS,
@@ -20,7 +22,6 @@ from ndtcache.scheme_m1k3 import (
     UNCACHED_POS,
     ZERO_FORCED,
     ZERO_FORCED_COLS,
-    PrecoderPlan,
     SymbolId,
     effective_channel_matrix,
     rn_cache_cancel,
@@ -36,14 +37,26 @@ def constant_channels(g_row, h_col, f_val=1.0):
     return ChannelSet(T=T_SLOTS, f=f, g=g, H=H)
 
 
+def solve(ch):
+    """solve_precoders on one draw: (nu, beta, scale, slot_scale, degenerate)."""
+    return solve_precoders(ch.g, ch.H[..., 0])
+
+
+def receive(nu, beta, ch, receiver):
+    return effective_channel_matrix(nu, beta, ch.f, ch.g, ch.H[..., 0], receiver)
+
+
+def raw_chain(ch):
+    """The chain's nu and beta before normalization, columns by COLUMN."""
+    nu, beta, scale, slot_scale, degenerate = solve(ch)
+    assert not degenerate
+    undo = slot_scale[..., None] * scale[..., None, :]
+    return nu / undo, beta / undo
+
+
 def zero_plan():
-    n = len(TRANSMITTED_SYMBOLS)
-    return PrecoderPlan(
-        nu=np.zeros((T_SLOTS, n), complex),
-        beta=np.zeros((T_SLOTS, n), complex),
-        scale=np.ones(n),
-        slot_scale=np.ones(T_SLOTS),
-    )
+    zeros = np.zeros((T_SLOTS, len(TRANSMITTED_SYMBOLS)), complex)
+    return zeros, zeros
 
 
 class TestSymbolLayout:
@@ -141,39 +154,41 @@ class TestSolvePrecoders:
     def test_fixed_slot_raw_values(self):
         # g = (1,1,1), h = (1,2,3): j13 = 1, j23 = -2, j33 = 1, so the
         # chain seed is 1*(-2)*1 * 1*1*1 * 1*2*3 = -12
-        ch = constant_channels([1, 1, 1], [1, 2, 3])
-        plan = solve_precoders(ch)
-        assert np.allclose(plan.raw_nu_for(SymbolId(4, 5)), -12.0)
-        assert np.allclose(plan.raw_beta_for(SymbolId(2, 4)), -12.0)
-        assert np.allclose(plan.raw_beta_for(SymbolId(3, 4)), -12.0 / 2.0)
-        assert np.allclose(plan.raw_beta_for(SymbolId(1, 4)), -12.0 / 3.0)
+        nu, beta = raw_chain(constant_channels([1, 1, 1], [1, 2, 3]))
+        assert np.allclose(nu[:, COLUMN[SymbolId(4, 5)]], -12.0)
+        assert np.allclose(beta[:, COLUMN[SymbolId(2, 4)]], -12.0)
+        assert np.allclose(beta[:, COLUMN[SymbolId(3, 4)]], -12.0 / 2.0)
+        assert np.allclose(beta[:, COLUMN[SymbolId(1, 4)]], -12.0 / 3.0)
 
     def test_zero_pattern(self):
-        plan = solve_precoders(draw_channels(5, T_SLOTS, 1, 3))
+        nu, beta, *_ = solve(draw_channels(5, T_SLOTS, 1, 3))
         for i in (1, 2, 3):
-            assert np.all(plan.nu_for(SymbolId(i, 4)) == 0)
-            assert np.all(plan.beta_for(SymbolId(i, 5)) == 0)
-        assert np.all(plan.beta_for(SymbolId(4, 5)) == 0)
+            assert np.all(nu[:, COLUMN[SymbolId(i, 4)]] == 0)
+            assert np.all(beta[:, COLUMN[SymbolId(i, 5)]] == 0)
+        assert np.all(beta[:, COLUMN[SymbolId(4, 5)]] == 0)
+        # columns of symbols a transmitter does not send stay zero
+        assert not nu[:, [COLUMN[s] for s in TRANSMITTED_SYMBOLS if s not in DENB_SYMBOLS]].any()
+        assert not beta[:, [COLUMN[s] for s in TRANSMITTED_SYMBOLS if s not in RN_SYMBOLS]].any()
 
     def test_zf_conditions_enforced(self):
         ch = draw_channels(6, T_SLOTS, 1, 3)
-        plan = solve_precoders(ch)
+        nu, beta, *_ = solve(ch)
         for k in (1, 2, 3):
             g, h = ch.g[:, k - 1], ch.H[:, k - 1, 0]
             for s in ZERO_FORCED[k]:
-                resid = np.abs(g * plan.nu_for(s) + h * plan.beta_for(s))
+                resid = np.abs(g * nu[:, COLUMN[s]] + h * beta[:, COLUMN[s]])
                 assert resid.max() < 1e-12
 
     def test_unscaled_per_slot_equalities(self):
         # stricter check than colinearity: before normalization both sides
         # of every alignment equality agree slot by slot
         ch = draw_channels(7, T_SLOTS, 1, 3)
-        plan = solve_precoders(ch)
+        raw_nu, raw_beta = raw_chain(ch)
         nxt = lambda k, d: mod_bar(k + d, 3)
         for k in (1, 2, 3):
             g, h = ch.g[:, k - 1], ch.H[:, k - 1, 0]
-            nu = lambda s: plan.raw_nu_for(s)
-            beta = lambda s: plan.raw_beta_for(s)
+            nu = lambda s: raw_nu[:, COLUMN[s]]
+            beta = lambda s: raw_beta[:, COLUMN[s]]
             lhs1 = nu(SymbolId(4, 5)) * g
             rhs1 = beta(SymbolId(nxt(k, 1), 4)) * h
             np.testing.assert_allclose(lhs1, rhs1, rtol=1e-10)
@@ -188,11 +203,11 @@ class TestSolvePrecoders:
             np.testing.assert_allclose(l3a, l3b, rtol=1e-10)
             np.testing.assert_allclose(l3a, l3c, rtol=1e-10)
 
-    def test_degenerate_j_term_raises(self):
-        # g2*h3 = g3*h2 kills the first j term
-        ch = constant_channels([1, 1, 1], [1, 2, 2])
-        with pytest.raises(DegenerateChannel):
-            solve_precoders(ch)
+    def test_degenerate_j_term_is_masked(self):
+        # g2*h3 = g3*h2 kills the first j term; a clean draw is not flagged
+        degenerate = solve(constant_channels([1, 1, 1], [1, 2, 2]))[-1]
+        assert degenerate.shape == () and degenerate
+        assert not solve(constant_channels([1, 1, 1], [1, 2, 3]))[-1]
 
     def test_per_slot_determinism(self):
         ch1 = draw_channels(8, T_SLOTS, 1, 3)
@@ -203,46 +218,51 @@ class TestSolvePrecoders:
         H = ch2.H.copy()
         f[0], g[0], H[0] = ch1.f[0], ch1.g[0], ch1.H[0]
         spliced = ChannelSet(T=T_SLOTS, f=f, g=g, H=H)
-        p1, p2 = solve_precoders(ch1), solve_precoders(spliced)
         # equality up to the rounding of undoing the two normalizations
-        for s in TRANSMITTED_SYMBOLS:
-            np.testing.assert_allclose(p1.raw_nu_for(s)[0], p2.raw_nu_for(s)[0], rtol=1e-12)
-            np.testing.assert_allclose(p1.raw_beta_for(s)[0], p2.raw_beta_for(s)[0], rtol=1e-12)
+        for one, other in zip(raw_chain(ch1), raw_chain(spliced)):
+            np.testing.assert_allclose(one[0], other[0], rtol=1e-12)
 
     def test_scaled_peak_magnitude_is_one(self):
-        plan = solve_precoders(draw_channels(10, T_SLOTS, 1, 3))
-        peaks = np.maximum(np.abs(plan.nu), np.abs(plan.beta)).max(axis=0)
+        nu, beta, *_ = solve(draw_channels(10, T_SLOTS, 1, 3))
+        peaks = np.maximum(np.abs(nu), np.abs(beta)).max(axis=0)
         np.testing.assert_allclose(peaks, 1.0, rtol=1e-12)
 
     def test_rejects_wrong_dimensions(self):
-        with pytest.raises(ValueError):
-            solve_precoders(draw_channels(0, T_SLOTS, 2, 3))
-        with pytest.raises(ValueError):
-            solve_precoders(draw_channels(0, 4, 1, 3))
+        for g_shape, h_shape in [
+            ((T_SLOTS, 2), (T_SLOTS, 2)),  # two users
+            ((4, 3), (4, 3)),  # four slots
+            ((T_SLOTS * 3,), (T_SLOTS * 3,)),  # flattened
+            ((T_SLOTS, 3), (2, T_SLOTS, 3)),  # g one draw, h a stack
+            ((2, T_SLOTS, 3), (3, T_SLOTS, 3)),  # stacks of different sizes
+        ]:
+            g, h = np.ones(g_shape, complex), np.ones(h_shape, complex)
+            message = f"g and h must both have shape (..., 8, 3), got {g_shape} and {h_shape}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                solve_precoders(g, h)
 
 
 class TestEffectiveChannelMatrix:
     def test_zero_plan_gives_zero_matrix(self):
         ch = draw_channels(11, T_SLOTS, 1, 3)
         for receiver in ("ue1", "ue2", "ue3", "rn"):
-            E = effective_channel_matrix(zero_plan(), ch, receiver)
+            E = receive(*zero_plan(), ch, receiver)
             assert not E.any()
-        assert effective_channel_matrix(zero_plan(), ch, "rn").shape == (8, 13)
+        assert receive(*zero_plan(), ch, "rn").shape == (8, 13)
 
     def test_zero_forced_columns_vanish(self):
         ch = draw_channels(12, T_SLOTS, 1, 3)
-        plan = solve_precoders(ch)
+        nu, beta, *_ = solve(ch)
         for k in (1, 2, 3):
-            E = effective_channel_matrix(plan, ch, f"ue{k}")
+            E = receive(nu, beta, ch, f"ue{k}")
             peak = np.abs(E).max()
             for s in ZERO_FORCED[k]:
                 assert np.abs(E[:, COLUMN[s]]).max() / peak < 1e-12
 
     def test_alignment_groups_are_colinear(self):
         ch = draw_channels(13, T_SLOTS, 1, 3)
-        plan = solve_precoders(ch)
+        nu, beta, *_ = solve(ch)
         for k in (1, 2, 3):
-            E = effective_channel_matrix(plan, ch, f"ue{k}")
+            E = receive(nu, beta, ch, f"ue{k}")
             for group in ALIGNMENT_GROUPS[k]:
                 sub = E[:, [COLUMN[s] for s in group]]
                 sv = np.linalg.svd(sub, compute_uv=False)
@@ -250,17 +270,17 @@ class TestEffectiveChannelMatrix:
 
     def test_rejects_unknown_receiver(self):
         ch = draw_channels(14, T_SLOTS, 1, 3)
-        plan = solve_precoders(ch)
+        nu, beta, *_ = solve(ch)
         for receiver in ("ue0", "ue4", "rn2", "bogus"):
             with pytest.raises(ValueError):
-                effective_channel_matrix(plan, ch, receiver)
+                receive(nu, beta, ch, receiver)
 
     def test_subspace_ranks_over_many_draws(self):
         for seed in range(200):
             ch = draw_channels((15, seed), T_SLOTS, 1, 3)
-            plan = solve_precoders(ch)
+            nu, beta, *_ = solve(ch)
             for k in (1, 2, 3):
-                E = effective_channel_matrix(plan, ch, f"ue{k}")
+                E = receive(nu, beta, ch, f"ue{k}")
                 des = [COLUMN[SymbolId(k, j)] for j in range(1, 6)]
                 intf = [n for n in range(16) if n not in des]
                 sv_d = np.linalg.svd(E[:, des], compute_uv=False)
@@ -283,8 +303,7 @@ class TestEffectiveChannelMatrix:
 class TestRnCacheCancel:
     def test_keeps_the_four_uncached_columns(self):
         ch = draw_channels(16, T_SLOTS, 1, 3)
-        plan = solve_precoders(ch)
-        rn = effective_channel_matrix(plan, ch, "rn")
+        rn = receive(*solve(ch)[:2], ch, "rn")
         cancelled = rn_cache_cancel(rn)
         assert cancelled.shape == (8, 4)
         assert UNCACHED == (SymbolId(1, 5), SymbolId(2, 5), SymbolId(3, 5), SymbolId(4, 5))
@@ -294,18 +313,17 @@ class TestRnCacheCancel:
     def test_generic_rank_four(self):
         for seed in range(100):
             ch = draw_channels((17, seed), T_SLOTS, 1, 3)
-            plan = solve_precoders(ch)
-            cancelled = rn_cache_cancel(effective_channel_matrix(plan, ch, "rn"))
+            cancelled = rn_cache_cancel(receive(*solve(ch)[:2], ch, "rn"))
             sv = np.linalg.svd(cancelled, compute_uv=False)
             assert (sv >= 1e-12 * sv[0]).sum() == 4
 
     def test_zero_plan_rank_zero(self):
         ch = draw_channels(18, T_SLOTS, 1, 3)
-        cancelled = rn_cache_cancel(effective_channel_matrix(zero_plan(), ch, "rn"))
+        cancelled = rn_cache_cancel(receive(*zero_plan(), ch, "rn"))
         assert not cancelled.any()
 
     def test_stack_equals_one_call_per_matrix(self):
-        stack = np.stack([effective_channel_matrix(solve_precoders(ch), ch, "rn")
+        stack = np.stack([receive(*solve(ch)[:2], ch, "rn")
                           for ch in (draw_channels((19, n), T_SLOTS, 1, 3) for n in range(5))])
         assert stack.shape == (5, 8, 13)
         cancelled = rn_cache_cancel(stack)
@@ -320,20 +338,6 @@ class TestRnCacheCancel:
 
 
 class TestPrecoderPlanValidation:
-    def test_rejects_nonzero_forbidden_entries(self):
-        n = len(TRANSMITTED_SYMBOLS)
-        nu = np.zeros((T_SLOTS, n), complex)
-        beta = np.zeros((T_SLOTS, n), complex)
-        beta[0, COLUMN[SymbolId(1, 5)]] = 1.0  # base-station-only symbol
-        with pytest.raises(ValueError):
-            PrecoderPlan(nu=nu, beta=beta, scale=np.ones(n), slot_scale=np.ones(T_SLOTS))
-
-    def test_rejects_nonpositive_scale(self):
-        n = len(TRANSMITTED_SYMBOLS)
-        zeros = np.zeros((T_SLOTS, n), complex)
-        with pytest.raises(ValueError):
-            PrecoderPlan(nu=zeros, beta=zeros, scale=np.zeros(n), slot_scale=np.ones(T_SLOTS))
-
     def test_symbol_id_ranges(self):
         with pytest.raises(ValueError):
             SymbolId(0, 1)

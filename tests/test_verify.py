@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -381,11 +382,11 @@ class TestReportFields:
 
         report = verify_m1k3(seed=3, trials=4)
         ch = draw_channels((3, 0, 0), T_SLOTS, 1, 3)
-        plan = solve_precoders(ch)
+        nu, beta, *_ = solve_precoders(ch.g, ch.H[..., 0])
+        receive = lambda r: effective_channel_matrix(nu, beta, ch.f, ch.g, ch.H[..., 0], r)
         for k, sub in enumerate(report.ue_reports, start=1):
-            E = effective_channel_matrix(plan, ch, f"ue{k}")
-            assert sub.singular_values == tuple(np.linalg.svd(E, compute_uv=False))
-        cancelled = rn_cache_cancel(effective_channel_matrix(plan, ch, "rn"))
+            assert sub.singular_values == tuple(np.linalg.svd(receive(f"ue{k}"), compute_uv=False))
+        cancelled = rn_cache_cancel(receive("rn"))
         (rn,) = report.rn_reports
         assert rn.singular_values == tuple(np.linalg.svd(cancelled, compute_uv=False))
 
@@ -400,10 +401,12 @@ class TestToleranceGuards:
             verify_m1k3(0, 2, tol)
         with pytest.raises(ValueError):
             verify_corner(0, 2, NetworkConfig(M=1, K=2, N=3, mu=1), tol)
+        ch = draw_channels(0, T_SLOTS, 1, 3)
         with pytest.raises(ValueError):
-            solve_precoders(draw_channels(0, T_SLOTS, 1, 3), tol)
+            solve_precoders(ch.g, ch.H[..., 0], tol)
+        ch = draw_channels(0, 1, 1, 2)
         with pytest.raises(ValueError):
-            miso_zf_plan(draw_channels(0, 1, 1, 2), NetworkConfig(M=1, K=2, N=3, mu=1), tol)
+            miso_zf_plan(ch.g, ch.H, tol)
         with pytest.raises(ValueError):
             rank_with_gap(np.eye(3), tol)
 
@@ -445,6 +448,59 @@ class TestSeedGuard:
             call(seed)
 
 
+class TestCountGuard:
+    @pytest.mark.parametrize("value", [2.0, "2"], ids=["float", "str"])
+    @pytest.mark.parametrize("name, call", [
+        ("trials", lambda n: verify_m1k3(0, n)),
+        ("trials", lambda n: finite_snr_rates(0, [40.0, 50.0, 60.0], n)),
+        ("trials", lambda n: verify_corner(0, n, NetworkConfig(M=1, K=2, N=3, mu=0))),
+        ("trials", lambda n: verify_corner(0, n, NetworkConfig(M=1, K=2, N=3, mu=1))),
+        ("T", lambda n: draw_channels(0, n, 1, 3)),
+        ("M", lambda n: draw_channels(0, 8, n, 3)),
+        ("K", lambda n: draw_channels(0, 8, 1, n)),
+    ], ids=["verify_m1k3", "finite_snr_rates", "verify_corner_mu0", "verify_corner_mu1",
+            "draw_channels_T", "draw_channels_M", "draw_channels_K"])
+    def test_non_integer_count_names_the_argument(self, name, call, value):
+        message = f"{name} must be an int, got {value!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+    def test_integer_like_counts_are_counts(self):
+        # numpy integers convert through operator.index, as seeds do
+        assert verify_m1k3(0, np.int64(2)) == verify_m1k3(0, 2)
+        a, b = draw_channels(0, np.int64(8), np.int8(1), np.uint16(3)), draw_channels(0, 8, 1, 3)
+        np.testing.assert_array_equal(a.H, b.H)
+
+
+class TestEngineKernels:
+    def test_engine_calls_its_kernels_through_the_public_names(self, monkeypatch):
+        import ndtcache.verify as V
+
+        runs = {
+            "verify_m1k3": (lambda: verify_m1k3(1, 2),
+                            ("solve_precoders", "effective_channel_matrix")),
+            "finite_snr_rates": (lambda: finite_snr_rates(1, [40.0, 50.0, 60.0], 2),
+                                 ("solve_precoders", "effective_channel_matrix")),
+            "verify_corner": (lambda: verify_corner(1, 2, NetworkConfig(M=1, K=2, N=3, mu=1)),
+                              ("miso_zf_plan",)),
+        }
+        unpatched = {name: call() for name, (call, _) in runs.items()}
+        calls = Counter()
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("solve_precoders", "effective_channel_matrix", "miso_zf_plan"):
+            monkeypatch.setattr(V, name, counting(name, getattr(V, name)))
+        for name, (call, kernels) in runs.items():
+            calls.clear()
+            assert call() == unpatched[name], name
+            assert all(calls[kernel] > 0 for kernel in kernels), (name, calls)
+
+
 class TestStackedKernels:
     def test_stacked_rank_with_gap_matches_single_calls(self):
         rng = np.random.default_rng(8)
@@ -454,42 +510,39 @@ class TestStackedKernels:
         assert [rank_with_gap(m, 1e-9) for m in stack] == list(zip(ranks, gaps))
 
     def test_precoder_and_receive_kernels_match_wrappers_bitwise(self):
-        from ndtcache.scheme_m1k3 import (
-            T_SLOTS,
-            effective_channel_batch,
-            effective_channel_matrix,
-            solve_precoder_batch,
-            solve_precoders,
-        )
+        # one call on a stack of draws gives the bits of one call per draw
+        from ndtcache.scheme_m1k3 import T_SLOTS, effective_channel_matrix, solve_precoders
 
         chans = [draw_channels((21, i), T_SLOTS, 1, 3) for i in range(5)]
         f, g, H = (np.stack([getattr(ch, a) for ch in chans]) for a in ("f", "g", "H"))
-        nu, beta, scale, slot_scale, degenerate = solve_precoder_batch(g, H[..., 0])
-        assert not degenerate.any()
-        receive = lambda r: effective_channel_batch(nu, beta, f, g, H[..., 0], r)
+        stacked = solve_precoders(g, H[..., 0])
+        assert not stacked[-1].any()
+        nu, beta = stacked[:2]
+        receive = lambda r: effective_channel_matrix(nu, beta, f, g, H[..., 0], r)
         for i, ch in enumerate(chans):
-            plan = solve_precoders(ch)
-            np.testing.assert_array_equal(plan.nu, nu[i])
-            np.testing.assert_array_equal(plan.beta, beta[i])
-            np.testing.assert_array_equal(plan.scale, scale[i])
-            np.testing.assert_array_equal(plan.slot_scale, slot_scale[i])
+            one = solve_precoders(ch.g, ch.H[..., 0])
+            for single, batch in zip(one, stacked):
+                assert single.shape == batch.shape[1:]
+                np.testing.assert_array_equal(single, batch[i])
             for r in ("ue1", "ue2", "ue3", "rn"):
-                np.testing.assert_array_equal(effective_channel_matrix(plan, ch, r), receive(r)[i])
+                np.testing.assert_array_equal(
+                    effective_channel_matrix(*one[:2], ch.f, ch.g, ch.H[..., 0], r), receive(r)[i])
 
     def test_miso_kernel_matches_wrapper_bitwise(self):
-        from ndtcache.corner import miso_zf_batch, miso_zf_plan, user_groups
+        # one call on a stack of draws gives the bits of one call per draw
+        from ndtcache.corner import miso_zf_plan, user_groups
 
-        cfg = NetworkConfig(M=2, K=5, N=7, mu=1)
         chans = [draw_channels((22, i), len(user_groups(2, 5)), 2, 5) for i in range(4)]
         g, H = np.stack([ch.g for ch in chans]), np.stack([ch.H for ch in chans])
-        beamformers, _, cross, degenerate = miso_zf_batch(g, H)
+        beamformers, svs, cross, degenerate = miso_zf_plan(g, H)
         assert not degenerate.any()
         assert cross.shape == (4, 5)
         for i, ch in enumerate(chans):
-            plan = miso_zf_plan(ch, cfg)
-            assert plan.nulling_residual == cross[i].max()
-            for W, stacked in zip(plan.beamformers, beamformers):
-                np.testing.assert_array_equal(W, stacked[i])
+            one_w, one_sv, one_cross, one_degenerate = miso_zf_plan(ch.g, ch.H)
+            assert one_degenerate.shape == () and not one_degenerate
+            np.testing.assert_array_equal(one_cross, cross[i])
+            for single, stacked in zip(one_w + one_sv, beamformers + svs):
+                np.testing.assert_array_equal(single, stacked[i])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16), shape=st.sampled_from(
@@ -508,9 +561,9 @@ class TestStackedKernels:
         assert (np.abs(stacked - reference).max(axis=(-2, -1)) <= 1e-12 * scale).all()
 
     def test_degenerate_mask_flags_only_the_bad_draw(self):
-        from ndtcache.scheme_m1k3 import solve_precoder_batch
+        from ndtcache.scheme_m1k3 import solve_precoders
 
         g = np.ones((2, 8, 3), complex)
         h = np.tile(np.array([1.0, 2.0, 3.0], complex), (2, 8, 1))
         h[1, 3] = [1.0, 2.0, 2.0]  # g2*h3 = g3*h2 in one slot of draw 1
-        assert solve_precoder_batch(g, h)[-1].tolist() == [False, True]
+        assert solve_precoders(g, h)[-1].tolist() == [False, True]
