@@ -5,6 +5,13 @@ fractional cache size mu with rational breakpoints, built from the affine
 bound components and from cataloged achievable corner points. No floating
 point enters any comparison.
 
+The exact work runs on Python integers, and a Fraction is built only for
+a value that leaves the layer (a breakpoint or a curve value). The one
+hull routine scales its points to a common denominator and runs on
+integer pairs; the lower-bound curve builds its points as integers
+straight from the component formula; a curve keeps each segment as
+integers and walks them with integer comparisons.
+
 Each cost is paid once: a curve is evaluated over a sorted list of mu
 values in one walk over its segments (``NdtCurve.values``), and the
 lower-bound curve of an (M, K) is built once per process and shared
@@ -12,13 +19,13 @@ lower-bound curve of an (M, K) is built once per process and shared
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
+from math import lcm
 
-from .model import NetworkConfig, Rational, as_rational
+from .model import NetworkConfig, Rational, as_count, as_rational
 
 # Closed-form optimal-NDT branches a + b*mu for every (M, K) whose full
 # tradeoff curve is proven, written down directly (not derived from the
@@ -76,17 +83,16 @@ class NdtCurve:
             raise ValueError("curve needs at least the mu = 0 and mu = 1 breakpoints")
         if bps[0][0] != 0 or bps[-1][0] != 1:
             raise ValueError("curve must span mu in [0, 1]")
-        xs = [x for x, _ in bps]
-        if any(x1 >= x2 for x1, x2 in zip(xs, xs[1:])):
+        pts, d = _scaled(bps)
+        steps = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
+        if any(dx <= 0 for dx, _ in steps):
             raise ValueError("breakpoint mu values must be strictly increasing")
-        if any(y < 1 for _, y in bps):
+        if any(y < d for _, y in pts):
             raise ValueError("NDT cannot drop below 1")
-        slopes = [
-            (y2 - y1) / (x2 - x1) for (x1, y1), (x2, y2) in zip(bps, bps[1:])
-        ]
-        if any(s > 0 for s in slopes):
+        if any(dy > 0 for _, dy in steps):
             raise ValueError("curve must be non-increasing in mu")
-        if any(s1 > s2 for s1, s2 in zip(slopes, slopes[1:])):
+        # slope dy0/dx0 above the next one dy1/dx1, both dx > 0
+        if any(dy0 * dx1 > dy1 * dx0 for (dx0, dy0), (dx1, dy1) in zip(steps, steps[1:])):
             raise ValueError("curve must be convex (slopes non-decreasing)")
 
     def evaluate(self, mu: Rational) -> Rational:
@@ -95,32 +101,62 @@ class NdtCurve:
 
     def values(self, mus: Iterable[Rational]) -> list[Rational]:
         """Exact values at non-decreasing mus, by linear interpolation in
-        one walk over the segments; each segment's slope is computed at
-        most once. Each mu goes through as_rational, so a binary float is
-        a TypeError, as it is for NetworkConfig."""
+        one walk over the segments, in integers: at mu = p/q the walk
+        passes a segment ending at x = n/d while n*q < p*d, and segment
+        i, kept as (A, B, C), has the value (A*q + B*p) / (C*q), the one
+        Fraction built per mu. A mu that is not a Fraction goes through
+        as_rational, so a binary float is a TypeError, as it is for
+        NetworkConfig."""
         bps, out = self.breakpoints, []
-        i, line, last = 0, None, 0  # line: (a, b) of segment i as a + b*mu
+        i, seg, last = 0, None, Fraction(0)
         for mu in mus:
-            mu = as_rational(mu)
-            if not last <= mu <= 1:
-                if 0 <= mu <= 1:
+            if not isinstance(mu, Fraction):
+                mu = as_rational(mu)
+            p, q = mu.numerator, mu.denominator
+            if not (last.numerator * q <= p * last.denominator and p <= q):
+                if 0 <= p <= q:
                     raise ValueError(f"mu values must be non-decreasing, got {mu} after {last}")
                 raise ValueError(f"mu must lie in [0, 1], got {mu}")
-            last = mu
-            while bps[i + 1][0] < mu:
-                i, line = i + 1, None
-            if line is None:
-                (x1, y1), (x2, y2) = bps[i], bps[i + 1]
-                slope = (y2 - y1) / (x2 - x1)
-                line = (y1 - slope * x1, slope)
-            out.append(line[0] + line[1] * mu)
+            last, end = mu, bps[i + 1][0]
+            while end.numerator * q < p * end.denominator:
+                i, seg, end = i + 1, None, bps[i + 2][0]
+            if seg is None:
+                seg = _segment(bps[i], bps[i + 1])
+            a, b, c = seg
+            out.append(Fraction(a * q + b * p, c * q))
         return out
+
+
+def _scaled(points: Iterable[tuple[Rational, Rational]]) -> tuple[list[tuple[int, int]], int]:
+    """Exact (x, y) points as integer pairs over their common denominator
+    d, and d."""
+    points = list(points)
+    d = lcm(*(c.denominator for point in points for c in point))
+    if d == 1:  # int() keeps an int as it is, with no copy
+        return [(int(x), int(y)) for x, y in points], d
+    return [(x.numerator * (d // x.denominator), y.numerator * (d // y.denominator))
+            for x, y in points], d
+
+
+def _segment(start: tuple[Rational, Rational], end: tuple[Rational, Rational]) -> tuple[int, int, int]:
+    """The line through two points as integers (A, B, C): its value at
+    p/q is (A*q + B*p) / (C*q), with C > 0 when start's x is the lower."""
+    ((x0, y0), (x1, y1)), d = _scaled((start, end))
+    return y0 * x1 - y1 * x0, (y1 - y0) * d, (x1 - x0) * d
+
+
+def _network_size(M: int, K: int) -> tuple[int, int]:
+    """M and K as ints (numpy integers count, floats are a TypeError),
+    both at least 1."""
+    M, K = as_count("M", M), as_count("K", K)
+    if M < 1 or K < 1:
+        raise ValueError("M and K must be positive")
+    return M, K
 
 
 def bound_component_indices(M: int, K: int) -> list[BoundComponentIndex]:
     """All admissible (ell, s): s in [1 : min(M+1, K)], ell in [M+1-s : M]."""
-    if M < 1 or K < 1:
-        raise ValueError("M and K must be positive")
+    M, K = _network_size(M, K)
     return [
         BoundComponentIndex(ell=ell, s=s)
         for s in range(1, min(M + 1, K) + 1)
@@ -128,13 +164,12 @@ def bound_component_indices(M: int, K: int) -> list[BoundComponentIndex]:
     ]
 
 
-def _component_line(M: int, K: int, ell: int, s: int) -> tuple[Rational, Rational]:
-    """One bound component as an affine function a + b*mu of mu:
-    a = (K + ell)/s, b = -(sbar*(K - s + (sbar-1)/2) + ell*(ell+1)/2)/s,
-    each one Fraction of two integers."""
+def _component_line(M: int, K: int, ell: int, s: int) -> tuple[int, int]:
+    """One bound component as integers (a, b): the component is the line
+    (a + b*mu) / (2s), that is a/(2s) = (K + ell)/s and
+    b/(2s) = -(sbar*(K - s + (sbar-1)/2) + ell*(ell+1)/2)/s."""
     sbar = M + 1 - s
-    return (Fraction(K + ell, s),
-            Fraction(-(sbar * (2 * (K - s) + sbar - 1) + ell * (ell + 1)), 2 * s))
+    return 2 * (K + ell), -(sbar * (2 * (K - s) + sbar - 1) + ell * (ell + 1))
 
 
 def delta_lb_component(cfg: NetworkConfig, idx: BoundComponentIndex) -> Rational:
@@ -150,7 +185,7 @@ def delta_lb_component(cfg: NetworkConfig, idx: BoundComponentIndex) -> Rational
     if not cfg.M + 1 - idx.s <= idx.ell <= cfg.M:
         raise ValueError(f"ell={idx.ell} outside [M+1-s : M] for M={cfg.M}, s={idx.s}")
     a, b = _component_line(cfg.M, cfg.K, idx.ell, idx.s)
-    return a + b * cfg.mu
+    return (a + b * cfg.mu) / (2 * idx.s)
 
 
 def lower_bound(cfg: NetworkConfig) -> Rational:
@@ -161,11 +196,13 @@ def lower_bound(cfg: NetworkConfig) -> Rational:
     return best
 
 
-def _lower_hull(points: Iterable[tuple[Rational, Rational]]) -> list[tuple[Rational, Rational]]:
+def _lower_hull(points: Iterable[tuple[Rational, Rational]]) -> tuple[list[tuple[int, int]], int]:
     """Vertices of the lower convex hull of exact (x, y) points, by
-    increasing x (Andrew's monotone chain). Only the lowest y at each x
+    increasing x (Andrew's monotone chain), as integer pairs over the
+    points' common denominator d, and d. Only the lowest y at each x
     counts, and collinear vertices are dropped."""
-    hull: list[tuple[Rational, Rational]] = []
+    points, d = _scaled(points)
+    hull: list[tuple[int, int]] = []
     for x, y in sorted(points):
         if hull and hull[-1][0] == x:
             continue  # sorted: the first point at this x is the lowest
@@ -175,33 +212,50 @@ def _lower_hull(points: Iterable[tuple[Rational, Rational]]) -> list[tuple[Ratio
                 break
             hull.pop()
         hull.append((x, y))
-    return hull
+    return hull, d
 
 
-def _upper_envelope(lines: list[tuple[Rational, Rational]]) -> NdtCurve:
-    """Exact pointwise max of affine lines (a + b*mu) over mu in [0, 1],
-    reduced to its vertices.
+def _upper_envelope(lines: Iterable[tuple[Rational, Rational]], d: int = 1) -> NdtCurve:
+    """Exact pointwise max of the affine lines (a + b*mu)/d over mu in
+    [0, 1], reduced to its vertices.
 
     By duality the lines on the envelope, in order of increasing slope,
     are the lower hull of the points (b, -a); hull line i is on top
-    between cuts[i-1] and cuts[i], the slopes of the hull edges.
+    between the slopes dy/dx of hull edges i - 1 and i, the cuts.
     """
-    hull = _lower_hull((Fraction(b), -Fraction(a)) for a, b in lines)
-    cuts = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
-    breakpoints = []
-    for x in [Fraction(0), *(x for x in cuts if 0 < x < 1), Fraction(1)]:
-        b, y = hull[bisect_left(cuts, x)]  # the line on top at x
-        breakpoints.append((x, b * x - y))
-    return NdtCurve(tuple(breakpoints))
+    hull, e = _lower_hull((b, -a) for a, b in lines)
+    d *= e
+    edges = [(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
+    # (i, p, q): hull line i is on top at mu = p/q; cuts increase, so the
+    # line on top at 0 (at 1) follows the cuts below 0 (below 1)
+    tops = [(sum(dy < 0 for dy, _ in edges), 0, 1),
+            *((i, dy, dx) for i, (dy, dx) in enumerate(edges) if 0 < dy < dx),
+            (sum(dy < dx for dy, dx in edges), 1, 1)]
+    return NdtCurve(tuple((Fraction(p, q), Fraction(hull[i][0] * p - hull[i][1] * q, d * q))
+                          for i, p, q in tops))
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def lower_bound_curve(M: int, K: int) -> NdtCurve:
     """Exact lower-bound curve: upper envelope of all bound components and
-    the constant 1, as a function of mu. Built once per (M, K) and shared."""
-    lines = [(Fraction(1), Fraction(0))]
-    lines += [_component_line(M, K, idx.ell, idx.s) for idx in bound_component_indices(M, K)]
-    return _upper_envelope(lines)
+    the constant 1, as a function of mu. Built once per (M, K) and shared
+    (the cache is typed, so K = 2.0 reaches the count check instead of
+    the curve of K = 2).
+
+    Component (a + b*mu)/(2s) enters as the integer line (a, b)*d/(2s)
+    over d = 2*lcm(1..s_max), and the constant 1 as (d, 0)."""
+    M, K = _network_size(M, K)
+    s_max = min(M + 1, K)
+    d = 2 * lcm(*range(1, s_max + 1))
+
+    def lines():
+        yield d, 0
+        for s in range(1, s_max + 1):
+            f = d // (2 * s)
+            for ell in range(M + 1 - s, M + 1):
+                a, b = _component_line(M, K, ell, s)
+                yield a * f, b * f
+    return _upper_envelope(lines(), d)
 
 
 def _optimal_lines(M: int, K: int) -> list[tuple[Rational, Rational]]:
@@ -224,7 +278,7 @@ def optimal_ndt(cfg: NetworkConfig) -> Rational:
 
 def optimal_ndt_curve(M: int, K: int) -> NdtCurve:
     """Closed-form optimal tradeoff curve for the characterized (M, K)."""
-    return _upper_envelope(_optimal_lines(M, K))
+    return _upper_envelope(_optimal_lines(*_network_size(M, K)))
 
 
 def achievable_catalog(M: int, K: int) -> list[AchievablePoint]:
@@ -236,6 +290,7 @@ def achievable_catalog(M: int, K: int) -> list[AchievablePoint]:
     K >= 3, and the M = 2 interior breakpoints are cataloged value-only
     (their constructions are not implemented here).
     """
+    M, K = _network_size(M, K)
     points = [
         AchievablePoint(Fraction(0), Fraction(K + M), "unicast", True),
         AchievablePoint(Fraction(1), max(Fraction(K, M + 1), Fraction(1)), "miso-zf", True),
@@ -254,8 +309,8 @@ def achievable_catalog(M: int, K: int) -> list[AchievablePoint]:
     points.sort(key=lambda p: p.mu)
     bound = lower_bound_curve(M, K).values([p.mu for p in points])
     for p, lb in zip(points, bound):
-        # achievability can never beat the converse
-        assert p.ndt >= lb, f"catalog point {p} below the lower bound"
+        if p.ndt < lb:  # achievability can never beat the converse
+            raise RuntimeError(f"catalog point {p} below the lower bound {lb}")
     return points
 
 
@@ -269,4 +324,5 @@ def memory_sharing_envelope(points: list[AchievablePoint]) -> NdtCurve:
     pts = [(Fraction(p.mu), Fraction(p.ndt)) for p in points]
     if not {0, 1} <= {mu for mu, _ in pts}:
         raise ValueError("memory sharing needs points at both mu = 0 and mu = 1")
-    return NdtCurve(tuple(_lower_hull(pts)))
+    hull, d = _lower_hull(pts)
+    return NdtCurve(tuple((Fraction(x, d), Fraction(y, d)) for x, y in hull))

@@ -95,7 +95,7 @@ def _cells(**values: Rational) -> dict:
     """Each rational as a "p/q" string plus its 15-significant-digit decimal."""
     row = {}
     for name, value in values.items():
-        row[name] = str(Fraction(value))
+        row[name] = str(value)
         row[f"{name}_decimal"] = format(float(value), ".15g")
     return row
 
@@ -140,10 +140,9 @@ def emit(payload: dict, output_format: str, path: Path | None, columns: list[str
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        for row in payload["data"]:
-            writer.writerow({c: _csv_cell(row.get(c, "")) for c in columns})
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_csv_cell(row.get(c, "")) for c in columns] for row in payload["data"])
         text = buf.getvalue()
     data = text.encode("utf-8")
     if path is None:

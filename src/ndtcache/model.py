@@ -7,6 +7,7 @@ linear-algebra layer.
 """
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from dataclasses import dataclass, field
@@ -54,6 +55,15 @@ def _parse_rational(text: str) -> Rational:
     return value
 
 
+def as_count(name: str, value) -> int:
+    """``value`` as a Python int through operator.index, so numpy integers
+    count and floats do not; a TypeError names the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an int, got {value!r}") from None
+
+
 # Default relative tolerance of the degeneracy guards and the redraw decision.
 DEGENERACY_TOL = 1e-9
 
@@ -91,9 +101,10 @@ class NetworkConfig:
 
     def __post_init__(self) -> None:
         for name in ("M", "K", "N"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            v = as_count(name, getattr(self, name))
+            if v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, v)
         object.__setattr__(self, "mu", as_rational(self.mu))
         if self.N < self.M + self.K:
             # worst-case distinct demands need at least M + K files

@@ -36,7 +36,8 @@ from fractions import Fraction
 import numpy as np
 
 from .corner import miso_ndt_and_dof, miso_zf_plan, unicast_schedule, user_groups, user_rows
-from .model import DEGENERACY_TOL, ChannelSet, NetworkConfig, Rational, check_coefficients, check_tol
+from .model import (DEGENERACY_TOL, ChannelSet, NetworkConfig, Rational, as_count,
+                    check_coefficients, check_tol)
 from .scheme_m1k3 import (
     ALIGNED_COLS,
     COLUMN,
@@ -247,7 +248,7 @@ def draw_channels(seed, T: int, M: int, K: int) -> ChannelSet:
     use, so trial t at attempt a draws ``draw_channels((seed, t, a), ...)``
     and then, from the same generator, its symbols.
     """
-    T, M, K = _count("T", T), _count("M", M), _count("K", K)
+    T, M, K = as_count("T", T), as_count("M", M), as_count("K", K)
     if T < 1 or M < 1 or K < 1:
         raise ValueError("T, M and K must be positive")
     f, g, H = _draw_cn(_key(seed), np.empty((1, 0), int), ((T, M), (T, K), (T, K, M)))
@@ -306,14 +307,6 @@ def _key(seed, *extra: int) -> tuple[int, ...]:
     return base + extra
 
 
-def _count(name: str, value) -> int:
-    """operator.index(value), or a TypeError that names the argument."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an int, got {value!r}") from None
-
-
 class _TrialRun:
     """Trials 0 .. trials - 1 of one run, in blocks, and their report.
     ``shape`` is (T, M, K) of a draw; ``solve(f, g, H)`` maps stacked
@@ -327,7 +320,7 @@ class _TrialRun:
     def __init__(self, seed, trials: int, shape: tuple[int, int, int], solve,
                  sym_sizes: tuple[int, ...] = (), receivers: tuple[str, ...] = (),
                  ranks: tuple[int, int, int] | None = None):
-        trials = _count("trials", trials)
+        trials = as_count("trials", trials)
         if trials < 1:
             raise ValueError(f"trials must be positive, got {trials}")
         self.prefix, self.n, self.shape, self.solve, self.sym_sizes = (

@@ -1,6 +1,11 @@
+import re
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,15 +127,30 @@ def line_sets(draw):
     return draw(st.permutations(lines))
 
 
+# mu values in (0, 1) over one of the large coprime denominators
+large_mu = st.sampled_from(LARGE_PRIMES).flatmap(
+    lambda q: st.builds(Fraction, st.integers(1, q - 1), st.just(q)))
+
+
 @st.composite
-def convex_curves(draw):
+def convex_curves(draw, coprime=False):
     """A valid curve: breakpoints on a mu grid of twelfths, non-decreasing
-    non-positive slopes, and an end value >= 1."""
-    inner = draw(st.sets(st.integers(1, 11), max_size=5))
-    xs = [Fraction(0), *(Fraction(i, 12) for i in sorted(inner)), Fraction(1)]
-    slopes = sorted(draw(st.lists(st.builds(Fraction, st.integers(-20, 0), st.integers(1, 5)),
-                                  min_size=len(xs) - 1, max_size=len(xs) - 1)))
-    ys = [1 + draw(st.builds(Fraction, st.integers(0, 9), st.integers(1, 3)))]
+    non-positive slopes, and an end value >= 1. With coprime, the inner
+    breakpoints, the slopes and the end value have large coprime
+    denominators."""
+    if coprime:
+        inner = draw(st.sets(large_mu, max_size=5))
+        xs = [Fraction(0), *sorted(inner), Fraction(1)]
+        slope = st.builds(lambda a, q: Fraction(-abs(a), q), st.integers(0, 10**15),
+                          st.sampled_from(LARGE_PRIMES))
+        end = st.builds(lambda a, q: Fraction(abs(a), q), large, st.sampled_from(LARGE_PRIMES))
+    else:
+        inner = draw(st.sets(st.integers(1, 11), max_size=5))
+        xs = [Fraction(0), *(Fraction(i, 12) for i in sorted(inner)), Fraction(1)]
+        slope = st.builds(Fraction, st.integers(-20, 0), st.integers(1, 5))
+        end = st.builds(Fraction, st.integers(0, 9), st.integers(1, 3))
+    slopes = sorted(draw(st.lists(slope, min_size=len(xs) - 1, max_size=len(xs) - 1)))
+    ys = [1 + draw(end)]
     for x1, x2, slope in reversed(list(zip(xs, xs[1:], slopes))):
         ys.append(ys[-1] - slope * (x2 - x1))
     return NdtCurve(tuple(zip(xs, reversed(ys))))
@@ -270,7 +290,7 @@ class TestExactHull:
         assert_vertices_only(curve)
 
     @pytest.mark.parametrize(
-        "M,K", [(M, K) for M in range(1, 9) for K in range(1, 9)] + [(30, 60)]
+        "M,K", [(M, K) for M in range(1, 9) for K in range(1, 9)] + [(30, 60), (60, 80)]
     )
     def test_lower_bound_curve_is_the_pointwise_bound(self, M, K):
         # a convex max that meets a segment at both ends and its midpoint
@@ -315,8 +335,10 @@ class TestComponentLine:
                 sbar = M + 1 - s
                 b = -Fraction(1, s) * (sbar * (K - s + Fraction(sbar - 1, 2))
                                        + Fraction(ell * (ell + 1), 2))
-                assert _component_line(M, K, ell, s) == (Fraction(K + ell, s), b)
-                assert all(type(c) is Fraction for c in _component_line(M, K, ell, s))
+                # integers (a, b) of the line (a + b*mu) / (2s)
+                line = _component_line(M, K, ell, s)
+                assert all(type(c) is int for c in line)
+                assert (Fraction(line[0], 2 * s), Fraction(line[1], 2 * s)) == (Fraction(K + ell, s), b)
 
 
 class TestNdtCurve:
@@ -340,9 +362,13 @@ class TestNdtCurve:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_walk_equals_per_point_values(self, data):
-        curve = data.draw(convex_curves())
+        # with large coprime denominators in the curve and in the mus, the
+        # walk's cross-multiplied segment test compares large products
+        coprime = data.draw(st.booleans())
+        curve = data.draw(convex_curves(coprime))
         pool = [Fraction(0), Fraction(1), *(x for x, _ in curve.breakpoints)]
-        pool += data.draw(st.lists(st.builds(Fraction, st.integers(0, 24), st.just(24)),
+        pool += data.draw(st.lists(large_mu if coprime else
+                                   st.builds(Fraction, st.integers(0, 24), st.just(24)),
                                    max_size=10))
         mus = sorted(data.draw(st.lists(st.sampled_from(pool), max_size=20)))
         assert curve.values(mus) == [scan_evaluate(curve, mu) for mu in mus]
@@ -418,6 +444,60 @@ class TestAchievableCatalog:
             for K in range(1, 5):
                 for p in achievable_catalog(M, K):
                     assert p.ndt >= lower_bound(cfg(M, K, p.mu))
+
+    def test_converse_check_survives_optimize(self):
+        # python -O strips assert statements; the check must still raise
+        # when the bound curve sits above a catalog point
+        script = textwrap.dedent("""
+            import ndtcache.bounds as B
+            B.lower_bound_curve = lambda M, K: B.NdtCurve(((0, 100), (1, 100)))
+            try:
+                B.achievable_catalog(1, 3)
+            except RuntimeError as exc:
+                print(exc)
+        """)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == ("catalog point AchievablePoint(mu=Fraction(0, 1), ndt=Fraction(4, 1), "
+                               "scheme_label='unicast', proven_optimal=True) below the lower "
+                               "bound 100\n")
+
+
+class TestCountGuard:
+    """M and K are counts: numpy integers count, floats are a TypeError
+    that names the argument, and values below 1 stay a ValueError."""
+
+    CALLS = {
+        "bound_component_indices": bound_component_indices,
+        "lower_bound_curve": lower_bound_curve,
+        "achievable_catalog": achievable_catalog,
+        "optimal_ndt_curve": optimal_ndt_curve,
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_numpy_integers_give_the_plain_result(self, name):
+        call = self.CALLS[name]
+        assert call(np.int64(2), np.int8(2)) == call(2, 2)
+
+    def test_numpy_integers_do_not_overflow_the_bound_curve(self):
+        # the bound curve's integers reach past 64 bits
+        assert lower_bound_curve(np.int64(60), np.int64(80)) == lower_bound_curve(60, 80)
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("arg", ["M", "K"])
+    def test_float_names_the_argument(self, name, arg):
+        call = self.CALLS[name]
+        call(2, 2)  # a cached result for the ints must not serve the float
+        args = {"M": 2, "K": 2, arg: 2.0}
+        with pytest.raises(TypeError, match=f"^{arg} must be an int, got 2.0$"):
+            call(args["M"], args["K"])
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_below_one_is_a_value_error(self, name):
+        for M, K in ((0, 2), (2, 0), (-1, -1)):
+            with pytest.raises(ValueError, match=f"^{re.escape('M and K must be positive')}$"):
+                self.CALLS[name](M, K)
 
 
 class TestMemorySharingEnvelope:

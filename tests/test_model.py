@@ -94,6 +94,18 @@ class TestNetworkConfig:
         with pytest.raises(ValueError):
             NetworkConfig(**kwargs)
 
+    def test_integer_like_counts_are_counts(self):
+        cfg = NetworkConfig(M=np.int8(1), K=np.int64(2), N=np.uint16(4), mu=0)
+        assert cfg == NetworkConfig(M=1, K=2, N=4, mu=0)
+        assert all(type(v) is int for v in (cfg.M, cfg.K, cfg.N))
+
+    @pytest.mark.parametrize("field", ["M", "K", "N"])
+    def test_non_integer_count_names_the_argument(self, field):
+        kwargs = dict(M=1, K=2, N=4, mu=0)
+        kwargs[field] = 2.0
+        with pytest.raises(TypeError, match=f"^{field} must be an int, got 2.0$"):
+            NetworkConfig(**kwargs)
+
 
 class TestWorstCaseDemand:
     @pytest.mark.parametrize(
