@@ -22,16 +22,8 @@ from .bounds import (
     optimal_ndt,
     optimal_ndt_curve,
 )
-from .corner import TdmaSchedule, miso_zf_plan, unicast_schedule
-from .model import (
-    ChannelSet,
-    DemandVector,
-    NetworkConfig,
-    Rational,
-    as_rational,
-    mod_bar,
-    worst_case_demand,
-)
+from .corner import miso_zf_plan, unicast_schedule
+from .model import ChannelSet, NetworkConfig, Rational, as_rational
 from .scheme_m1k3 import (
     SymbolId,
     effective_channel_matrix,
@@ -56,14 +48,12 @@ __all__ = [
     "BoundComponentIndex",
     "CHARACTERIZED",
     "ChannelSet",
-    "DemandVector",
     "NdtCurve",
     "NetworkConfig",
     "RateEstimate",
     "Rational",
     "SubspaceReport",
     "SymbolId",
-    "TdmaSchedule",
     "UncharacterizedConfigError",
     "VerificationFailure",
     "VerificationReport",
@@ -78,7 +68,6 @@ __all__ = [
     "lower_bound_curve",
     "memory_sharing_envelope",
     "miso_zf_plan",
-    "mod_bar",
     "optimal_ndt",
     "optimal_ndt_curve",
     "rank_with_gap",
@@ -87,5 +76,4 @@ __all__ = [
     "unicast_schedule",
     "verify_corner",
     "verify_m1k3",
-    "worst_case_demand",
 ]

@@ -5,8 +5,8 @@ rationals, emitted as "p/q" strings plus 15-significant-digit decimal
 companions) or run the Monte Carlo verifications. Output is CSV or JSON,
 deterministic byte-for-byte for a fixed invocation.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure,
-3 uncharacterized configuration.
+Exit codes: 0 success, 1 usage error or out of memory, 2 verification
+failure, 3 uncharacterized configuration.
 """
 from __future__ import annotations
 
@@ -319,10 +319,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    args = argparse.Namespace(command="ndtcache")
     try:
-        return run(_config_from_args(build_parser().parse_args(argv)))
+        args = build_parser().parse_args(argv)
+        return run(_config_from_args(args))
     except ValueError as exc:  # UsageError is a ValueError
         _error_line("usage", str(exc))
+        return EXIT_USAGE
+    except MemoryError:
+        # emit writes nothing until the whole artifact is built, so stdout is empty
+        _error_line("out-of-memory", f"{args.command} ran out of memory")
         return EXIT_USAGE
 
 

@@ -9,32 +9,21 @@ M + 1 (NDT max{K/(M+1), 1}; relays need no delivery).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .model import DEGENERACY_TOL, NetworkConfig, Rational, check_tol, worst_case_demand
+from .model import DEGENERACY_TOL, NetworkConfig, Rational, check_tol
 
 
-@dataclass(frozen=True)
-class TdmaSchedule:
-    """Ordered unicast slots (receiver label, file index), one per demand."""
-
-    slots: tuple[tuple[str, int], ...]
-    ndt: Rational
-
-
-def unicast_schedule(cfg: NetworkConfig) -> TdmaSchedule:
-    """Serve the K + M worst-case demands one per slot; only valid at mu = 0."""
+def unicast_schedule(cfg: NetworkConfig) -> tuple[str, ...]:
+    """The receivers served one per slot, users then relays (ue1..ueK,
+    rn1..rnM): each of the K + M worst-case demands is a distinct file, so
+    the NDT is the slot count. Only valid at mu = 0."""
     if cfg.mu != 0:
         raise ValueError(f"unicast schedule applies at mu = 0 only, got mu = {cfg.mu}")
-    demand = worst_case_demand(cfg).entries
-    receivers = [f"ue{u}" for u in range(1, cfg.K + 1)] + [
-        f"rn{r}" for r in range(1, cfg.M + 1)
-    ]
-    slots = tuple(zip(receivers, demand))
-    return TdmaSchedule(slots=slots, ndt=Fraction(cfg.K + cfg.M))
+    return tuple(f"ue{u}" for u in range(1, cfg.K + 1)) + tuple(
+        f"rn{r}" for r in range(1, cfg.M + 1))
 
 
 def user_rows(g: np.ndarray, H: np.ndarray, group: tuple[int, ...]) -> np.ndarray:
@@ -64,11 +53,11 @@ def miso_zf_plan(g: np.ndarray, H: np.ndarray, tol: float = DEGENERACY_TOL):
     the group rows (unit gain at the intended user, zero at the rest, up
     to rounding), by stacked SVD and pinv per group.
 
-    Returns per group the (..., M + 1, len(group)) beamformers and the
-    singular values of its rows; per user k at column k - 1 its largest
-    cross gain over its group's weakest direct gain (the nulling residual
-    is their maximum); and the mask of degenerate draws, those where a
-    group's rows have a singular value below tol relative to the largest.
+    Returns per group the (..., M + 1, len(group)) beamformers; per user k
+    at column k - 1 its largest cross gain over its group's weakest direct
+    gain (the nulling residual is their maximum); and the mask of
+    degenerate draws, those where a group's rows have a singular value
+    below tol relative to the largest.
     """
     check_tol(tol)
     g, H = np.asarray(g), np.asarray(H)
@@ -78,7 +67,7 @@ def miso_zf_plan(g: np.ndarray, H: np.ndarray, tol: float = DEGENERACY_TOL):
     groups = user_groups(H.shape[-1], g.shape[-1])
     if g.shape[-2] < len(groups):
         raise ValueError(f"need at least {len(groups)} slots, got T = {g.shape[-2]}")
-    beamformers, svs, cross = [], [], []
+    beamformers, cross = [], []
     degenerate = np.zeros(g.shape[:-2], dtype=bool)
     for t, group in enumerate(groups):
         C = user_rows(g[..., t, :], H[..., t, :, :], group)
@@ -90,5 +79,4 @@ def miso_zf_plan(g: np.ndarray, H: np.ndarray, tol: float = DEGENERACY_TOL):
         with np.errstate(all="ignore"):  # degenerate draws may have zero gains
             cross.append(off / np.diagonal(gains, axis1=-2, axis2=-1).min(axis=-1, keepdims=True))
         beamformers.append(W)
-        svs.append(sv)
-    return beamformers, svs, np.concatenate(cross, axis=-1), degenerate
+    return beamformers, np.concatenate(cross, axis=-1), degenerate

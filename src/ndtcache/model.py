@@ -75,20 +75,6 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
 
 
-def mod_bar(a: int, b: int) -> int:
-    """Modified modular operator: a if a <= b, else a mod b; result in [1:b].
-
-    Only defined for 1 <= a <= 2b - 1. Outside that window (in particular
-    at a = 2b, where the plain modulus would leave the range [1:b]) the
-    operator is rejected rather than guessed.
-    """
-    if b < 1:
-        raise ValueError(f"modulus must be positive, got {b}")
-    if not 1 <= a <= 2 * b - 1:
-        raise ValueError(f"mod_bar requires 1 <= a <= 2b-1, got a={a}, b={b}")
-    return a if a <= b else a - b
-
-
 @dataclass(frozen=True)
 class NetworkConfig:
     """Network instance: M relays, K users, N library files, fractional
@@ -111,19 +97,6 @@ class NetworkConfig:
             raise ValueError(f"need N >= M + K, got N={self.N}, M+K={self.M + self.K}")
         if not 0 <= self.mu <= 1:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
-
-
-@dataclass(frozen=True)
-class DemandVector:
-    """File requests of the K users followed by the M relays."""
-
-    entries: tuple[int, ...]
-
-
-def worst_case_demand(cfg: NetworkConfig) -> DemandVector:
-    """Canonical worst-case request pattern: user u requests file u,
-    relay r requests file K + r. All M + K requests are distinct."""
-    return DemandVector(tuple(range(1, cfg.K + cfg.M + 1)))
 
 
 def check_coefficients(**arrays: np.ndarray) -> None:

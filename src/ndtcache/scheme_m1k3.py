@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEGENERACY_TOL, check_tol, mod_bar
+from .model import DEGENERACY_TOL, check_tol
 
 T_SLOTS = 8
 NUM_FILES = 4
@@ -30,7 +30,8 @@ SYMBOLS_PER_FILE = 5
 
 
 def _mbar3(a: int) -> int:
-    return mod_bar(a, 3)
+    """User or file index a (always 2..5 here) wrapped into [1:3]."""
+    return a if a <= 3 else a - 3
 
 
 @dataclass(frozen=True, order=True)

@@ -90,10 +90,9 @@ class VerificationFailure(Exception):
 class SubspaceReport:
     """Rank/residual diagnostics of one receiver's effective matrix.
 
-    Ranks are the worst seen over all trials (lowest desired and total
-    rank, highest interference rank; the corner schemes' are fixed at
-    (1, 0, 1)), residuals the largest, and singular_values those of trial
-    0's full effective matrix.
+    Every field covers all trials: ranks are the worst seen (lowest
+    desired and total rank, highest interference rank; the corner
+    schemes' are fixed at (1, 0, 1)), residuals the largest.
     """
 
     receiver: str
@@ -102,7 +101,6 @@ class SubspaceReport:
     total_rank: int
     zf_residual: float
     alignment_residual: float
-    singular_values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -332,7 +330,6 @@ class _TrialRun:
         self.worst = None if ranks is None else np.tile(_WORST * ranks, (len(receivers), 1))
         self.residuals = np.zeros((len(receivers), 2))
         self.decode_max = 0.0
-        self.spectra: list[tuple[float, ...]] = [()] * len(receivers)
 
     def _draw(self, trials, attempts) -> list[np.ndarray]:
         """Stacked f, g, H and symbol groups of one draw per (trial, attempt),
@@ -376,14 +373,12 @@ class _TrialRun:
                                       "consecutive degenerate channel draws")
                 return
 
-    def fold(self, start: int, errors, checks=(), residuals=None, ranks=None,
-             spectra=None) -> None:
+    def fold(self, start: int, errors, checks=(), residuals=None, ranks=None) -> None:
         """Tally a block. ``errors`` are its decode error arrays and
         ``checks`` its (failing mask, describe(i) -> message) pairs; per
         receiver, in order, ``residuals`` (R, n, 2) are the ZF and alignment
-        residuals (zero if None), ``ranks`` (R, n, 3) the (desired,
-        interference, total) ranks, and ``spectra()`` gives the block's
-        first singular values, asked for on the run's first block only."""
+        residuals (zero if None) and ``ranks`` (R, n, 3) the (desired,
+        interference, total) ranks."""
         failing = np.logical_or.reduce([mask for mask, _ in checks])
         self.failures += int(np.count_nonzero(failing))
         if self.first_failure is None and failing.any():
@@ -397,15 +392,12 @@ class _TrialRun:
         if ranks is not None:
             worst = (_WORST * np.asarray(ranks)).min(axis=1)
             self.worst = worst if self.worst is None else np.minimum(self.worst, worst)
-        if start == 0 and spectra is not None:
-            self.spectra = [tuple(float(x) for x in s) for s in spectra()]
 
     def report(self, **fields) -> VerificationReport:
         """The report; raised in VerificationFailure if any trial failed."""
         worst = np.zeros((len(self.receivers), 3), int) if self.worst is None else self.worst
-        subs = [SubspaceReport(name, *(int(r) for r in _WORST * w), float(zf), float(align), sv)
-                for name, w, (zf, align), sv in
-                zip(self.receivers, worst, self.residuals, self.spectra)]
+        subs = [SubspaceReport(name, *(int(r) for r in _WORST * w), float(zf), float(align))
+                for name, w, (zf, align) in zip(self.receivers, worst, self.residuals)]
         report = VerificationReport(
             ue_reports=tuple(sub for sub in subs if sub.receiver.startswith("ue")),
             rn_reports=tuple(sub for sub in subs if not sub.receiver.startswith("ue")),
@@ -426,14 +418,13 @@ def _solve_m1k3(tol: float):
 def _check_ue(k: int, E: np.ndarray, syms: np.ndarray, checks: list):
     """User k's checks on stacked 8 x 16 matrices E; appends its problems
     to ``checks`` and returns per trial its ranks, its (ZF, alignment)
-    residuals, its decode error and its full singular values."""
+    residuals and its decode error."""
     des, intf = DESIRED_COLS[k - 1], INTERFERENCE_COLS[k - 1]
     svd = np.linalg.svd
     d_rank, _ = _rank_gap(svd(E[..., des], compute_uv=False), RANK_REL_TOL)
     u_intf, s_intf, _ = svd(E[..., intf], full_matrices=False)
     i_rank, i_gap = _rank_gap(s_intf, RANK_REL_TOL)
-    s_total = svd(E, compute_uv=False)
-    t_rank, _ = _rank_gap(s_total, RANK_REL_TOL)
+    t_rank, _ = _rank_gap(svd(E, compute_uv=False), RANK_REL_TOL)
 
     peak = np.abs(E).max(axis=(-2, -1))
     zf_res = np.abs(E[..., ZERO_FORCED_COLS[k - 1]]).max(axis=(-2, -1)) / peak
@@ -459,16 +450,14 @@ def _check_ue(k: int, E: np.ndarray, syms: np.ndarray, checks: list):
          lambda i: f"ue{k} alignment residual {align_res[i]:.3e}"),
         (err > DECODE_ERROR_MAX, lambda i: f"ue{k} decode error {err[i]:.3e}"),
     ]
-    return (np.stack([d_rank, i_rank, t_rank], axis=-1), np.stack([zf_res, align_res], axis=-1),
-            err, s_total)
+    return np.stack([d_rank, i_rank, t_rank], axis=-1), np.stack([zf_res, align_res], axis=-1), err
 
 
 def _check_rn(rn: np.ndarray, syms: np.ndarray, checks: list):
     """The relay's checks on stacked 8 x 13 matrices, returning what
-    _check_ue returns (zero residuals, post-cancellation spectrum)."""
+    _check_ue returns (zero residuals)."""
     cancelled = rn_cache_cancel(rn)
-    s_rn = np.linalg.svd(cancelled, compute_uv=False)
-    rn_rank, _ = _rank_gap(s_rn, RANK_REL_TOL)
+    rn_rank, _ = _rank_gap(np.linalg.svd(cancelled, compute_uv=False), RANK_REL_TOL)
     heard = syms[:, DENB_COLS]
     y = rn @ heard[..., None] - rn[..., RN_CACHED_POS] @ heard[:, RN_CACHED_POS, None]
     truth = syms[:, COLUMN[SymbolId(4, 5)]]
@@ -478,7 +467,7 @@ def _check_rn(rn: np.ndarray, syms: np.ndarray, checks: list):
         (err > DECODE_ERROR_MAX, lambda i: f"rn decode error {err[i]:.3e}"),
     ]
     ranks = np.stack([rn_rank, np.zeros_like(rn_rank), rn_rank], axis=-1)
-    return ranks, np.zeros((len(rn), 2)), err, s_rn
+    return ranks, np.zeros((len(rn), 2)), err
 
 
 def verify_m1k3(seed, trials: int, tol: float = DEGENERACY_TOL) -> VerificationReport:
@@ -498,12 +487,11 @@ def verify_m1k3(seed, trials: int, tol: float = DEGENERACY_TOL) -> VerificationR
     for start, (f, g, H), (nu, beta), (syms,) in run.blocks():
         receive = lambda r: effective_channel_matrix(nu, beta, f, g, H[..., 0], r)
         checks: list = []
-        ranks, res, errs, svs = zip(
+        ranks, res, errs = zip(
             *[_check_ue(k, receive(f"ue{k}"), syms, checks) for k in (1, 2, 3)],
             _check_rn(receive("rn"), syms, checks),
         )
-        run.fold(start, errs, checks, residuals=res, ranks=ranks,
-                 spectra=lambda: [s[0] for s in svs])
+        run.fold(start, errs, checks, residuals=res, ranks=ranks)
     return run.report(
         # each user decodes its desired columns, the relay eta_{4,5} alone,
         # all in T_SLOTS slots; a file is SYMBOLS_PER_FILE symbols
@@ -515,8 +503,7 @@ def verify_m1k3(seed, trials: int, tol: float = DEGENERACY_TOL) -> VerificationR
 
 
 def _verify_unicast(seed, trials: int, cfg: NetworkConfig) -> VerificationReport:
-    schedule = unicast_schedule(cfg)
-    receivers = tuple(r for r, _ in schedule.slots)  # slot t serves receiver t
+    receivers = unicast_schedule(cfg)  # slot t serves receiver t
     never_degenerate = lambda f, g, H: ((), np.zeros(len(g), dtype=bool))
     run = _TrialRun(seed, trials, (len(receivers), cfg.M, cfg.K), never_degenerate,
                     (len(receivers),), receivers, ranks=(1, 0, 1))
@@ -526,12 +513,11 @@ def _verify_unicast(seed, trials: int, cfg: NetworkConfig) -> VerificationReport
         # each trial's worst receiver
         errors = (np.abs((coeff * syms) / coeff - syms) / np.abs(syms)).max(axis=1)
         run.fold(start, [errors],
-                 [(errors > DECODE_ERROR_MAX, lambda i: f"decode error {errors[i]:.3e}")],
-                 spectra=lambda: np.abs(coeff[0])[:, None])
+                 [(errors > DECODE_ERROR_MAX, lambda i: f"decode error {errors[i]:.3e}")])
     return run.report(
-        ndt=schedule.ndt,
-        per_ue_dof=Fraction(1, len(schedule.slots)),
-        rn_dof=Fraction(1, len(schedule.slots)),
+        ndt=Fraction(len(receivers)),  # one slot per file
+        per_ue_dof=Fraction(1, len(receivers)),
+        rn_dof=Fraction(1, len(receivers)),
         sum_dof=Fraction(1),
     )
 
@@ -540,8 +526,8 @@ def _verify_miso(seed, trials: int, cfg: NetworkConfig, tol: float):
     groups = user_groups(cfg.M, cfg.K)
 
     def solve(f, g, H):
-        beamformers, svs, cross, degenerate = miso_zf_plan(g, H, tol)
-        return (*beamformers, *svs, cross), degenerate
+        beamformers, cross, degenerate = miso_zf_plan(g, H, tol)
+        return (*beamformers, cross), degenerate
 
     run = _TrialRun(seed, trials, (len(groups), cfg.M, cfg.K), solve, tuple(map(len, groups)),
                     tuple(f"ue{k}" for k in range(1, cfg.K + 1)), ranks=(1, 0, 1))
@@ -560,10 +546,8 @@ def _verify_miso(seed, trials: int, cfg: NetworkConfig, tol: float):
             errors.append(err)
             checks.append((err > DECODE_ERROR_MAX, lambda i, group=group, err=err:
                            f"group {group} decode error {err[i]:.3e}"))
-        svs = solution[len(groups):-1]
         run.fold(start, errors, checks,
-                 residuals=np.stack([cross.T, np.zeros_like(cross.T)], axis=-1),
-                 spectra=lambda: [sv[0] for sv, group in zip(svs, groups) for _ in group])
+                 residuals=np.stack([cross.T, np.zeros_like(cross.T)], axis=-1))
 
     ndt, served = miso_ndt_and_dof(groups)
     return run.report(
@@ -576,9 +560,10 @@ def _verify_miso(seed, trials: int, cfg: NetworkConfig, tol: float):
 
 def verify_corner(seed, trials: int, cfg: NetworkConfig,
                   tol: float = DEGENERACY_TOL) -> VerificationReport:
-    """Verify the extremal-cache schemes: unicasting at mu = 0 (NDT K + M,
-    decoding is a scalar division) or MISO zero-forcing at mu = 1 (NDT
-    max{K/(M+1), 1}, cross-user gains must vanish to tolerance)."""
+    """Verify the extremal-cache schemes: unicasting at mu = 0 (one slot
+    per receiver of unicast_schedule, so NDT K + M; decoding is a scalar
+    division) or MISO zero-forcing at mu = 1 (NDT max{K/(M+1), 1},
+    cross-user gains must vanish to tolerance)."""
     check_tol(tol)
     if cfg.mu == 0:
         return _verify_unicast(seed, trials, cfg)
@@ -601,8 +586,13 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
     """
     if len(snr_db_list) < 3:
         raise ValueError("need at least 3 SNR points")
-    if not all(math.isfinite(x) for x in snr_db_list):
-        raise ValueError(f"SNR points must be finite, got {list(snr_db_list)}")
+    try:  # a NaN or infinite point fails too, and so does a power that underflows to 0
+        finite = all(0 < 10.0 ** (x / 10.0) < math.inf for x in snr_db_list)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"SNR points must have a finite, positive power 10**(dB/10), "
+                         f"got {list(snr_db_list)}")
     if max(snr_db_list) - min(snr_db_list) < 20:
         raise ValueError("SNR points must span at least 20 dB")
 

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,11 +21,13 @@ from ndtcache.cli import (
     EXIT_USAGE,
     EXIT_VERIFICATION,
     MAX_GRID,
+    VERIFY_COLUMNS,
     RunConfig,
     emit,
     main,
     run,
 )
+from ndtcache.verify import SubspaceReport, VerificationReport
 
 
 def run_cli(capsys, *args):
@@ -35,6 +38,11 @@ def run_cli(capsys, *args):
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def cap_address_space():
+    # 1 GB: a run that would use more fails fast, where a hang can time out
+    resource.setrlimit(resource.RLIMIT_AS, (1024**3,) * 2)
 
 
 class TestTradeoff:
@@ -177,6 +185,12 @@ class TestVerifyCommands:
         assert payload["data"][0]["failures"] == 2
         assert json.loads(err)["error"] == "verification-failure"
 
+    def test_every_report_field_is_emitted(self):
+        # a report field that no column writes is one that no command shows
+        assert [f.name for f in fields(SubspaceReport)] == VERIFY_COLUMNS[:6]
+        scalars = {f.name for f in fields(VerificationReport) if not f.type.startswith("tuple")}
+        assert scalars == {c for c in VERIFY_COLUMNS[6:] if not c.endswith("_decimal")}
+
 
 class TestRates:
     def test_rates_table(self, capsys):
@@ -190,6 +204,15 @@ class TestRates:
         assert {r["receiver"] for r in rows} == {"ue1", "ue2", "ue3", "rn"}
         slopes = {r["receiver"]: float(r["fitted_slope"]) for r in rows}
         assert 0.3 < slopes["ue1"] < 0.7  # loose: 5 trials only
+
+    @pytest.mark.filterwarnings("error")  # no numpy warning may come before the message
+    @pytest.mark.parametrize("snr_db", ["4000,5000,6000", "-4000,-5000,-6000"])
+    def test_powers_that_overflow_or_vanish_are_named(self, capsys, snr_db):
+        code, out, err = run_cli(capsys, "rates", "--trials", "2", "--snr-db", snr_db)
+        assert (code, out) == (EXIT_USAGE, "")
+        points = [float(x) for x in snr_db.split(",")]
+        assert err == json.dumps({"error": "usage", "detail": "SNR points must have a finite, "
+                                  f"positive power 10**(dB/10), got {points}"}) + "\n"
 
 
 class TestEmitAndDeterminism:
@@ -325,15 +348,25 @@ class TestInputHardening:
         }) + "\n"
 
     def test_huge_grid_exits_at_once(self):
-        # 3e6 rows once ran out of memory with a traceback: run it capped at
-        # 1 GB of address space, where a hang can time out
-        cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1024**3,) * 2)
+        # 3e6 rows once ran out of memory with a traceback
         proc = subprocess.run(
             [sys.executable, "-m", "ndtcache", "tradeoff", "--m", "1", "--k", "3",
-             "--grid", "3000000"], capture_output=True, text=True, timeout=20, preexec_fn=cap)
+             "--grid", "3000000"], capture_output=True, text=True, timeout=20,
+            preexec_fn=cap_address_space)
         assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
         assert proc.stderr == json.dumps({
             "error": "usage", "detail": "--grid must be at most 100000, got 3000000"}) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--m", "3000", "--k", "4000"],  # millions of bound components
+        ["verify-corner", "--m", "100", "--k", "100", "--mu", "0", "--trials", "64"],  # 2 GB block
+    ])
+    def test_out_of_memory_is_one_json_line(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "ndtcache", *argv], capture_output=True,
+                              text=True, timeout=20, preexec_fn=cap_address_space)
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+        assert proc.stderr == json.dumps({
+            "error": "out-of-memory", "detail": f"{argv[0]} ran out of memory"}) + "\n"
 
     def test_grid_limit_is_one_constant(self):
         # the limit itself is accepted; one more is a usage error (TestTradeoff)

@@ -17,16 +17,11 @@ def cfg(M, K, mu):
 class TestUnicastSchedule:
     @pytest.mark.parametrize("M, K", [(1, 1), (1, 3), (2, 2)])
     def test_slot_count_and_ndt(self, M, K):
-        schedule = unicast_schedule(cfg(M, K, 0))
-        assert len(schedule.slots) == K + M
-        assert schedule.ndt == K + M
+        assert len(unicast_schedule(cfg(M, K, 0))) == K + M
+        assert verify_corner(0, 1, cfg(M, K, 0)).ndt == K + M
 
     def test_each_demand_served_once(self):
-        schedule = unicast_schedule(cfg(2, 3, 0))
-        receivers = [r for r, _ in schedule.slots]
-        files = [f for _, f in schedule.slots]
-        assert receivers == ["ue1", "ue2", "ue3", "rn1", "rn2"]
-        assert files == [1, 2, 3, 4, 5]
+        assert unicast_schedule(cfg(2, 3, 0)) == ("ue1", "ue2", "ue3", "rn1", "rn2")
 
     def test_rejects_nonzero_cache(self):
         with pytest.raises(ValueError):
@@ -35,13 +30,13 @@ class TestUnicastSchedule:
     def test_ndt_matches_lower_bound(self):
         for M in range(1, 7):
             for K in range(1, 7):
-                assert unicast_schedule(cfg(M, K, 0)).ndt == lower_bound(cfg(M, K, 0))
+                assert len(unicast_schedule(cfg(M, K, 0))) == lower_bound(cfg(M, K, 0))
 
 
 class TestMisoZfPlan:
     def test_single_user_matched_direction(self):
         ch = draw_channels(1, 1, 2, 1)
-        _, _, cross, degenerate = miso_zf_plan(ch.g, ch.H)
+        _, cross, degenerate = miso_zf_plan(ch.g, ch.H)
         groups = user_groups(2, 1)
         assert groups == ((1,),)
         assert miso_ndt_and_dof(groups)[0] == 1
@@ -50,7 +45,7 @@ class TestMisoZfPlan:
 
     def test_two_users_one_relay_served_together(self):
         ch = draw_channels(2, 1, 1, 2)
-        _, _, cross, degenerate = miso_zf_plan(ch.g, ch.H)
+        _, cross, degenerate = miso_zf_plan(ch.g, ch.H)
         groups = user_groups(1, 2)
         assert groups == ((1, 2),)
         assert miso_ndt_and_dof(groups)[0] == 1
@@ -59,11 +54,10 @@ class TestMisoZfPlan:
 
     def test_three_users_one_relay(self):
         ch = draw_channels(3, 2, 1, 3)
-        beamformers, svs, cross, _ = miso_zf_plan(ch.g, ch.H)
+        beamformers, cross, _ = miso_zf_plan(ch.g, ch.H)
         groups = user_groups(1, 3)
         assert groups == ((1, 2), (3,))
         assert [W.shape for W in beamformers] == [(2, 2), (2, 1)]
-        assert [sv.shape for sv in svs] == [(2,), (1,)]
         assert cross.shape == (3,)
         assert miso_ndt_and_dof(groups)[0] == Fraction(3, 2)
 
@@ -72,7 +66,7 @@ class TestMisoZfPlan:
             for K in range(1, 5):
                 ch = draw_channels((4, M, K), 4, M, K)
                 groups = user_groups(M, K)
-                beamformers, _, cross, _ = miso_zf_plan(ch.g, ch.H)
+                beamformers, cross, _ = miso_zf_plan(ch.g, ch.H)
                 served = [k for group in groups for k in group]
                 assert sorted(served) == list(range(1, K + 1))
                 assert all(len(g) <= M + 1 for g in groups)
@@ -91,7 +85,7 @@ class TestMisoZfPlan:
         worst = 0.0
         for seed in range(300):
             ch = draw_channels((6, seed), 2, 2, 4)
-            worst = max(worst, miso_zf_plan(ch.g, ch.H)[2].max())
+            worst = max(worst, miso_zf_plan(ch.g, ch.H)[1].max())
         assert worst < 1e-10
 
     def test_cross_gains_vanish(self):

@@ -3,33 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ndtcache.model import (
-    ChannelSet,
-    NetworkConfig,
-    as_rational,
-    check_tol,
-    mod_bar,
-    worst_case_demand,
-)
-
-
-class TestModBar:
-    @pytest.mark.parametrize(
-        "a, b, expected",
-        [(4, 3, 1), (2, 3, 2), (3, 3, 3), (5, 3, 2), (1, 1, 1), (7, 4, 3)],
-    )
-    def test_values(self, a, b, expected):
-        assert mod_bar(a, b) == expected
-
-    def test_range_property(self):
-        for b in range(1, 9):
-            for a in range(1, 2 * b):
-                assert 1 <= mod_bar(a, b) <= b
-
-    @pytest.mark.parametrize("a, b", [(0, 3), (-1, 3), (6, 3), (7, 3), (2, 0)])
-    def test_rejects_out_of_domain(self, a, b):
-        with pytest.raises(ValueError):
-            mod_bar(a, b)
+from ndtcache.model import ChannelSet, NetworkConfig, as_rational, check_tol
 
 
 class TestRational:
@@ -105,29 +79,6 @@ class TestNetworkConfig:
         kwargs[field] = 2.0
         with pytest.raises(TypeError, match=f"^{field} must be an int, got 2.0$"):
             NetworkConfig(**kwargs)
-
-
-class TestWorstCaseDemand:
-    @pytest.mark.parametrize(
-        "M, K, N, expected",
-        [
-            (1, 3, 4, (1, 2, 3, 4)),
-            (1, 1, 2, (1, 2)),
-            (2, 2, 4, (1, 2, 3, 4)),
-            (3, 2, 9, (1, 2, 3, 4, 5)),
-        ],
-    )
-    def test_pattern(self, M, K, N, expected):
-        cfg = NetworkConfig(M=M, K=K, N=N, mu=0)
-        assert worst_case_demand(cfg).entries == expected
-
-    def test_always_pairwise_distinct(self):
-        for M in range(1, 5):
-            for K in range(1, 5):
-                cfg = NetworkConfig(M=M, K=K, N=M + K, mu=0)
-                entries = worst_case_demand(cfg).entries
-                assert len(set(entries)) == M + K
-                assert all(1 <= d <= cfg.N for d in entries)
 
 
 class TestChannelSet:

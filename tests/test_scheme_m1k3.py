@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from ndtcache.model import ChannelSet, mod_bar
+from ndtcache.model import ChannelSet
 from ndtcache.scheme_m1k3 import (
     ALIGNED_COLS,
     ALIGNMENT_GROUPS,
@@ -184,7 +184,7 @@ class TestSolvePrecoders:
         # of every alignment equality agree slot by slot
         ch = draw_channels(7, T_SLOTS, 1, 3)
         raw_nu, raw_beta = raw_chain(ch)
-        nxt = lambda k, d: mod_bar(k + d, 3)
+        nxt = lambda k, d: (k + d - 1) % 3 + 1  # k + d wrapped into [1:3]
         for k in (1, 2, 3):
             g, h = ch.g[:, k - 1], ch.H[:, k - 1, 0]
             nu = lambda s: raw_nu[:, COLUMN[s]]
