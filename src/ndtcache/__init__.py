@@ -10,12 +10,9 @@ __version__ = "0.1.0"
 from .bounds import (
     CHARACTERIZED,
     AchievablePoint,
-    BoundComponentIndex,
     NdtCurve,
     UncharacterizedConfigError,
     achievable_catalog,
-    bound_component_indices,
-    delta_lb_component,
     lower_bound,
     lower_bound_curve,
     memory_sharing_envelope,
@@ -45,7 +42,6 @@ from .verify import (
 __all__ = [
     "__version__",
     "AchievablePoint",
-    "BoundComponentIndex",
     "CHARACTERIZED",
     "ChannelSet",
     "NdtCurve",
@@ -59,8 +55,6 @@ __all__ = [
     "VerificationReport",
     "achievable_catalog",
     "as_rational",
-    "bound_component_indices",
-    "delta_lb_component",
     "draw_channels",
     "effective_channel_matrix",
     "finite_snr_rates",

@@ -9,8 +9,9 @@ The exact work runs on Python integers, and a Fraction is built only for
 a value that leaves the layer (a breakpoint or a curve value). The one
 hull routine scales its points to a common denominator and runs on
 integer pairs; the lower-bound curve builds its points as integers
-straight from the component formula; a curve keeps each segment as
-integers and walks them with integer comparisons.
+straight from the component formula (``_components``); a curve keeps
+the integer vertices it validated and walks them with integer
+comparisons.
 
 Each cost is paid once: a curve is evaluated over a sorted list of mu
 values in one walk over its segments (``NdtCurve.values``), and the
@@ -19,11 +20,12 @@ lower-bound curve of an (M, K) is built once per process and shared
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 
 from .model import NetworkConfig, Rational, as_count, as_rational
 
@@ -44,15 +46,6 @@ CHARACTERIZED = frozenset(_OPTIMAL_BRANCHES)
 class UncharacterizedConfigError(ValueError):
     """The optimal tradeoff for this (M, K) is an open problem; only the
     lower bound and the achievable envelope are available."""
-
-
-@dataclass(frozen=True)
-class BoundComponentIndex:
-    """Index (ell, s) of one affine bound component: s user output signals
-    combined with ell relay cache contents."""
-
-    ell: int
-    s: int
 
 
 @dataclass(frozen=True)
@@ -94,6 +87,7 @@ class NdtCurve:
         # slope dy0/dx0 above the next one dy1/dx1, both dx > 0
         if any(dy0 * dx1 > dy1 * dx0 for (dx0, dy0), (dx1, dy1) in zip(steps, steps[1:])):
             raise ValueError("curve must be convex (slopes non-decreasing)")
+        object.__setattr__(self, "_vertices", (pts, d))  # the walk of values()
 
     def evaluate(self, mu: Rational) -> Rational:
         """Exact value at mu via linear interpolation between breakpoints."""
@@ -101,14 +95,11 @@ class NdtCurve:
 
     def values(self, mus: Iterable[Rational]) -> list[Rational]:
         """Exact values at non-decreasing mus, by linear interpolation in
-        one walk over the segments, in integers: at mu = p/q the walk
-        passes a segment ending at x = n/d while n*q < p*d, and segment
-        i, kept as (A, B, C), has the value (A*q + B*p) / (C*q), the one
-        Fraction built per mu. A mu that is not a Fraction goes through
-        as_rational, so a binary float is a TypeError, as it is for
-        NetworkConfig."""
-        bps, out = self.breakpoints, []
-        i, seg, last = 0, None, Fraction(0)
+        one walk over the integer vertices (x, y) over d, with one Fraction
+        built per mu. A mu that is not a Fraction goes through as_rational,
+        so a binary float is a TypeError, as it is for NetworkConfig."""
+        pts, d = self._vertices
+        i, seg, last, out = 0, None, Fraction(0), []
         for mu in mus:
             if not isinstance(mu, Fraction):
                 mu = as_rational(mu)
@@ -117,11 +108,14 @@ class NdtCurve:
                 if 0 <= p <= q:
                     raise ValueError(f"mu values must be non-decreasing, got {mu} after {last}")
                 raise ValueError(f"mu must lie in [0, 1], got {mu}")
-            last, end = mu, bps[i + 1][0]
-            while end.numerator * q < p * end.denominator:
-                i, seg, end = i + 1, None, bps[i + 2][0]
-            if seg is None:
-                seg = _segment(bps[i], bps[i + 1])
+            last = mu
+            while pts[i + 1][0] * q < p * d:
+                i, seg = i + 1, None
+            if seg is None:  # the line (a*q + b*p) / (c*q) at p/q, reduced once
+                (x0, y0), (x1, y1) = pts[i], pts[i + 1]
+                a, b, c = y0 * x1 - y1 * x0, (y1 - y0) * d, (x1 - x0) * d
+                g = gcd(a, b, c)
+                seg = a // g, b // g, c // g
             a, b, c = seg
             out.append(Fraction(a * q + b * p, c * q))
         return out
@@ -138,13 +132,6 @@ def _scaled(points: Iterable[tuple[Rational, Rational]]) -> tuple[list[tuple[int
             for x, y in points], d
 
 
-def _segment(start: tuple[Rational, Rational], end: tuple[Rational, Rational]) -> tuple[int, int, int]:
-    """The line through two points as integers (A, B, C): its value at
-    p/q is (A*q + B*p) / (C*q), with C > 0 when start's x is the lower."""
-    ((x0, y0), (x1, y1)), d = _scaled((start, end))
-    return y0 * x1 - y1 * x0, (y1 - y0) * d, (x1 - x0) * d
-
-
 def _network_size(M: int, K: int) -> tuple[int, int]:
     """M and K as ints (numpy integers count, floats are a TypeError),
     both at least 1."""
@@ -154,46 +141,25 @@ def _network_size(M: int, K: int) -> tuple[int, int]:
     return M, K
 
 
-def bound_component_indices(M: int, K: int) -> list[BoundComponentIndex]:
-    """All admissible (ell, s): s in [1 : min(M+1, K)], ell in [M+1-s : M]."""
-    M, K = _network_size(M, K)
-    return [
-        BoundComponentIndex(ell=ell, s=s)
-        for s in range(1, min(M + 1, K) + 1)
-        for ell in range(M + 1 - s, M + 1)
-    ]
-
-
-def _component_line(M: int, K: int, ell: int, s: int) -> tuple[int, int]:
-    """One bound component as integers (a, b): the component is the line
-    (a + b*mu) / (2s), that is a/(2s) = (K + ell)/s and
-    b/(2s) = -(sbar*(K - s + (sbar-1)/2) + ell*(ell+1)/2)/s."""
-    sbar = M + 1 - s
-    return 2 * (K + ell), -(sbar * (2 * (K - s) + sbar - 1) + ell * (ell + 1))
-
-
-def delta_lb_component(cfg: NetworkConfig, idx: BoundComponentIndex) -> Rational:
-    """Value of the (ell, s) bound component at cfg.mu:
+def _components(M: int, K: int) -> Iterator[tuple[int, int, int]]:
+    """Every bound component as integers (s, a, b), the line (a + b*mu)/(2s):
 
         (K + ell - mu*(sbar*(K - s + (sbar-1)/2) + ell*(ell+1)/2)) / s
 
-    with sbar = M + 1 - s. Raises if (ell, s) is outside the admissible
-    range for this network.
-    """
-    if not 1 <= idx.s <= min(cfg.M + 1, cfg.K):
-        raise ValueError(f"s={idx.s} outside [1 : min(M+1, K)] for M={cfg.M}, K={cfg.K}")
-    if not cfg.M + 1 - idx.s <= idx.ell <= cfg.M:
-        raise ValueError(f"ell={idx.ell} outside [M+1-s : M] for M={cfg.M}, s={idx.s}")
-    a, b = _component_line(cfg.M, cfg.K, idx.ell, idx.s)
-    return (a + b * cfg.mu) / (2 * idx.s)
+    with sbar = M + 1 - s, for s in [1 : min(M+1, K)], ell in [M+1-s : M]."""
+    for s in range(1, min(M + 1, K) + 1):
+        sbar = M + 1 - s
+        for ell in range(sbar, M + 1):
+            yield s, 2 * (K + ell), -(sbar * (2 * (K - s) + sbar - 1) + ell * (ell + 1))
 
 
 def lower_bound(cfg: NetworkConfig) -> Rational:
-    """Converse: max of 1 and every bound component, evaluated at cfg.mu."""
-    best = Fraction(1)
-    for idx in bound_component_indices(cfg.M, cfg.K):
-        best = max(best, delta_lb_component(cfg, idx))
-    return best
+    """Converse: max of 1 and every bound component at cfg.mu, one
+    Fraction each. It builds no hull and no curve, so it stays the oracle,
+    independent of how lower_bound_curve is built, that the tests and the
+    benchmark check the curve against."""
+    return max(chain([Fraction(1)], ((a + b * cfg.mu) / (2 * s)
+                                      for s, a, b in _components(cfg.M, cfg.K))))
 
 
 def _lower_hull(points: Iterable[tuple[Rational, Rational]]) -> tuple[list[tuple[int, int]], int]:
@@ -245,17 +211,9 @@ def lower_bound_curve(M: int, K: int) -> NdtCurve:
     Component (a + b*mu)/(2s) enters as the integer line (a, b)*d/(2s)
     over d = 2*lcm(1..s_max), and the constant 1 as (d, 0)."""
     M, K = _network_size(M, K)
-    s_max = min(M + 1, K)
-    d = 2 * lcm(*range(1, s_max + 1))
-
-    def lines():
-        yield d, 0
-        for s in range(1, s_max + 1):
-            f = d // (2 * s)
-            for ell in range(M + 1 - s, M + 1):
-                a, b = _component_line(M, K, ell, s)
-                yield a * f, b * f
-    return _upper_envelope(lines(), d)
+    d = 2 * lcm(*range(1, min(M + 1, K) + 1))
+    lines = ((a * (d // (2 * s)), b * (d // (2 * s))) for s, a, b in _components(M, K))
+    return _upper_envelope(chain([(d, 0)], lines), d)
 
 
 def _optimal_lines(M: int, K: int) -> list[tuple[Rational, Rational]]:

@@ -581,8 +581,10 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
     cancellation and projection. Rates are averaged over ``trials``
     draws and, per receiver, a least-squares slope of rate versus
     log2(P) is fitted across all SNR points. Requires at least 3 finite
-    SNR points spanning at least 20 dB. A trial that runs out of redraws
-    raises VerificationFailure with the estimates of the trials before it.
+    SNR points spanning at least 20 dB, whose mean rates and slopes come
+    out finite (in practice, below about 3000 dB). A trial that runs out
+    of redraws raises VerificationFailure with the estimates of the
+    trials before it.
     """
     if len(snr_db_list) < 3:
         raise ValueError("need at least 3 SNR points")
@@ -604,28 +606,32 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
 
     run = _TrialRun(seed, trials, (T_SLOTS, 1, 3), _solve_m1k3(DEGENERACY_TOL))
     done = 0
-    for _, (f, g, H), (nu, beta), _ in run.blocks():
-        rates = np.empty((len(nu), len(receivers), len(snrs)))
-        for k in (1, 2, 3):
-            E = effective_channel_matrix(nu, beta, f, g, H[..., 0], f"ue{k}")
-            u = np.linalg.svd(E[..., INTERFERENCE_COLS[k - 1]], full_matrices=False)[0]
-            geff = u[..., 3:].conj().swapaxes(-1, -2) @ E[..., DESIRED_COLS[k - 1]]
-            gram = geff @ geff.conj().swapaxes(-1, -2)
-            _, logdet = np.linalg.slogdet(np.eye(5) + np.multiply.outer(powers, gram))
-            rates[:, k - 1] = logdet.T / math.log(2) / T_SLOTS
-        cancelled = rn_cache_cancel(effective_channel_matrix(nu, beta, f, g, H[..., 0], "rn"))
-        u = np.linalg.svd(cancelled[..., others])[0]
-        geff = u[..., 3:].conj().swapaxes(-1, -2) @ cancelled[..., ETA45, None]
-        gains = np.real(geff.conj().swapaxes(-1, -2) @ geff)[:, 0, 0]
-        rates[:, 3] = np.log2(1.0 + np.multiply.outer(gains, powers)) / T_SLOTS
-        # sequential over trials, as np.sum's pairwise order would depend on the block size
-        totals = np.add.accumulate(np.concatenate([totals[None], rates]), axis=0)[-1]
-        done += len(nu)
+    # a power near the float limit overflows the rates: rejected below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, (f, g, H), (nu, beta), _ in run.blocks():
+            rates = np.empty((len(nu), len(receivers), len(snrs)))
+            for k in (1, 2, 3):
+                E = effective_channel_matrix(nu, beta, f, g, H[..., 0], f"ue{k}")
+                u = np.linalg.svd(E[..., INTERFERENCE_COLS[k - 1]], full_matrices=False)[0]
+                geff = u[..., 3:].conj().swapaxes(-1, -2) @ E[..., DESIRED_COLS[k - 1]]
+                gram = geff @ geff.conj().swapaxes(-1, -2)
+                _, logdet = np.linalg.slogdet(np.eye(5) + np.multiply.outer(powers, gram))
+                rates[:, k - 1] = logdet.T / math.log(2) / T_SLOTS
+            cancelled = rn_cache_cancel(effective_channel_matrix(nu, beta, f, g, H[..., 0], "rn"))
+            u = np.linalg.svd(cancelled[..., others])[0]
+            geff = u[..., 3:].conj().swapaxes(-1, -2) @ cancelled[..., ETA45, None]
+            gains = np.real(geff.conj().swapaxes(-1, -2) @ geff)[:, 0, 0]
+            rates[:, 3] = np.log2(1.0 + np.multiply.outer(gains, powers)) / T_SLOTS
+            # sequential over trials, as np.sum's pairwise order would depend on the block size
+            totals = np.add.accumulate(np.concatenate([totals[None], rates]), axis=0)[-1]
+            done += len(nu)
 
-    x = np.log2(powers)
-    x -= x.mean()
-    y = totals / max(done, 1)
-    slopes = (x * (y - y.mean(axis=1, keepdims=True))).sum(axis=1) / np.sum(x ** 2)
+        x = np.log2(powers)
+        x -= x.mean()
+        y = totals / max(done, 1)
+        slopes = (x * (y - y.mean(axis=1, keepdims=True))).sum(axis=1) / np.sum(x ** 2)
+    if not (np.isfinite(y).all() and np.isfinite(slopes).all()):
+        raise ValueError(f"SNR points must give finite rates, got {list(snr_db_list)}")
     estimates = [RateEstimate(r, float(snr), float(rate), float(slope))
                  for r, row, slope in zip(receivers, y, slopes) if done
                  for snr, rate in zip(snrs, row)]

@@ -13,14 +13,11 @@ from hypothesis import strategies as st
 from ndtcache.bounds import (
     CHARACTERIZED,
     AchievablePoint,
-    BoundComponentIndex,
     NdtCurve,
     UncharacterizedConfigError,
-    _component_line,
+    _components,
     _upper_envelope,
     achievable_catalog,
-    bound_component_indices,
-    delta_lb_component,
     lower_bound,
     lower_bound_curve,
     memory_sharing_envelope,
@@ -44,6 +41,20 @@ def brute_force_bound(M, K, mu):
             num = K + ell - mu * (sbar * (K - s + Fraction(sbar - 1, 2)) + Fraction(ell * (ell + 1), 2))
             best = max(best, Fraction(num, s))
     return best
+
+
+def component_index(M, K):
+    """The admissible (ell, s), as a test-local double loop in the order
+    of _components."""
+    return [(ell, s) for s in range(1, min(M + 1, K) + 1) for ell in range(M + 1 - s, M + 1)]
+
+
+def component(M, K, ell, s, mu):
+    """Value at mu of the (ell, s) line of _components, (a + b*mu)/(2s)."""
+    lines = dict(zip(component_index(M, K), _components(M, K)))
+    s_, a, b = lines[ell, s]
+    assert s_ == s
+    return (a + b * mu) / (2 * s)
 
 
 GRID = [Fraction(i, 60) for i in range(61)]
@@ -170,31 +181,28 @@ def point_sets(draw, coords=None):
 
 class TestDeltaLbComponent:
     def test_known_values(self):
-        assert delta_lb_component(cfg(1, 3, 0), BoundComponentIndex(1, 1)) == 4
+        assert component(1, 3, 1, 1, 0) == 4
         # M=2, K=2, (ell=2, s=1) is the line 4 - 6*mu
         for mu in GRID:
-            assert delta_lb_component(cfg(2, 2, mu), BoundComponentIndex(2, 1)) == 4 - 6 * mu
-        assert delta_lb_component(cfg(1, 3, "4/5"), BoundComponentIndex(1, 2)) == Fraction(8, 5)
-        assert delta_lb_component(cfg(2, 2, 1), BoundComponentIndex(1, 2)) == 1
+            assert component(2, 2, 2, 1, mu) == 4 - 6 * mu
+        assert component(1, 3, 1, 2, Fraction(4, 5)) == Fraction(8, 5)
+        assert component(2, 2, 1, 2, 1) == 1
 
     def test_zero_cache_full_relay_component_is_k_plus_m(self):
         for M in range(1, 7):
             for K in range(1, 7):
-                assert delta_lb_component(cfg(M, K, 0), BoundComponentIndex(M, 1)) == K + M
-
-    def test_rejects_out_of_range_indices(self):
-        with pytest.raises(ValueError):
-            delta_lb_component(cfg(1, 3, 0), BoundComponentIndex(1, 3))
-        with pytest.raises(ValueError):
-            delta_lb_component(cfg(1, 3, 0), BoundComponentIndex(0, 1))
-        with pytest.raises(ValueError):
-            delta_lb_component(cfg(2, 1, 0), BoundComponentIndex(2, 2))
+                assert component(M, K, M, 1, 0) == K + M
 
     def test_index_enumeration_ranges(self):
-        for idx in bound_component_indices(3, 4):
-            assert 1 <= idx.s <= 4
-            assert 4 - idx.s <= idx.ell <= 3
-        assert len(bound_component_indices(1, 1)) == 1
+        # ell read back from a = 2*(K + ell)
+        for M in range(1, 7):
+            for K in range(1, 7):
+                index = [(a // 2 - K, s) for s, a, _ in _components(M, K)]
+                assert index == component_index(M, K)
+        for ell, s in [(a // 2 - 4, s) for s, a, _ in _components(3, 4)]:
+            assert 1 <= s <= 4
+            assert 4 - s <= ell <= 3
+        assert len(list(_components(1, 1))) == 1
 
 
 class TestLowerBound:
@@ -208,9 +216,9 @@ class TestLowerBound:
         assert brute_force_bound(3, 4, Fraction(1, 3)) == Fraction(5, 3)
 
     def test_matches_brute_force_on_grid(self):
-        for M in range(1, 5):
-            for K in range(1, 5):
-                for mu in GRID[::5]:
+        for M in range(1, 13):
+            for K in range(1, 13):
+                for mu in GRID[::6]:
                     assert lower_bound(cfg(M, K, mu)) == brute_force_bound(M, K, mu)
 
     def test_at_least_one_everywhere(self):
@@ -303,9 +311,7 @@ class TestExactHull:
         assert_vertices_only(curve)
         if M <= 8:
             lines = [(Fraction(1), Fraction(0))] + [
-                (delta_lb_component(cfg(M, K, 0), idx),
-                 delta_lb_component(cfg(M, K, 1), idx) - delta_lb_component(cfg(M, K, 0), idx))
-                for idx in bound_component_indices(M, K)
+                (Fraction(a, 2 * s), Fraction(b, 2 * s)) for s, a, b in _components(M, K)
             ]
             assert bps == pairwise_envelope(lines).breakpoints
 
@@ -330,15 +336,17 @@ class TestComponentLine:
     @pytest.mark.parametrize("M", range(1, 13))
     def test_matches_the_fraction_formula(self, M):
         for K in range(1, 13):
-            for idx in bound_component_indices(M, K):
-                ell, s = idx.ell, idx.s
+            lines = list(_components(M, K))
+            assert len(lines) == len(component_index(M, K))
+            for (ell, s), line in zip(component_index(M, K), lines):
                 sbar = M + 1 - s
-                b = -Fraction(1, s) * (sbar * (K - s + Fraction(sbar - 1, 2))
-                                       + Fraction(ell * (ell + 1), 2))
-                # integers (a, b) of the line (a + b*mu) / (2s)
-                line = _component_line(M, K, ell, s)
+                slope = -Fraction(1, s) * (sbar * (K - s + Fraction(sbar - 1, 2))
+                                           + Fraction(ell * (ell + 1), 2))
+                # integers (s, a, b) of the line (a + b*mu) / (2s)
                 assert all(type(c) is int for c in line)
-                assert (Fraction(line[0], 2 * s), Fraction(line[1], 2 * s)) == (Fraction(K + ell, s), b)
+                s_, a, b = line
+                assert s_ == s
+                assert (Fraction(a, 2 * s), Fraction(b, 2 * s)) == (Fraction(K + ell, s), slope)
 
 
 class TestNdtCurve:
@@ -469,7 +477,6 @@ class TestCountGuard:
     that names the argument, and values below 1 stay a ValueError."""
 
     CALLS = {
-        "bound_component_indices": bound_component_indices,
         "lower_bound_curve": lower_bound_curve,
         "achievable_catalog": achievable_catalog,
         "optimal_ndt_curve": optimal_ndt_curve,

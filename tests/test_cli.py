@@ -214,6 +214,19 @@ class TestRates:
         assert err == json.dumps({"error": "usage", "detail": "SNR points must have a finite, "
                                   f"positive power 10**(dB/10), got {points}"}) + "\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_rates_that_overflow_are_one_usage_line(self, fmt):
+        # each power is finite, but power times channel gain is not; in a
+        # fresh process, so a numpy warning would reach stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "ndtcache", "rates", "--trials", "2",
+             "--snr-db", "3040,3060,3080", "--format", fmt], capture_output=True, text=True,
+            timeout=60)
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+        assert proc.stderr == json.dumps({
+            "error": "usage",
+            "detail": "SNR points must give finite rates, got [3040.0, 3060.0, 3080.0]"}) + "\n"
+
 
 class TestEmitAndDeterminism:
     def test_json_round_trip(self, tmp_path):

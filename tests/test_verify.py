@@ -398,6 +398,14 @@ class TestToleranceGuards:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             finite_snr_rates(0, snr_db, trials=2)
 
+    @pytest.mark.filterwarnings("error")  # no numpy warning may come before the message
+    def test_rates_reject_points_whose_rates_overflow(self):
+        # each power is finite, but power times channel gain is not
+        snr_db = [3040.0, 3060.0, 3080.0]
+        message = f"SNR points must give finite rates, got {snr_db}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            finite_snr_rates(0, snr_db, trials=2)
+
 
 class TestSeedGuard:
     @pytest.mark.parametrize("call", [
