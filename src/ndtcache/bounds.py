@@ -9,13 +9,13 @@ The exact work runs on Python integers, and a Fraction is built only for
 a value that leaves the layer (a breakpoint or a curve value). The one
 hull routine scales its points to a common denominator and runs on
 integer pairs; the lower-bound curve builds its points as integers
-straight from the component formula (``_components``); a curve keeps
-the integer vertices it validated and walks them with integer
-comparisons.
+straight from the component formula (``_components``).
 
 Each cost is paid once: a curve is evaluated over a sorted list of mu
-values in one walk over its segments (``NdtCurve.values``), and the
-lower-bound curve of an (M, K) is built once per process and shared
+values in one integer walk over its segments (``NdtCurve._walk``), which
+returns each value as an integer pair (numerator, denominator);
+``NdtCurve.values`` is its Fraction view, and the CLI reads the pairs.
+The lower-bound curve of an (M, K) is built once per process and shared
 (curves are frozen).
 """
 from __future__ import annotations
@@ -87,37 +87,43 @@ class NdtCurve:
         # slope dy0/dx0 above the next one dy1/dx1, both dx > 0
         if any(dy0 * dx1 > dy1 * dx0 for (dx0, dy0), (dx1, dy1) in zip(steps, steps[1:])):
             raise ValueError("curve must be convex (slopes non-decreasing)")
-        object.__setattr__(self, "_vertices", (pts, d))  # the walk of values()
 
     def evaluate(self, mu: Rational) -> Rational:
         """Exact value at mu via linear interpolation between breakpoints."""
         return self.values([mu])[0]
 
     def values(self, mus: Iterable[Rational]) -> list[Rational]:
-        """Exact values at non-decreasing mus, by linear interpolation in
-        one walk over the integer vertices (x, y) over d, with one Fraction
-        built per mu. A mu that is not a Fraction goes through as_rational,
-        so a binary float is a TypeError, as it is for NetworkConfig."""
-        pts, d = self._vertices
-        i, seg, last, out = 0, None, Fraction(0), []
-        for mu in mus:
-            if not isinstance(mu, Fraction):
-                mu = as_rational(mu)
-            p, q = mu.numerator, mu.denominator
-            if not (last.numerator * q <= p * last.denominator and p <= q):
+        """Exact values at non-decreasing mus: the Fraction view of _walk.
+        A mu that is not a Fraction goes through as_rational, so a binary
+        float is a TypeError, as it is for NetworkConfig."""
+        return [Fraction(n, d) for n, d in self._walk(
+            (mu if isinstance(mu, Fraction) else as_rational(mu)).as_integer_ratio()
+            for mu in mus)]
+
+    def _walk(self, mus: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+        """The value at each mu = p/q (q > 0, mus non-decreasing) as an
+        integer pair (n, d) with d > 0, by linear interpolation in one walk
+        over the segments. A segment's line (a*q + b*p) / (c*q) is built at
+        most once, over the lcm e of its own breakpoints' denominators."""
+        bps, out = self.breakpoints, []
+        i, seg, last_p, last_q = 0, None, 0, 1
+        xs = [x.as_integer_ratio() for x, _ in bps]
+        for p, q in mus:
+            if not (last_p * q <= p * last_q and p <= q):
                 if 0 <= p <= q:
-                    raise ValueError(f"mu values must be non-decreasing, got {mu} after {last}")
-                raise ValueError(f"mu must lie in [0, 1], got {mu}")
-            last = mu
-            while pts[i + 1][0] * q < p * d:
+                    raise ValueError(f"mu values must be non-decreasing, "
+                                     f"got {Fraction(p, q)} after {Fraction(last_p, last_q)}")
+                raise ValueError(f"mu must lie in [0, 1], got {Fraction(p, q)}")
+            last_p, last_q = p, q
+            while xs[i + 1][0] * q < p * xs[i + 1][1]:
                 i, seg = i + 1, None
-            if seg is None:  # the line (a*q + b*p) / (c*q) at p/q, reduced once
-                (x0, y0), (x1, y1) = pts[i], pts[i + 1]
-                a, b, c = y0 * x1 - y1 * x0, (y1 - y0) * d, (x1 - x0) * d
+            if seg is None:
+                ((x0, y0), (x1, y1)), e = _scaled(bps[i:i + 2])
+                a, b, c = y0 * x1 - y1 * x0, (y1 - y0) * e, (x1 - x0) * e
                 g = gcd(a, b, c)
                 seg = a // g, b // g, c // g
             a, b, c = seg
-            out.append(Fraction(a * q + b * p, c * q))
+            out.append((a * q + b * p, c * q))
         return out
 
 

@@ -3,7 +3,9 @@
 Subcommands compute bound/optimal curves and tradeoff tables (exact
 rationals, emitted as "p/q" strings plus 15-significant-digit decimal
 companions) or run the Monte Carlo verifications. Output is CSV or JSON,
-deterministic byte-for-byte for a fixed invocation.
+deterministic byte-for-byte for a fixed invocation. Every exact cell
+comes from one formatter over an integer pair (n, d), and tradeoff rows
+from one integer walk of each curve.
 
 Exit codes: 0 success, 1 usage error or out of memory, 2 verification
 failure, 3 uncharacterized configuration.
@@ -18,7 +20,6 @@ import math
 import re
 import sys
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -91,12 +92,16 @@ class RunConfig:
         return NetworkConfig(M=self.m, K=self.k, N=self.m + self.k, mu=mu)
 
 
-def _cells(**values: Rational) -> dict:
-    """Each rational as a "p/q" string plus its 15-significant-digit decimal."""
+def _cells(**values: tuple[int, int]) -> dict:
+    """Each exact value n/d (d > 0), reduced by one gcd, as str of its
+    Fraction plus its 15-significant-digit decimal: int true division is
+    correctly rounded, so n / d is float(Fraction(n, d))."""
     row = {}
-    for name, value in values.items():
-        row[name] = str(value)
-        row[f"{name}_decimal"] = format(float(value), ".15g")
+    for name, (n, d) in values.items():
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        row[name] = f"{n}/{d}" if d != 1 else str(n)
+        row[f"{name}_decimal"] = f"{n / d:.15g}"
     return row
 
 
@@ -117,8 +122,8 @@ def _result_rows(report: VerificationReport | list) -> tuple[list[dict], list[st
         return [asdict(e) for e in report], RATES_COLUMNS
     overall = {
         "receiver": "overall", **dict.fromkeys(VERIFY_COLUMNS[1:6], ""),
-        **_cells(ndt=report.ndt, per_ue_dof=report.per_ue_dof,
-                 rn_dof=report.rn_dof, sum_dof=report.sum_dof),
+        **_cells(**{name: getattr(report, name).as_integer_ratio()
+                    for name in ("ndt", "per_ue_dof", "rn_dof", "sum_dof")}),
         "decode_max_error": report.decode_max_error, "trials": report.trials,
         "failures": report.failures, "redraws": report.redraws,
     }
@@ -133,16 +138,18 @@ def emit(payload: dict, output_format: str, path: Path | None, columns: list[str
     """Serialize the payload and write it; returns the bytes written.
 
     JSON carries {meta, data} verbatim; CSV carries the data rows under
-    the given header (header-only when there are no rows). Both end with
+    the given header (header-only when there are no rows); every row
+    holds every column, and csv writes a float as its repr. Both end with
     a newline and are byte-deterministic for a fixed payload.
     """
     if output_format == "json":
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
+        from operator import itemgetter
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([_csv_cell(row.get(c, "")) for c in columns] for row in payload["data"])
+        writer.writerows(map(itemgetter(*columns), payload["data"]))
         text = buf.getvalue()
     data = text.encode("utf-8")
     if path is None:
@@ -155,30 +162,30 @@ def emit(payload: dict, output_format: str, path: Path | None, columns: list[str
     return len(data)
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))  # plain float repr even for numpy scalars
-    return str(value)
-
-
 def _exact(point, curve, column: str):
     """Rows of a curve command: the curve's breakpoints, or its value at --mu."""
     def rows(cfg: RunConfig):
         if cfg.mu is None:
-            data = [_cells(mu=mu, ndt=ndt) for mu, ndt in curve(cfg.m, cfg.k).breakpoints]
+            data = [_cells(mu=mu.as_integer_ratio(), ndt=ndt.as_integer_ratio())
+                    for mu, ndt in curve(cfg.m, cfg.k).breakpoints]
         else:
-            data = [_cells(mu=cfg.mu, **{column: point(cfg.network(cfg.mu))})]
+            value = point(cfg.network(cfg.mu))
+            data = [_cells(mu=cfg.mu.as_integer_ratio(), **{column: value.as_integer_ratio()})]
         return data, list(data[0])
     return rows
 
 
 def _tradeoff(cfg: RunConfig):
+    """Rows of the bound and the envelope at --mu or on the grid, from one
+    integer walk of each curve; no Fraction is built per row."""
     envelope = memory_sharing_envelope(achievable_catalog(cfg.m, cfg.k))
-    mus = [cfg.mu] if cfg.mu is not None else [Fraction(i, cfg.grid) for i in range(cfg.grid + 1)]
+    mus = [cfg.mu.as_integer_ratio()] if cfg.mu is not None else [
+        (i, cfg.grid) for i in range(cfg.grid + 1)]
     data = [
-        _cells(mu=mu, lower_bound=lb, achievable_envelope=ach, gap=ach - lb)
-        for mu, lb, ach in zip(mus, lower_bound_curve(cfg.m, cfg.k).values(mus),
-                               envelope.values(mus))
+        _cells(mu=mu, lower_bound=(ln, ld), achievable_envelope=(an, ad),
+               gap=(an * ld - ln * ad, ad * ld))
+        for mu, (ln, ld), (an, ad) in zip(mus, lower_bound_curve(cfg.m, cfg.k)._walk(mus),
+                                          envelope._walk(mus))
     ]
     return data, list(data[0])
 

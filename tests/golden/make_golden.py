@@ -66,6 +66,13 @@ def _cases() -> dict[str, Case]:
     cases["tradeoff_m3_k7_grid97"] = ["tradeoff", "--m", "3", "--k", "7", "--grid", "97",
                                       "--format", "json"]
     cases["tradeoff_m12_k5.csv"] = ["tradeoff", "--m", "12", "--k", "5"]
+    # Curves whose segments carry big integers (the bound's common
+    # denominator 2*lcm(1..s_max) has 90 bits at (60, 80) and 144 at
+    # (100, 200)), on the default and an odd grid.
+    cases["tradeoff_m60_k80.csv"] = ["tradeoff", "--m", "60", "--k", "80"]
+    cases["tradeoff_m100_k200_grid97"] = ["tradeoff", "--m", "100", "--k", "200",
+                                          "--grid", "97", "--format", "json"]
+    cases["bounds_m60_k80.csv"] = ["bounds", "--m", "60", "--k", "80"]
     for command, m, k, mu in (("bounds", 1, 3, "4/5"), ("bounds", 3, 4, "1/3"),
                               ("optimal", 1, 3, "4/5"), ("optimal", 2, 2, "1/3"),
                               ("tradeoff", 1, 3, "4/5"), ("tradeoff", 3, 4, "1/3")):

@@ -27,7 +27,10 @@ from ndtcache.cli import (
     main,
     run,
 )
-from ndtcache.verify import SubspaceReport, VerificationReport
+from ndtcache.bounds import achievable_catalog, lower_bound, memory_sharing_envelope
+from ndtcache.model import NetworkConfig
+from ndtcache.verify import SubspaceReport, VerificationReport, finite_snr_rates, verify_m1k3
+from test_bounds import scan_evaluate
 
 
 def run_cli(capsys, *args):
@@ -89,6 +92,31 @@ class TestTradeoff:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == json.dumps({"error": "usage", "detail": detail}) + "\n"
 
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 12), k=st.integers(1, 24),
+           point=st.one_of(st.integers(1, 120), st.fractions(0, 1, max_denominator=40)))
+    def test_rows_match_pointwise_references(self, m, k, point):
+        """Each row against references that share no code with the curve
+        walk: the hull-free converse, a segment scan of the envelope, the
+        exact difference and float() of each exact cell."""
+        option = ["--grid", str(point)] if isinstance(point, int) else ["--mu", str(point)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["tradeoff", "--m", str(m), "--k", str(k), *option]) == EXIT_OK
+        rows = parse_csv(out.getvalue())
+        mus = ([Fraction(i, point) for i in range(point + 1)] if isinstance(point, int)
+               else [point])
+        envelope = memory_sharing_envelope(achievable_catalog(m, k))
+        assert [Fraction(row["mu"]) for row in rows] == mus
+        for mu, row in zip(mus, rows):
+            lb, ach, gap = (Fraction(row[c]) for c in ("lower_bound", "achievable_envelope", "gap"))
+            assert lb == lower_bound(NetworkConfig(M=m, K=k, N=m + k, mu=mu))
+            assert ach == scan_evaluate(envelope, mu)
+            assert gap == ach - lb
+            for name in ("mu", "lower_bound", "achievable_envelope", "gap"):
+                assert row[name] == str(Fraction(row[name]))
+                assert row[f"{name}_decimal"] == format(float(Fraction(row[name])), ".15g")
+
     def test_default_grid_lives_in_run_config(self, capsys):
         code, out, _ = run_cli(capsys, "tradeoff", "--m", "1", "--k", "3")
         assert code == EXIT_OK
@@ -144,6 +172,35 @@ class TestVerifyCommands:
         assert "np.float64" not in out
         rows = parse_csv(out)
         assert float(rows[1]["zf_residual"]) < 1e-10
+
+    @pytest.mark.parametrize("args, exit_code", [
+        (["rates", "--trials", "5", "--seed", "7"], EXIT_OK),
+        (["verify-corner", "--m", "2", "--k", "3", "--mu", "0", "--trials", "5"], EXIT_OK),
+        (["verify-corner", "--m", "2", "--k", "3", "--mu", "1", "--trials", "5"], EXIT_OK),
+        # out of redraws: the partial report of trial 0, and of 48 trials
+        (["verify-corner", "--m", "1", "--k", "2", "--mu", "1", "--tol", "0.999",
+          "--trials", "3"], EXIT_VERIFICATION),
+        (["verify-m1k3", "--trials", "60", "--tol", "8e-2", "--seed", "0"], EXIT_VERIFICATION),
+    ])
+    def test_csv_report_cells_are_clean(self, capsys, args, exit_code):
+        # csv writes a float as its repr, and a numpy scalar's repr is "np.float64(...)"
+        code, out, _ = run_cli(capsys, *args, "--format", "csv")
+        assert code == exit_code
+        assert "np." not in out
+        floats = [row[c] for row in parse_csv(out) for c in
+                  ("zf_residual", "alignment_residual", "decode_max_error",
+                   "snr_db", "rate", "fitted_slope") if row.get(c)]
+        assert floats
+        assert all(cell == repr(float(cell)) for cell in floats)
+
+    def test_report_floats_are_plain(self):
+        estimates = finite_snr_rates(7, [40.0, 50.0, 60.0], 5)
+        assert {type(getattr(e, name)) for e in estimates
+                for name in ("snr_db", "rate", "fitted_slope")} == {float}
+        report = verify_m1k3(7, 5)
+        assert {type(report.decode_max_error)} | {
+            type(getattr(sub, name)) for sub in report.ue_reports + report.rn_reports
+            for name in ("zf_residual", "alignment_residual")} == {float}
 
     def test_m1k3_json_report(self, capsys):
         code, out, _ = run_cli(capsys, "verify-m1k3", "--trials", "10", "--seed", "7")
