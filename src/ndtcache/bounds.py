@@ -1,9 +1,10 @@
-"""Delivery-time lower bounds, optimal tradeoff curves and achievable points.
+"""Delivery-time lower bounds, achievable points and optimal tradeoff curves.
 
 Everything here is exact: curves are piecewise-linear functions of the
 fractional cache size mu with rational breakpoints, built from the affine
 bound components and from cataloged achievable corner points. No floating
-point enters any comparison.
+point enters any comparison. No optimal curve is written down: it is the
+lower-bound curve once that meets the achievable envelope.
 
 The exact work runs on Python integers, and a Fraction is built only for
 a value that leaves the layer (a breakpoint or a curve value). The one
@@ -29,18 +30,9 @@ from math import gcd, lcm
 
 from .model import NetworkConfig, Rational, as_count, as_rational
 
-# Closed-form optimal-NDT branches a + b*mu for every (M, K) whose full
-# tradeoff curve is proven, written down directly (not derived from the
-# bound enumeration). The constant 1 joins them in _optimal_lines.
-_OPTIMAL_BRANCHES: dict[tuple[int, int], tuple[tuple[Rational, Rational], ...]] = {
-    (1, 1): ((Fraction(2), Fraction(-1)),),
-    (1, 2): ((Fraction(3), Fraction(-2)),),
-    (1, 3): ((Fraction(4), Fraction(-3)), (Fraction(2), Fraction(-1, 2))),
-    (2, 1): ((Fraction(3), Fraction(-4)),),
-    (2, 2): ((Fraction(4), Fraction(-6)), (Fraction(2), Fraction(-3, 2)),
-             (Fraction(3, 2), Fraction(-1, 2))),
-}
-CHARACTERIZED = frozenset(_OPTIMAL_BRANCHES)
+# The pairs whose optimal tradeoff the paper characterizes (M + K <= 4);
+# optimal_ndt_curve checks on each that the converse meets the catalog.
+CHARACTERIZED = frozenset({(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)})
 
 
 class UncharacterizedConfigError(ValueError):
@@ -50,12 +42,12 @@ class UncharacterizedConfigError(ValueError):
 
 @dataclass(frozen=True)
 class AchievablePoint:
-    """A (mu, ndt) pair attained by a concrete delivery scheme."""
+    """A cataloged achievable (mu, ndt) pair. A label ending in "-catalog"
+    marks a point cataloged by value only, whose scheme is not implemented."""
 
     mu: Rational
     ndt: Rational
     scheme_label: str
-    proven_optimal: bool
 
 
 @dataclass(frozen=True)
@@ -70,7 +62,7 @@ class NdtCurve:
     breakpoints: tuple[tuple[Rational, Rational], ...]
 
     def __post_init__(self) -> None:
-        bps = tuple((Fraction(x), Fraction(y)) for x, y in self.breakpoints)
+        bps = tuple((as_rational(x), as_rational(y)) for x, y in self.breakpoints)
         object.__setattr__(self, "breakpoints", bps)
         if len(bps) < 2:
             raise ValueError("curve needs at least the mu = 0 and mu = 1 breakpoints")
@@ -222,54 +214,30 @@ def lower_bound_curve(M: int, K: int) -> NdtCurve:
     return _upper_envelope(chain([(d, 0)], lines), d)
 
 
-def _optimal_lines(M: int, K: int) -> list[tuple[Rational, Rational]]:
-    """Closed-form optimal-NDT branches for the characterized (M, K)."""
-    if (M, K) not in _OPTIMAL_BRANCHES:
-        raise UncharacterizedConfigError(
-            f"uncharacterized configuration (M={M}, K={K}): optimal NDT is an open problem"
-        )
-    return [*_OPTIMAL_BRANCHES[M, K], (Fraction(1), Fraction(0))]
-
-
-def optimal_ndt(cfg: NetworkConfig) -> Rational:
-    """Proven-optimal NDT at cfg.mu for the characterized (M, K) pairs.
-
-    Raises UncharacterizedConfigError for all other configurations; use
-    lower_bound and the achievable envelope separately there.
-    """
-    return max(a + b * cfg.mu for a, b in _optimal_lines(cfg.M, cfg.K))
-
-
-def optimal_ndt_curve(M: int, K: int) -> NdtCurve:
-    """Closed-form optimal tradeoff curve for the characterized (M, K)."""
-    return _upper_envelope(_optimal_lines(*_network_size(M, K)))
-
-
 def achievable_catalog(M: int, K: int) -> list[AchievablePoint]:
-    """All paper-proven achievable corner points for (M, K), sorted by mu.
+    """All cataloged achievable corner points for (M, K), sorted by mu.
 
     Always: unicasting at mu = 0 and MISO zero-forcing at mu = 1. The
     combined ZF / subspace-alignment point (4/5, 8/5) exists for
-    (M, K) = (1, 3); the X-channel point (1/2, (K+2)/2) for M = 1,
-    K >= 3, and the M = 2 interior breakpoints are cataloged value-only
-    (their constructions are not implemented here).
+    (M, K) = (1, 3). The X-channel point (1/2, (K+2)/2) for M = 1,
+    K >= 3, and the M = 2 interior breakpoints are cataloged by value
+    only (their constructions are not implemented here). Every point is
+    checked against the lower bound; one below it raises RuntimeError.
     """
     M, K = _network_size(M, K)
     points = [
-        AchievablePoint(Fraction(0), Fraction(K + M), "unicast", True),
-        AchievablePoint(Fraction(1), max(Fraction(K, M + 1), Fraction(1)), "miso-zf", True),
+        AchievablePoint(Fraction(0), Fraction(K + M), "unicast"),
+        AchievablePoint(Fraction(1), max(Fraction(K, M + 1), Fraction(1)), "miso-zf"),
     ]
     if M == 1 and K >= 3:
-        points.append(
-            AchievablePoint(Fraction(1, 2), Fraction(K + 2, 2), "x-channel-catalog", False)
-        )
+        points.append(AchievablePoint(Fraction(1, 2), Fraction(K + 2, 2), "x-channel-catalog"))
     if (M, K) == (1, 3):
-        points.append(AchievablePoint(Fraction(4, 5), Fraction(8, 5), "zf-ia-m1k3", True))
+        points.append(AchievablePoint(Fraction(4, 5), Fraction(8, 5), "zf-ia-m1k3"))
     if (M, K) == (2, 1):
-        points.append(AchievablePoint(Fraction(1, 2), Fraction(1), "m2-catalog", True))
+        points.append(AchievablePoint(Fraction(1, 2), Fraction(1), "m2-catalog"))
     if (M, K) == (2, 2):
-        points.append(AchievablePoint(Fraction(4, 9), Fraction(4, 3), "m2-catalog", True))
-        points.append(AchievablePoint(Fraction(1, 2), Fraction(5, 4), "m2-catalog", True))
+        points.append(AchievablePoint(Fraction(4, 9), Fraction(4, 3), "m2-catalog"))
+        points.append(AchievablePoint(Fraction(1, 2), Fraction(5, 4), "m2-catalog"))
     points.sort(key=lambda p: p.mu)
     bound = lower_bound_curve(M, K).values([p.mu for p in points])
     for p, lb in zip(points, bound):
@@ -285,8 +253,33 @@ def memory_sharing_envelope(points: list[AchievablePoint]) -> NdtCurve:
     obtainable by splitting files across the cataloged schemes; every
     input point lies on or above the returned curve.
     """
-    pts = [(Fraction(p.mu), Fraction(p.ndt)) for p in points]
+    pts = [(as_rational(p.mu), as_rational(p.ndt)) for p in points]
     if not {0, 1} <= {mu for mu, _ in pts}:
         raise ValueError("memory sharing needs points at both mu = 0 and mu = 1")
     hull, d = _lower_hull(pts)
     return NdtCurve(tuple((Fraction(x, d), Fraction(y, d)) for x, y in hull))
+
+
+def optimal_ndt_curve(M: int, K: int) -> NdtCurve:
+    """Optimal tradeoff curve of a characterized (M, K), certified: the
+    lower-bound curve, once it equals the memory-sharing envelope of
+    achievable_catalog(M, K) (else RuntimeError, also under python -O).
+    It rests on that catalog: for M = 1 on the implemented unicast, MISO
+    zero-forcing and (1, 3) ZF / subspace-alignment schemes; for (2, 1)
+    and (2, 2) on the "m2-catalog" points, cataloged by value only, whose
+    constructions are not implemented. Every other (M, K) raises
+    UncharacterizedConfigError."""
+    M, K = _network_size(M, K)
+    if (M, K) not in CHARACTERIZED:
+        raise UncharacterizedConfigError(f"uncharacterized configuration (M={M}, K={K}): "
+                                         "optimal NDT is an open problem")
+    bound = lower_bound_curve(M, K)
+    if memory_sharing_envelope(achievable_catalog(M, K)) != bound:
+        raise RuntimeError(f"(M={M}, K={K}): achievable envelope does not meet the lower bound")
+    return bound
+
+
+def optimal_ndt(cfg: NetworkConfig) -> Rational:
+    """Optimal NDT at cfg.mu: lower_bound(cfg), under optimal_ndt_curve's certificate."""
+    optimal_ndt_curve(cfg.M, cfg.K)
+    return lower_bound(cfg)

@@ -216,7 +216,7 @@ _MONTE_CARLO = ("seed", "trials", "tol")
 COMMANDS = {
     "bounds": Command("lower-bound curve breakpoints, or the bound at --mu",
                       _exact(lower_bound, lower_bound_curve, "lower_bound"), ("m", "k", "mu")),
-    "optimal": Command("closed-form optimal curve for the characterized (M, K)",
+    "optimal": Command("optimal curve of a characterized (M, K): the bound, certified tight",
                        _exact(optimal_ndt, optimal_ndt_curve, "optimal_ndt"), ("m", "k", "mu")),
     "tradeoff": Command("table of lower bound vs achievable envelope on a mu grid",
                         _tradeoff, ("m", "k", "mu", "grid")),

@@ -59,6 +59,23 @@ def component(M, K, ell, s, mu):
 
 GRID = [Fraction(i, 60) for i in range(61)]
 
+# The paper's closed forms of the optimal tradeoff: the branches a + b*mu
+# of each characterized (M, K), joined by the constant 1 in optimal_lines.
+# They are written down here, independent of the converse and the catalog
+# from which optimal_ndt_curve certifies its curve.
+OPTIMAL_BRANCHES = {
+    (1, 1): ((Fraction(2), Fraction(-1)),),
+    (1, 2): ((Fraction(3), Fraction(-2)),),
+    (1, 3): ((Fraction(4), Fraction(-3)), (Fraction(2), Fraction(-1, 2))),
+    (2, 1): ((Fraction(3), Fraction(-4)),),
+    (2, 2): ((Fraction(4), Fraction(-6)), (Fraction(2), Fraction(-3, 2)),
+             (Fraction(3, 2), Fraction(-1, 2))),
+}
+
+
+def optimal_lines(M, K):
+    return [*OPTIMAL_BRANCHES[M, K], (Fraction(1), Fraction(0))]
+
 
 def pairwise_envelope(lines):
     """Reference upper envelope of lines a + b*mu on [0, 1]: the value at
@@ -176,7 +193,7 @@ def point_sets(draw, coords=None):
                            st.builds(Fraction, st.integers(3, 24), st.integers(1, 3)))
     pairs = draw(st.lists(st.tuples(mus, ndts), max_size=8)) + [(Fraction(0), draw(ndts))]
     pairs.append((Fraction(1), min(ndt for _, ndt in pairs)))
-    return [AchievablePoint(mu, ndt, "random", False) for mu, ndt in draw(st.permutations(pairs))]
+    return [AchievablePoint(mu, ndt, "random") for mu, ndt in draw(st.permutations(pairs))]
 
 
 class TestDeltaLbComponent:
@@ -397,7 +414,14 @@ class TestNdtCurve:
         with pytest.raises(TypeError) as from_model:
             NetworkConfig(M=1, K=3, N=4, mu=0.8)
         curve = lower_bound_curve(1, 3)
-        for call in (lambda: curve.evaluate(0.8), lambda: curve.values([Fraction(1, 2), 0.8])):
+        ends = [AchievablePoint(Fraction(0), Fraction(2), "unicast"),
+                AchievablePoint(Fraction(1), Fraction(1), "miso-zf")]
+        for call in (lambda: curve.evaluate(0.8), lambda: curve.values([Fraction(1, 2), 0.8]),
+                     lambda: NdtCurve(((0, 2), (0.8, 1.2), (1, 1))),
+                     lambda: NdtCurve(((0, 2), (Fraction(4, 5), 1.2), (1, 1))),
+                     lambda: memory_sharing_envelope([*ends, AchievablePoint(0.8, 2, "float")]),
+                     lambda: memory_sharing_envelope([*ends, AchievablePoint(Fraction(1, 2), 1.2,
+                                                                             "float")])):
             with pytest.raises(TypeError) as from_curve:
                 call()
             assert str(from_curve.value) == str(from_model.value)
@@ -419,11 +443,56 @@ class TestOptimalNdt:
                 optimal_ndt_curve(M, K)
 
     def test_closed_forms_match_enumerated_bound(self):
-        # the closed forms are hard-coded branch lists; the enumeration is
-        # the independent route
+        # the paper's closed forms, the literal enumeration of the converse
+        # and the certified curve are three independent routes
+        assert set(OPTIMAL_BRANCHES) == CHARACTERIZED
         for M, K in sorted(CHARACTERIZED):
+            lines = optimal_lines(M, K)
+            assert optimal_ndt_curve(M, K).breakpoints == pairwise_envelope(lines).breakpoints
             for mu in GRID:
-                assert optimal_ndt(cfg(M, K, mu)) == brute_force_bound(M, K, mu)
+                assert max(a + b * mu for a, b in lines) == brute_force_bound(M, K, mu)
+
+    @pytest.mark.parametrize("pair", sorted(CHARACTERIZED))
+    @settings(max_examples=100, deadline=None)
+    @given(mu=st.fractions(min_value=0, max_value=1, max_denominator=10**9))
+    def test_optimal_is_the_bound_at_random_mu(self, pair, mu):
+        closed_form = max(a + b * mu for a, b in optimal_lines(*pair))
+        assert optimal_ndt(cfg(*pair, mu)) == lower_bound(cfg(*pair, mu)) == closed_form
+
+    def test_certificate_holds_on_exactly_the_characterized_pairs(self):
+        pairs = [(M, K) for M in range(1, 13) for K in range(1, 13)]
+        assert CHARACTERIZED == {(M, K) for M, K in pairs if lower_bound_curve(M, K)
+                                 == memory_sharing_envelope(achievable_catalog(M, K))}
+
+    def test_certificate_survives_optimize(self):
+        # python -O strips assert statements; a catalog point above the
+        # bound, or a bound below the catalog, must still raise
+        script = textwrap.dedent("""
+            import dataclasses
+            from fractions import Fraction
+            import ndtcache.bounds as B
+            from ndtcache.model import NetworkConfig
+            catalog, bound = B.achievable_catalog, B.lower_bound_curve
+            patches = [
+                ("achievable_catalog", lambda M, K: [
+                    dataclasses.replace(p, ndt=Fraction(9, 5)) if p.mu == Fraction(4, 5) else p
+                    for p in catalog(M, K)]),
+                ("lower_bound_curve", lambda M, K: B.NdtCurve(((0, 1), (1, 1)))),
+            ]
+            for name, patch in patches:
+                setattr(B, name, patch)
+                for call in (lambda: B.optimal_ndt_curve(1, 3),
+                             lambda: B.optimal_ndt(NetworkConfig(M=1, K=3, N=4, mu=0))):
+                    try:
+                        call()
+                    except RuntimeError as exc:
+                        print(exc)
+                B.achievable_catalog, B.lower_bound_curve = catalog, bound
+        """)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "(M=1, K=3): achievable envelope does not meet the lower bound\n" * 4
 
 
 class TestAchievableCatalog:
@@ -436,13 +505,12 @@ class TestAchievableCatalog:
                 assert by_mu[Fraction(0)].scheme_label == "unicast"
                 assert by_mu[Fraction(1)].ndt == max(Fraction(K, M + 1), Fraction(1))
                 assert by_mu[Fraction(1)].scheme_label == "miso-zf"
-                assert all(p.proven_optimal for p in (by_mu[Fraction(0)], by_mu[Fraction(1)]))
 
     def test_special_points(self):
         p = {x.scheme_label: x for x in achievable_catalog(1, 3)}["zf-ia-m1k3"]
-        assert (p.mu, p.ndt, p.proven_optimal) == (Fraction(4, 5), Fraction(8, 5), True)
+        assert (p.mu, p.ndt) == (Fraction(4, 5), Fraction(8, 5))
         p = {x.scheme_label: x for x in achievable_catalog(1, 4)}["x-channel-catalog"]
-        assert (p.mu, p.ndt, p.proven_optimal) == (Fraction(1, 2), Fraction(3), False)
+        assert (p.mu, p.ndt) == (Fraction(1, 2), Fraction(3))
         labels = {x.scheme_label for x in achievable_catalog(2, 2)}
         assert "m2-catalog" in labels
         assert {x.scheme_label for x in achievable_catalog(2, 3)} == {"unicast", "miso-zf"}
@@ -468,8 +536,7 @@ class TestAchievableCatalog:
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == ("catalog point AchievablePoint(mu=Fraction(0, 1), ndt=Fraction(4, 1), "
-                               "scheme_label='unicast', proven_optimal=True) below the lower "
-                               "bound 100\n")
+                               "scheme_label='unicast') below the lower bound 100\n")
 
 
 class TestCountGuard:
@@ -512,8 +579,8 @@ class TestMemorySharingEnvelope:
         from ndtcache.bounds import AchievablePoint
 
         pts = [
-            AchievablePoint(Fraction(0), Fraction(2), "unicast", True),
-            AchievablePoint(Fraction(1), Fraction(1), "miso-zf", True),
+            AchievablePoint(Fraction(0), Fraction(2), "unicast"),
+            AchievablePoint(Fraction(1), Fraction(1), "miso-zf"),
         ]
         env = memory_sharing_envelope(pts)
         assert env.breakpoints == ((0, 2), (1, 1))
@@ -523,7 +590,7 @@ class TestMemorySharingEnvelope:
         from ndtcache.bounds import AchievablePoint
 
         with pytest.raises(ValueError):
-            memory_sharing_envelope([AchievablePoint(Fraction(0), Fraction(2), "unicast", True)])
+            memory_sharing_envelope([AchievablePoint(Fraction(0), Fraction(2), "unicast")])
 
     def test_envelope_slopes(self):
         env = memory_sharing_envelope(achievable_catalog(1, 3))
