@@ -96,6 +96,17 @@ RN_CACHED_POS = np.array([n for n, s in enumerate(DENB_SYMBOLS) if s in RN_CACHE
 UNCACHED_POS = np.array([DENB_SYMBOLS.index(s) for s in UNCACHED])
 ETA45 = UNCACHED.index(SymbolId(4, 5))  # eta_{4,5}'s place among UNCACHED
 
+# solve_precoders' chain read off the tables, one step per alignment group
+# in walk order: (user row, anchor column, anchor sent by the base station,
+# members), a member (column, sent by the base station, zero-forcing user row or -1).
+_ZF_ROW = {s: b - 1 for b in ZERO_FORCED for s in ZERO_FORCED[b]}
+_CHAIN = tuple(
+    (k, COLUMN[anchor], anchor in DENB_SYMBOLS,
+     tuple((COLUMN[s], s in DENB_SYMBOLS, _ZF_ROW.get(s, -1)) for s in members))
+    for layer in zip(*ALIGNMENT_GROUPS.values())
+    for k, (anchor, *members) in enumerate(layer))
+_ETA45_COL = COLUMN[SymbolId(4, 5)]  # the chain's seed
+
 
 def solve_precoders(g: np.ndarray, h: np.ndarray, tol: float = DEGENERACY_TOL):
     """Solve all per-slot precoders of the mu = 4/5 scheme.
@@ -113,14 +124,15 @@ def solve_precoders(g: np.ndarray, h: np.ndarray, tol: float = DEGENERACY_TOL):
     1. nu of eta_{4,5} is fixed to the product
        j13*j23*j33 * g1*g2*g3 * h1*h2*h3 with
        j13 = g2 h3 - g3 h2, j23 = g3 h1 - g1 h3, j33 = g1 h2 - g2 h1.
-    2. Layer-1 alignment at user k pins the relay precoder of
-       eta_{k+1,4} to nu_{4,5} g_k / h_k.
-    3. Layer 2 at user k pins nu of eta_{k+1,5} to beta_{k+2,4} h_k / g_k
-       and determines (nu, beta) of eta_{k+2,2} from the 2x2 system that
-       pairs the layer equality with that symbol's ZF condition.
-    4. Layer 3 likewise determines (nu, beta) of eta_{k+2,1} and of
-       eta_{k+1,3} against the now-known nu of the index-5 symbols.
-    5. Normalize. The raw chain inherits the product nu_{4,5}, whose
+    2. Walk ALIGNMENT_GROUPS layer by layer, users k = 1..3 within a
+       layer. A group's first symbol a, known by then, is its anchor: at
+       user k every other member matches target = nu_a g_k, or
+       beta_a h_k if the relay sends a. A member one transmitter sends
+       takes one division, nu = target / g_k or beta = target / h_k. One
+       both send is zero-forced at its ZERO_FORCED user b too, so
+       nu = target h_b / det and beta = -target g_b / det, where
+       det = g_k h_b - g_b h_k is a +-j term.
+    3. Normalize. The raw chain inherits the product nu_{4,5}, whose
        magnitude swings over many orders across slots, so first every
        slot is multiplied by slot_scale, a common positive factor (the
        whole chain is linear in nu_{4,5}[t], hence all per-slot ZF and
@@ -131,26 +143,20 @@ def solve_precoders(g: np.ndarray, h: np.ndarray, tol: float = DEGENERACY_TOL):
        per-slot equalities then only hold for the raw chain,
        nu / (slot_scale[..., None] * scale[..., None, :]), and for beta.
 
-    The 2x2 determinants all coincide with +-j terms, so a draw with a j
-    term of magnitude below tol (relative to the squared slot channel
-    scale) is degenerate; so is one with a channel coefficient below tol
-    relative to the slot scale, since steps 2-3 divide by g_k and h_k.
-    ``degenerate`` (the batch shape) flags those draws; their other
-    outputs are meaningless.
+    A draw is degenerate if step 2 divides by a j term of magnitude below
+    tol (relative to the squared slot channel scale) or by a coefficient
+    below tol relative to the slot scale. ``degenerate`` (the batch
+    shape) flags those draws; their other outputs are meaningless.
     """
     check_tol(tol)
     g, h = np.asarray(g), np.asarray(h)
     if g.shape[-2:] != (T_SLOTS, 3) or g.shape != h.shape:
         raise ValueError(f"g and h must both have shape (..., {T_SLOTS}, 3), "
                          f"got {g.shape} and {h.shape}")
-    gk = {k: g[..., k - 1] for k in (1, 2, 3)}
-    hk = {k: h[..., k - 1] for k in (1, 2, 3)}
-    j13 = gk[2] * hk[3] - gk[3] * hk[2]
-    j23 = gk[3] * hk[1] - gk[1] * hk[3]
-    j33 = gk[1] * hk[2] - gk[2] * hk[1]
-    # determinant of the (alignment at UE a, ZF at UE b) system
-    det = {(1, 2): j33, (2, 3): j13, (3, 1): j23,
-           (2, 1): -j33, (3, 2): -j13, (1, 3): -j23}
+    (g1, g2, g3), (h1, h2, h3) = np.moveaxis(g, -1, 0), np.moveaxis(h, -1, 0)
+    j13 = g2 * h3 - g3 * h2
+    j23 = g3 * h1 - g1 * h3
+    j33 = g1 * h2 - g2 * h1
 
     chan_scale = np.max(np.abs(np.concatenate([g, h], axis=-1)), axis=-1)
     degenerate = np.zeros(g.shape[:-2], dtype=bool)
@@ -159,33 +165,23 @@ def solve_precoders(g: np.ndarray, h: np.ndarray, tol: float = DEGENERACY_TOL):
     small = tol * chan_scale[..., None]
     degenerate |= np.any((np.abs(g) < small) | (np.abs(h) < small), axis=(-2, -1))
 
-    n = len(TRANSMITTED_SYMBOLS)
-    nu = np.zeros(g.shape[:-1] + (n,), dtype=complex)
+    nu = np.zeros(g.shape[:-1] + (len(TRANSMITTED_SYMBOLS),), dtype=complex)
     beta = np.zeros_like(nu)
     with np.errstate(all="ignore"):  # degenerate draws may divide by ~0
-        nu45 = j13 * j23 * j33 * gk[1] * gk[2] * gk[3] * hk[1] * hk[2] * hk[3]
-        nu[..., COLUMN[SymbolId(4, 5)]] = nu45
-        for k in (1, 2, 3):
-            beta[..., COLUMN[SymbolId(_mbar3(k + 1), 4)]] = nu45 * gk[k] / hk[k]
-        for k in (1, 2, 3):
-            nu[..., COLUMN[SymbolId(_mbar3(k + 1), 5)]] = (
-                beta[..., COLUMN[SymbolId(_mbar3(k + 2), 4)]] * hk[k] / gk[k]
-            )
-        for k in (1, 2, 3):
-            i2 = _mbar3(k + 2)
-            b = _mbar3(k + 1)  # ZF user of eta_{i2,1} and eta_{i2,2}
-            target2 = beta[..., COLUMN[SymbolId(i2, 4)]] * hk[k]
-            nu[..., COLUMN[SymbolId(i2, 2)]] = target2 * hk[b] / det[(k, b)]
-            beta[..., COLUMN[SymbolId(i2, 2)]] = -target2 * gk[b] / det[(k, b)]
-
-            target3 = nu[..., COLUMN[SymbolId(i2, 5)]] * gk[k]
-            nu[..., COLUMN[SymbolId(i2, 1)]] = target3 * hk[b] / det[(k, b)]
-            beta[..., COLUMN[SymbolId(i2, 1)]] = -target3 * gk[b] / det[(k, b)]
-
-            i3 = _mbar3(k + 1)
-            b3 = _mbar3(k + 2)  # ZF user of eta_{i3,3}
-            nu[..., COLUMN[SymbolId(i3, 3)]] = target3 * hk[b3] / det[(k, b3)]
-            beta[..., COLUMN[SymbolId(i3, 3)]] = -target3 * gk[b3] / det[(k, b3)]
+        nu[..., _ETA45_COL] = j13 * j23 * j33 * g1 * g2 * g3 * h1 * h2 * h3
+        for k, anchor, anchor_on_bs, members in _CHAIN:
+            gk, hk = g[..., k], h[..., k]
+            target = nu[..., anchor] * gk if anchor_on_bs else beta[..., anchor] * hk
+            for c, on_bs, b in members:
+                if b >= 0:
+                    gb, hb = g[..., b], h[..., b]
+                    det = gk * hb - gb * hk
+                    nu[..., c] = target * hb / det
+                    beta[..., c] = -target * gb / det
+                elif on_bs:
+                    nu[..., c] = target / gk
+                else:
+                    beta[..., c] = target / hk
 
         slot_peak = np.maximum(np.abs(nu), np.abs(beta)).max(axis=-1)
         degenerate |= np.any(slot_peak == 0, axis=-1)  # identically zero slot

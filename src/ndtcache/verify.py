@@ -419,7 +419,7 @@ def _check_ue(k: int, E: np.ndarray, syms: np.ndarray, checks: list):
     """User k's checks on stacked 8 x 16 matrices E; appends its problems
     to ``checks`` and returns per trial its ranks, its (ZF, alignment)
     residuals and its decode error."""
-    des, intf = DESIRED_COLS[k - 1], INTERFERENCE_COLS[k - 1]
+    des, intf, groups = DESIRED_COLS[k - 1], INTERFERENCE_COLS[k - 1], ALIGNED_COLS[k - 1]
     svd = np.linalg.svd
     d_rank, _ = _rank_gap(svd(E[..., des], compute_uv=False), RANK_REL_TOL)
     u_intf, s_intf, _ = svd(E[..., intf], full_matrices=False)
@@ -429,11 +429,11 @@ def _check_ue(k: int, E: np.ndarray, syms: np.ndarray, checks: list):
     peak = np.abs(E).max(axis=(-2, -1))
     zf_res = np.abs(E[..., ZERO_FORCED_COLS[k - 1]]).max(axis=(-2, -1)) / peak
     align_res = np.zeros(len(E))
-    for cols in ALIGNED_COLS[k - 1]:
+    for cols in groups:
         sv = svd(E[..., cols], compute_uv=False)
         align_res = np.fmax(align_res, sv[:, 1] / sv[:, 0])
 
-    basis = u_intf[..., :3]
+    basis = u_intf[..., :len(groups)]
     A = _project_out(basis, E[..., des])
     b = _project_out(basis, E @ syms[..., None])
     sol = _least_squares(A, b)[..., 0]
@@ -441,8 +441,9 @@ def _check_ue(k: int, E: np.ndarray, syms: np.ndarray, checks: list):
     err = np.abs(sol - truth).max(axis=-1) / np.abs(truth).max(axis=-1)
 
     checks += [
-        ((d_rank != 5) | (i_rank != 3) | (t_rank != 8),
-         lambda i: f"ue{k} ranks ({d_rank[i]},{i_rank[i]},{t_rank[i]}) != (5,3,8)"),
+        ((d_rank != len(des)) | (i_rank != len(groups)) | (t_rank != T_SLOTS),
+         lambda i: f"ue{k} ranks ({d_rank[i]},{i_rank[i]},{t_rank[i]}) != "
+                   f"({len(des)},{len(groups)},{T_SLOTS})"),
         (i_gap < MIN_SV_GAP,
          lambda i: f"ue{k} interference sv gap {i_gap[i]:.3e} < {MIN_SV_GAP:.0e}"),
         (zf_res > ZF_RESIDUAL_MAX, lambda i: f"ue{k} ZF residual {zf_res[i]:.3e}"),
@@ -463,7 +464,8 @@ def _check_rn(rn: np.ndarray, syms: np.ndarray, checks: list):
     truth = syms[:, COLUMN[SymbolId(4, 5)]]
     err = np.abs(_least_squares(cancelled, y)[:, ETA45, 0] - truth) / np.abs(truth)
     checks += [
-        (rn_rank != 4, lambda i: f"rn post-cancellation rank {rn_rank[i]} != 4"),
+        (rn_rank != len(UNCACHED),
+         lambda i: f"rn post-cancellation rank {rn_rank[i]} != {len(UNCACHED)}"),
         (err > DECODE_ERROR_MAX, lambda i: f"rn decode error {err[i]:.3e}"),
     ]
     ranks = np.stack([rn_rank, np.zeros_like(rn_rank), rn_rank], axis=-1)
@@ -603,6 +605,7 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
     receivers = ["ue1", "ue2", "ue3", "rn"]
     totals = np.zeros((len(receivers), len(snrs)))
     others = [n for n in range(len(UNCACHED)) if n != ETA45]
+    n_desired, n_groups = DESIRED_COLS.shape[1], len(ALIGNED_COLS[0])
 
     run = _TrialRun(seed, trials, (T_SLOTS, 1, 3), _solve_m1k3(DEGENERACY_TOL))
     done = 0
@@ -613,13 +616,13 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
             for k in (1, 2, 3):
                 E = effective_channel_matrix(nu, beta, f, g, H[..., 0], f"ue{k}")
                 u = np.linalg.svd(E[..., INTERFERENCE_COLS[k - 1]], full_matrices=False)[0]
-                geff = u[..., 3:].conj().swapaxes(-1, -2) @ E[..., DESIRED_COLS[k - 1]]
+                geff = u[..., n_groups:].conj().swapaxes(-1, -2) @ E[..., DESIRED_COLS[k - 1]]
                 gram = geff @ geff.conj().swapaxes(-1, -2)
-                _, logdet = np.linalg.slogdet(np.eye(5) + np.multiply.outer(powers, gram))
+                _, logdet = np.linalg.slogdet(np.eye(n_desired) + np.multiply.outer(powers, gram))
                 rates[:, k - 1] = logdet.T / math.log(2) / T_SLOTS
             cancelled = rn_cache_cancel(effective_channel_matrix(nu, beta, f, g, H[..., 0], "rn"))
             u = np.linalg.svd(cancelled[..., others])[0]
-            geff = u[..., 3:].conj().swapaxes(-1, -2) @ cancelled[..., ETA45, None]
+            geff = u[..., len(others):].conj().swapaxes(-1, -2) @ cancelled[..., ETA45, None]
             gains = np.real(geff.conj().swapaxes(-1, -2) @ geff)[:, 0, 0]
             rates[:, 3] = np.log2(1.0 + np.multiply.outer(gains, powers)) / T_SLOTS
             # sequential over trials, as np.sum's pairwise order would depend on the block size

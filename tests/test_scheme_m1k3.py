@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from ndtcache.model import ChannelSet
+from ndtcache.model import DEGENERACY_TOL, ChannelSet
 from ndtcache.scheme_m1k3 import (
     ALIGNED_COLS,
     ALIGNMENT_GROUPS,
@@ -57,6 +57,70 @@ def raw_chain(ch):
 def zero_plan():
     zeros = np.zeros((T_SLOTS, len(TRANSMITTED_SYMBOLS)), complex)
     return zeros, zeros
+
+
+def hand_precoders(g, h, tol=DEGENERACY_TOL):
+    """The precoder chain written out by hand, user by user, with its
+    normalization and degeneracy mask: an oracle for solve_precoders."""
+    nxt = lambda k, d: (k + d - 1) % 3 + 1  # k + d wrapped into [1:3]
+    col = lambda i, j: COLUMN[SymbolId(i, j)]
+    gk = {k: g[..., k - 1] for k in (1, 2, 3)}
+    hk = {k: h[..., k - 1] for k in (1, 2, 3)}
+    j13 = gk[2] * hk[3] - gk[3] * hk[2]
+    j23 = gk[3] * hk[1] - gk[1] * hk[3]
+    j33 = gk[1] * hk[2] - gk[2] * hk[1]
+    # determinant of the (alignment at UE a, ZF at UE b) system
+    det = {(1, 2): j33, (2, 3): j13, (3, 1): j23,
+           (2, 1): -j33, (3, 2): -j13, (1, 3): -j23}
+
+    chan_scale = np.max(np.abs(np.concatenate([g, h], axis=-1)), axis=-1)
+    degenerate = np.zeros(g.shape[:-2], dtype=bool)
+    for j in (j13, j23, j33):
+        degenerate |= np.any(np.abs(j) < tol * chan_scale**2, axis=-1)
+    small = tol * chan_scale[..., None]
+    degenerate |= np.any((np.abs(g) < small) | (np.abs(h) < small), axis=(-2, -1))
+
+    nu = np.zeros(g.shape[:-1] + (len(TRANSMITTED_SYMBOLS),), dtype=complex)
+    beta = np.zeros_like(nu)
+    with np.errstate(all="ignore"):
+        nu45 = j13 * j23 * j33 * gk[1] * gk[2] * gk[3] * hk[1] * hk[2] * hk[3]
+        nu[..., col(4, 5)] = nu45
+        for k in (1, 2, 3):
+            beta[..., col(nxt(k, 1), 4)] = nu45 * gk[k] / hk[k]
+        for k in (1, 2, 3):
+            nu[..., col(nxt(k, 1), 5)] = beta[..., col(nxt(k, 2), 4)] * hk[k] / gk[k]
+        for k in (1, 2, 3):
+            i2, b = nxt(k, 2), nxt(k, 1)  # b zero-forces eta_{i2,1} and eta_{i2,2}
+            target2 = beta[..., col(i2, 4)] * hk[k]
+            nu[..., col(i2, 2)] = target2 * hk[b] / det[(k, b)]
+            beta[..., col(i2, 2)] = -target2 * gk[b] / det[(k, b)]
+
+            target3 = nu[..., col(i2, 5)] * gk[k]
+            nu[..., col(i2, 1)] = target3 * hk[b] / det[(k, b)]
+            beta[..., col(i2, 1)] = -target3 * gk[b] / det[(k, b)]
+
+            i3, b3 = nxt(k, 1), nxt(k, 2)  # b3 zero-forces eta_{i3,3}
+            nu[..., col(i3, 3)] = target3 * hk[b3] / det[(k, b3)]
+            beta[..., col(i3, 3)] = -target3 * gk[b3] / det[(k, b3)]
+
+        slot_peak = np.maximum(np.abs(nu), np.abs(beta)).max(axis=-1)
+        degenerate |= np.any(slot_peak == 0, axis=-1)
+        slot_scale = 1.0 / slot_peak
+        nu *= slot_scale[..., None]
+        beta *= slot_scale[..., None]
+        peak = np.maximum(np.abs(nu), np.abs(beta)).max(axis=-2)
+        degenerate |= np.any(peak == 0, axis=-1)
+        scale = 1.0 / peak
+        nu *= scale[..., None, :]
+        beta *= scale[..., None, :]
+        return nu, beta, scale, slot_scale, degenerate
+
+
+def assert_bitwise_equal(got, want):
+    assert len(got) == len(want) == 5
+    for one, other in zip(got, want):
+        assert one.dtype == other.dtype and one.shape == other.shape
+        assert np.array_equal(one, other, equal_nan=True)
 
 
 class TestSymbolLayout:
@@ -149,6 +213,23 @@ class TestAlignmentGraph:
             assert layer_of[SymbolId(i, 4)] == {1, 2}
             assert layer_of[SymbolId(i, 5)] == {2, 3}
 
+    def test_layer_walk_solves_each_symbol_once_after_its_anchor(self):
+        # solve_precoders walks layer 1 for users 1..3, then layer 2, then
+        # layer 3: every anchor is solved before its group, by one
+        # transmitter, and the members are solved there, once each; the
+        # members both transmitters send are exactly the zero-forced ones
+        zero_forced = {s for k in (1, 2, 3) for s in ZERO_FORCED[k]}
+        solved = [SymbolId(4, 5)]
+        for layer in range(3):
+            for k in (1, 2, 3):
+                anchor, *members = ALIGNMENT_GROUPS[k][layer]
+                assert anchor in solved
+                assert (anchor in DENB_SYMBOLS) != (anchor in RN_SYMBOLS)
+                for s in members:
+                    assert (s in DENB_SYMBOLS and s in RN_SYMBOLS) == (s in zero_forced)
+                solved += members
+        assert sorted(solved) == sorted(TRANSMITTED_SYMBOLS)
+
 
 class TestSolvePrecoders:
     def test_fixed_slot_raw_values(self):
@@ -239,6 +320,34 @@ class TestSolvePrecoders:
             message = f"g and h must both have shape (..., 8, 3), got {g_shape} and {h_shape}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 solve_precoders(g, h)
+
+    @pytest.mark.parametrize("tol", [DEGENERACY_TOL, 3e-2])
+    def test_bitwise_equal_to_the_hand_written_chain(self, tol):
+        # 1024 draws on two batch axes; at tol 3e-2 about a fifth of them
+        # are flagged degenerate
+        rng = np.random.default_rng(20)
+        shape = (8, 128, T_SLOTS, 3)
+        g, h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+        want = hand_precoders(g, h, tol)
+        assert want[-1].any() == (tol > DEGENERACY_TOL)
+        assert_bitwise_equal(solve_precoders(g, h, tol), want)
+
+    def test_bitwise_equal_to_the_hand_written_chain_when_degenerate(self):
+        ch = constant_channels([1, 1, 1], [1, 2, 2])
+        want = hand_precoders(ch.g, ch.H[..., 0])
+        assert want[-1]
+        assert_bitwise_equal(solve(ch), want)
+
+    def test_hashes_no_symbol_id(self, monkeypatch):
+        calls = []
+        original = SymbolId.__hash__
+        monkeypatch.setattr(SymbolId, "__hash__", lambda s: calls.append(s) or original(s))
+        rng = np.random.default_rng(21)
+        g, h = (rng.standard_normal((4, 16, T_SLOTS, 3)) + 0j for _ in range(2))
+        solve_precoders(g, h)
+        assert calls == []
+        COLUMN[SymbolId(4, 5)]  # the patched hash does count a lookup
+        assert calls == [SymbolId(4, 5)]
 
 
 class TestEffectiveChannelMatrix:

@@ -365,6 +365,19 @@ class TestReportFields:
         assert min(sub.total_rank for sub in exc_info.value.report.ue_reports) == 7
         assert verify_m1k3(seed=4, trials=1).ue_reports[0].total_rank == 8
 
+    def test_rank_messages_state_the_layout_ranks(self, monkeypatch):
+        import ndtcache.verify as V
+
+        # a cut this coarse fails every user's ranks and the relay's
+        monkeypatch.setattr(V, "RANK_REL_TOL", 0.3)
+        with pytest.raises(VerificationFailure) as exc_info:
+            verify_m1k3(seed=4, trials=1)
+        assert str(exc_info.value) == (
+            "trial 0: ue1 ranks (3,2,4) != (5,3,8); "
+            "ue1 interference sv gap 2.126e+00 < 1e+06; ue2 ranks (2,3,4) != (5,3,8); "
+            "ue3 ranks (4,2,4) != (5,3,8); ue3 interference sv gap 2.643e+00 < 1e+06; "
+            "rn post-cancellation rank 3 != 4")
+
 
 class TestToleranceGuards:
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9, 1.0])
