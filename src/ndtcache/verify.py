@@ -19,7 +19,10 @@ buffer, and one array expression per part turns its (real, imaginary)
 column pairs into the block's complex values. The drawn channels are
 checked finite and nonzero once per block, with ChannelSet's messages;
 no ChannelSet is built per trial. Each user's interference SVD runs once
-and gives both its rank and the projection basis. Only a block's
+and gives its rank, its gap and the projection basis. The rank-only
+decisions (desired, total and relay ranks) are certified full by a
+shifted Cholesky factorization of the Gram matrix, ``_full_rank``; a
+block it cannot certify falls back to the SVD rank count. Only a block's
 degenerate draws are redrawn, with attempt + 1; a trial still degenerate
 after _MAX_REDRAWS redraws ends the run with VerificationFailure, its
 report covering the trials before it. Verifiers hand the runner each
@@ -282,6 +285,55 @@ def _rank_gap(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return rank, gap
 
 
+def _full_rank(A: np.ndarray, tol: float) -> np.ndarray:
+    """The ranks ``_rank_gap(svd(A), tol)[0]`` counts for a stack A (..., m, n),
+    proved full, p = min(m, n), by a shifted Cholesky factorization where it
+    can be, and counted by the SVD where it cannot.
+
+    G is each matrix's p x p Gram matrix (A^H A if m >= n, else A A^H) and
+    t its real trace, so t = ||A||_F^2 = s_0^2 + ... + s_min^2 >= s_0^2.
+    The shift is delta * t with delta = (kappa * max(tol, phi))^2: the
+    margin kappa is 2, and the floor phi^2 = 200 (k + p (p + 1)) eps, k =
+    max(m, n), keeps delta far above the rounding. If every shift is a finite
+    normal float (which leaves out NaN, inf, zero and underflowing stacks)
+    and ``cholesky(G - delta t I)`` succeeds on the whole stack with a finite
+    factor, every matrix gets rank p; otherwise the block runs the SVD. A
+    certified p is the rank the SVD counts, because:
+
+    1. If potrf succeeds on the computed G - delta t I, adding some E with
+       ||E|| <= p (p + 1) eps t makes it R^H R (Higham, Accuracy and
+       Stability of Numerical Algorithms, Thm. 10.3, with room for complex
+       arithmetic), so lambda_min(computed G) >= delta (computed t) - ||E||.
+    2. The computed G is within k eps t of the exact one and the computed
+       t >= (1 - k eps) t; as every shift is normal, underflow adds less.
+       So the exact s_min^2 >= delta (1 - k eps) t - (k + p (p + 1)) eps t
+       >= 0.99 delta t >= 0.99 delta s_0^2, as (k + p (p + 1)) eps =
+       phi^2 / 200 <= delta / 200.
+    3. zgesdd's singular values lie within q eps s_0 of the exact ones,
+       with q a modest multiple of k (backward stability).
+    4. Hence the computed s_min / s_0 >= (0.99^(1/2) kappa tau - q eps) /
+       (1 + q eps) with tau = max(tol, phi), and phi > 3e-7 >> q eps in
+       double precision; for kappa = 2 that is above 1.9 tau >= tol, so
+       _rank_gap keeps every singular value and counts p.
+    """
+    m, n = A.shape[-2:]
+    p, k = min(m, n), max(m, n)
+    finfo = np.finfo(A.dtype)
+    floor = math.sqrt(200 * (k + p * (p + 1)) * finfo.eps)
+    delta = (2 * max(tol, floor)) ** 2  # kappa = 2
+    AH = A.conj().swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite stacks go to the SVD
+        G = AH @ A if m >= n else A @ AH
+        shift = delta * np.trace(G, axis1=-2, axis2=-1).real
+    if np.all((shift >= finfo.tiny) & (shift < np.inf)):
+        try:
+            if np.isfinite(np.linalg.cholesky(G - shift[..., None, None] * np.eye(p))).all():
+                return np.full(A.shape[:-2], p)
+        except np.linalg.LinAlgError:
+            pass  # some matrix is not proved full: the SVD decides
+    return _rank_gap(np.linalg.svd(A, compute_uv=False), tol)[0]
+
+
 def _project_out(basis: np.ndarray, arr: np.ndarray) -> np.ndarray:
     return arr - basis @ (basis.conj().swapaxes(-1, -2) @ arr)
 
@@ -421,10 +473,10 @@ def _check_ue(k: int, E: np.ndarray, syms: np.ndarray, checks: list):
     residuals and its decode error."""
     des, intf, groups = DESIRED_COLS[k - 1], INTERFERENCE_COLS[k - 1], ALIGNED_COLS[k - 1]
     svd = np.linalg.svd
-    d_rank, _ = _rank_gap(svd(E[..., des], compute_uv=False), RANK_REL_TOL)
+    d_rank = _full_rank(E[..., des], RANK_REL_TOL)
     u_intf, s_intf, _ = svd(E[..., intf], full_matrices=False)
     i_rank, i_gap = _rank_gap(s_intf, RANK_REL_TOL)
-    t_rank, _ = _rank_gap(svd(E, compute_uv=False), RANK_REL_TOL)
+    t_rank = _full_rank(E, RANK_REL_TOL)
 
     peak = np.abs(E).max(axis=(-2, -1))
     zf_res = np.abs(E[..., ZERO_FORCED_COLS[k - 1]]).max(axis=(-2, -1)) / peak
@@ -458,7 +510,7 @@ def _check_rn(rn: np.ndarray, syms: np.ndarray, checks: list):
     """The relay's checks on stacked 8 x 13 matrices, returning what
     _check_ue returns (zero residuals)."""
     cancelled = rn_cache_cancel(rn)
-    rn_rank, _ = _rank_gap(np.linalg.svd(cancelled, compute_uv=False), RANK_REL_TOL)
+    rn_rank = _full_rank(cancelled, RANK_REL_TOL)
     heard = syms[:, DENB_COLS]
     y = rn @ heard[..., None] - rn[..., RN_CACHED_POS] @ heard[:, RN_CACHED_POS, None]
     truth = syms[:, COLUMN[SymbolId(4, 5)]]

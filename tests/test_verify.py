@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ndtcache.model import NetworkConfig
 from ndtcache.verify import (
+    RANK_REL_TOL,
     RateEstimate,
     VerificationFailure,
     draw_channels,
@@ -571,3 +572,81 @@ class TestStackedKernels:
         h = np.tile(np.array([1.0, 2.0, 3.0], complex), (2, 8, 1))
         h[1, 3] = [1.0, 2.0, 2.0]  # g2*h3 = g3*h2 in one slot of draw 1
         assert solve_precoders(g, h)[-1].tolist() == [False, True]
+
+
+def _prescribed(rng, shape, s):
+    """U diag(s) V^H of shape (m, n), U and V with random orthonormal columns."""
+    unitary = lambda d: np.linalg.qr(rng.standard_normal((d, d))
+                                     + 1j * rng.standard_normal((d, d)))[0]
+    m, n = shape
+    return (unitary(m)[:, :len(s)] * s) @ unitary(n)[:, :len(s)].conj().T
+
+
+class TestFullRankCertificate:
+    """verify._full_rank against the SVD's rank count, rank_with_gap."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from([(8, n) for n in (2, 3, 4, 5, 8, 16)] + [(1, 5), (8, 1)]),
+           tol=st.sampled_from([RANK_REL_TOL, 1e-6, 1e-5, 1e-3, 0.3, 0.999]),
+           kind=st.sampled_from(["near", "deficient", "zero"]),
+           exponent=st.floats(-2, 2), scale=st.sampled_from([1.0, 1e-160, 1e160]),
+           batch=st.integers(1, 4))
+    # an exact rank deficiency at the default cut, and one whose Gram matrix underflows
+    @example(0, (8, 5), RANK_REL_TOL, "deficient", 0.0, 1.0, 1)
+    @example(25, (8, 5), RANK_REL_TOL, "deficient", 0.0, 1e-160, 1)
+    def test_ranks_equal_the_svd_count(self, seed, shape, tol, kind, exponent, scale, batch):
+        from ndtcache.verify import _full_rank
+
+        rng = np.random.default_rng(seed)
+        p = min(shape)
+        # one probe matrix: s_min at tol * 10**exponent, exactly 0, or the zero
+        # matrix; the rest of the stack is Gaussian, all scaled by ``scale``
+        s_min = {"near": min(tol * 10.0 ** exponent, 1.0), "deficient": 0.0, "zero": 0.0}[kind]
+        middle = (s_min or 1e-3) ** rng.uniform(0, 1, max(p - 2, 0))
+        s = np.concatenate([[1.0], middle, [s_min]])[:p]
+        if kind == "zero":
+            s[:] = 0.0
+        A = rng.standard_normal((batch, *shape)) + 1j * rng.standard_normal((batch, *shape))
+        A[rng.integers(batch)] = _prescribed(rng, shape, s)
+        A *= scale
+        assert np.isfinite(A).all()
+        np.testing.assert_array_equal(_full_rank(A, tol), rank_with_gap(A, tol)[0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan),
+                                     complex(math.inf, 1)])
+    @pytest.mark.parametrize("shape", [(8, 5), (8, 16), (8, 4)], ids=["8x5", "8x16", "8x4"])
+    def test_non_finite_stacks_behave_as_the_svd(self, bad, shape):
+        from ndtcache.verify import _full_rank
+
+        def outcome(call):
+            try:
+                return call().tolist()
+            except Exception as error:
+                return type(error), str(error)
+
+        rng = np.random.default_rng(2)
+        A = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
+        A[1, 2, 1] = bad
+        assert (outcome(lambda: _full_rank(A, RANK_REL_TOL))
+                == outcome(lambda: rank_with_gap(A, RANK_REL_TOL)[0]))
+
+    @pytest.mark.parametrize("tol, svds", [(None, 12), (0.3, 19)])
+    def test_svds_run_only_where_a_rank_is_in_doubt(self, monkeypatch, tol, svds):
+        import ndtcache.verify as V
+
+        # a clean block proves its desired, total and relay ranks full, so it
+        # runs per user the interference SVD and the three alignment groups'
+        # (pinv's own SVD is not np.linalg.svd); a cut of 0.3 proves none
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+        if tol is None:
+            report = verify_m1k3(seed=0, trials=64)
+            assert (report.trials, report.failures, report.redraws) == (64, 0, 0)
+        else:
+            monkeypatch.setattr(V, "RANK_REL_TOL", tol)
+            with pytest.raises(VerificationFailure):
+                verify_m1k3(seed=0, trials=64)
+        assert len(calls) == svds
