@@ -20,7 +20,7 @@ from .bounds import (
     optimal_ndt_curve,
 )
 from .corner import miso_zf_plan, unicast_schedule
-from .model import ChannelSet, NetworkConfig, Rational, as_rational
+from .model import ChannelSet, NetworkConfig, as_rational
 from .scheme_m1k3 import (
     SymbolId,
     effective_channel_matrix,
@@ -47,7 +47,6 @@ __all__ = [
     "NdtCurve",
     "NetworkConfig",
     "RateEstimate",
-    "Rational",
     "SubspaceReport",
     "SymbolId",
     "UncharacterizedConfigError",

@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 
-from .model import NetworkConfig, Rational, as_count, as_rational
+from .model import NetworkConfig, as_count, as_rational
 
 # The pairs whose optimal tradeoff the paper characterizes (M + K <= 4);
 # optimal_ndt_curve checks on each that the converse meets the catalog.
@@ -45,8 +45,8 @@ class AchievablePoint:
     """A cataloged achievable (mu, ndt) pair. A label ending in "-catalog"
     marks a point cataloged by value only, whose scheme is not implemented."""
 
-    mu: Rational
-    ndt: Rational
+    mu: Fraction
+    ndt: Fraction
     scheme_label: str
 
 
@@ -59,7 +59,7 @@ class NdtCurve:
     non-increasing and everywhere >= 1.
     """
 
-    breakpoints: tuple[tuple[Rational, Rational], ...]
+    breakpoints: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
         bps = tuple((as_rational(x), as_rational(y)) for x, y in self.breakpoints)
@@ -80,11 +80,11 @@ class NdtCurve:
         if any(dy0 * dx1 > dy1 * dx0 for (dx0, dy0), (dx1, dy1) in zip(steps, steps[1:])):
             raise ValueError("curve must be convex (slopes non-decreasing)")
 
-    def evaluate(self, mu: Rational) -> Rational:
+    def evaluate(self, mu: Fraction) -> Fraction:
         """Exact value at mu via linear interpolation between breakpoints."""
         return self.values([mu])[0]
 
-    def values(self, mus: Iterable[Rational]) -> list[Rational]:
+    def values(self, mus: Iterable[Fraction]) -> list[Fraction]:
         """Exact values at non-decreasing mus: the Fraction view of _walk.
         A mu that is not a Fraction goes through as_rational, so a binary
         float is a TypeError, as it is for NetworkConfig."""
@@ -119,7 +119,7 @@ class NdtCurve:
         return out
 
 
-def _scaled(points: Iterable[tuple[Rational, Rational]]) -> tuple[list[tuple[int, int]], int]:
+def _scaled(points: Iterable[tuple[Fraction, Fraction]]) -> tuple[list[tuple[int, int]], int]:
     """Exact (x, y) points as integer pairs over their common denominator
     d, and d."""
     points = list(points)
@@ -151,7 +151,7 @@ def _components(M: int, K: int) -> Iterator[tuple[int, int, int]]:
             yield s, 2 * (K + ell), -(sbar * (2 * (K - s) + sbar - 1) + ell * (ell + 1))
 
 
-def lower_bound(cfg: NetworkConfig) -> Rational:
+def lower_bound(cfg: NetworkConfig) -> Fraction:
     """Converse: max of 1 and every bound component at cfg.mu, one
     Fraction each. It builds no hull and no curve, so it stays the oracle,
     independent of how lower_bound_curve is built, that the tests and the
@@ -160,7 +160,7 @@ def lower_bound(cfg: NetworkConfig) -> Rational:
                                       for s, a, b in _components(cfg.M, cfg.K))))
 
 
-def _lower_hull(points: Iterable[tuple[Rational, Rational]]) -> tuple[list[tuple[int, int]], int]:
+def _lower_hull(points: Iterable[tuple[Fraction, Fraction]]) -> tuple[list[tuple[int, int]], int]:
     """Vertices of the lower convex hull of exact (x, y) points, by
     increasing x (Andrew's monotone chain), as integer pairs over the
     points' common denominator d, and d. Only the lowest y at each x
@@ -179,7 +179,7 @@ def _lower_hull(points: Iterable[tuple[Rational, Rational]]) -> tuple[list[tuple
     return hull, d
 
 
-def _upper_envelope(lines: Iterable[tuple[Rational, Rational]], d: int = 1) -> NdtCurve:
+def _upper_envelope(lines: Iterable[tuple[Fraction, Fraction]], d: int = 1) -> NdtCurve:
     """Exact pointwise max of the affine lines (a + b*mu)/d over mu in
     [0, 1], reduced to its vertices.
 
@@ -279,7 +279,7 @@ def optimal_ndt_curve(M: int, K: int) -> NdtCurve:
     return bound
 
 
-def optimal_ndt(cfg: NetworkConfig) -> Rational:
+def optimal_ndt(cfg: NetworkConfig) -> Fraction:
     """Optimal NDT at cfg.mu: lower_bound(cfg), under optimal_ndt_curve's certificate."""
     optimal_ndt_curve(cfg.M, cfg.K)
     return lower_bound(cfg)

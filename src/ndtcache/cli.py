@@ -20,6 +20,7 @@ import math
 import re
 import sys
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -34,7 +35,7 @@ from .bounds import (
     optimal_ndt,
     optimal_ndt_curve,
 )
-from .model import DEGENERACY_TOL, NetworkConfig, Rational, as_rational
+from .model import DEGENERACY_TOL, NetworkConfig, as_rational
 from .verify import VerificationFailure, VerificationReport, finite_snr_rates, verify_corner, verify_m1k3
 
 EXIT_OK = 0
@@ -56,7 +57,7 @@ class RunConfig:
     command: str
     m: int = 1
     k: int = 1
-    mu: Rational | None = None
+    mu: Fraction | None = None
     grid: int = 60
     seed: int = 0
     trials: int = 100
@@ -87,7 +88,7 @@ class RunConfig:
         if self.output_format not in ("csv", "json"):
             raise UsageError(f"unknown output format {self.output_format!r}")
 
-    def network(self, mu: Rational) -> NetworkConfig:
+    def network(self, mu: Fraction) -> NetworkConfig:
         # The worst-case NDT needs only N >= M + K files, so N = M + K.
         return NetworkConfig(M=self.m, K=self.k, N=self.m + self.k, mu=mu)
 

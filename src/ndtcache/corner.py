@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import DEGENERACY_TOL, NetworkConfig, Rational, check_tol
+from .model import DEGENERACY_TOL, NetworkConfig, check_tol
 
 
 def unicast_schedule(cfg: NetworkConfig) -> tuple[str, ...]:
@@ -38,7 +38,7 @@ def user_groups(M: int, K: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(range(u, min(u + M + 1, K + 1))) for u in range(1, K + 1, M + 1))
 
 
-def miso_ndt_and_dof(groups: tuple[tuple[int, ...], ...]) -> tuple[Rational, int]:
+def miso_ndt_and_dof(groups: tuple[tuple[int, ...], ...]) -> tuple[Fraction, int]:
     """NDT and sum DoF of zero-forcing over ``groups`` (user_groups'
     output). The largest group, min(M + 1, K) users, is served at once: the
     sum DoF is its size and the NDT is K over it, which is max{K/(M+1), 1}."""

@@ -15,13 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-# Exact rational scalar used for cache sizes, breakpoints and NDT values.
-# fractions.Fraction already guarantees lowest terms, a positive
-# denominator and exact +,-,*,/ and comparisons.
-Rational = Fraction
 
-
-def as_rational(value: int | str | Rational) -> Rational:
+def as_rational(value: int | str | Fraction) -> Fraction:
     """Convert ``value`` to an exact rational.
 
     Accepts integers, Fractions and strings ("4/5", "0.8"). Decimal
@@ -40,7 +35,7 @@ def as_rational(value: int | str | Rational) -> Rational:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def _parse_rational(text: str) -> Rational:
+def _parse_rational(text: str) -> Fraction:
     # Fraction builds 10 ** exponent before anything can check the value,
     # and str() of a result with more digits than the int-to-str limit
     # fails; refuse both, the exponent before any big integer is built.
@@ -83,7 +78,7 @@ class NetworkConfig:
     M: int
     K: int
     N: int
-    mu: Rational
+    mu: Fraction
 
     def __post_init__(self) -> None:
         for name in ("M", "K", "N"):

@@ -14,7 +14,9 @@ each user
 
 leaving 5 clean dimensions for the 5 desired symbols inside T = 8 slots.
 This module states that fixed layout once, as module tables with their
-integer column forms, and solves the per-slot precoders.
+integer column forms, solves the per-slot precoders, and
+``effective_channel_matrix(nu, beta, f, g, h)`` returns the four receive
+matrices (ue1, ue2, ue3, rn).
 """
 from __future__ import annotations
 
@@ -196,22 +198,18 @@ def solve_precoders(g: np.ndarray, h: np.ndarray, tol: float = DEGENERACY_TOL):
         return nu, beta, scale, slot_scale, degenerate
 
 
-def effective_channel_matrix(nu, beta, f, g, h, receiver: str) -> np.ndarray:
-    """Effective receive matrix over the T = 8 slots, with any leading
-    batch axes: nu and beta as solve_precoders returns them, f
-    (..., T_SLOTS, 1), g and h (..., T_SLOTS, 3).
+def effective_channel_matrix(nu, beta, f, g, h):
+    """Effective receive matrices (ue1, ue2, ue3, rn) over the T = 8 slots,
+    with any leading batch axes: nu and beta as solve_precoders returns
+    them, f (..., T_SLOTS, 1), g and h (..., T_SLOTS, 3).
 
-    For receiver "ue1".."ue3": an 8 x 16 matrix whose column for symbol x
-    is g_k[t] nu_x[t] + h_k[t] beta_x[t], columns in TRANSMITTED_SYMBOLS
-    order. For "rn": the 8 x 13 matrix f_1[t] nu_x[t] over DENB_SYMBOLS
-    (the relay hears only the base station).
+    User k's is 8 x 16, its column for symbol x g_k[t] nu_x[t] +
+    h_k[t] beta_x[t], columns in TRANSMITTED_SYMBOLS order. The relay's is
+    the 8 x 13 matrix f_1[t] nu_x[t] over DENB_SYMBOLS (the relay hears
+    only the base station).
     """
-    if receiver == "rn":
-        return f * nu[..., DENB_COLS]
-    if receiver in ("ue1", "ue2", "ue3"):
-        k = int(receiver[2])
-        return g[..., k - 1 : k] * nu + h[..., k - 1 : k] * beta
-    raise ValueError(f"receiver must be 'ue1'..'ue3' or 'rn', got {receiver!r}")
+    users = tuple(g[..., k : k + 1] * nu + h[..., k : k + 1] * beta for k in range(3))
+    return (*users, f * nu[..., DENB_COLS])
 
 
 def rn_cache_cancel(matrix: np.ndarray) -> np.ndarray:

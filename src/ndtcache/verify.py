@@ -17,15 +17,15 @@ arrays whatever the trial count. A block's draws come from one drawer,
 generator set to each state in turn fills its key's row of a float
 buffer, and one array expression per part turns its (real, imaginary)
 column pairs into the block's complex values. The drawn channels are
-checked finite and nonzero once per block, with ChannelSet's messages;
-no ChannelSet is built per trial. Each user's interference SVD runs once
-and gives its rank, its gap and the projection basis. The rank-only
-decisions (desired, total and relay ranks) are certified full by a
-shifted Cholesky factorization of the Gram matrix, ``_full_rank``; a
-block it cannot certify falls back to the SVD rank count. Only a block's
-degenerate draws are redrawn, with attempt + 1; a trial still degenerate
-after _MAX_REDRAWS redraws ends the run with VerificationFailure, its
-report covering the trials before it. Verifiers hand the runner each
+checked finite and nonzero once per block, with ChannelSet's messages.
+Each user's interference SVD runs once and gives its rank, its gap and
+the projection basis. The rank-only decisions (desired, total and relay
+ranks) are certified full by a shifted Cholesky factorization of the
+Gram matrix, ``_full_rank``; a block it cannot certify falls back to
+``rank_with_gap``. Only a block's degenerate draws are redrawn, with
+attempt + 1; a trial still degenerate after _MAX_REDRAWS redraws ends
+the run with VerificationFailure, its report covering the trials before
+it. Verifiers hand the runner each
 block's checks and per-receiver diagnostics; the runner alone folds them
 into the report.
 """
@@ -39,8 +39,8 @@ from fractions import Fraction
 import numpy as np
 
 from .corner import miso_ndt_and_dof, miso_zf_plan, unicast_schedule, user_groups, user_rows
-from .model import (DEGENERACY_TOL, ChannelSet, NetworkConfig, Rational, as_count,
-                    check_coefficients, check_tol)
+from .model import (DEGENERACY_TOL, ChannelSet, NetworkConfig, as_count, check_coefficients,
+                    check_tol)
 from .scheme_m1k3 import (
     ALIGNED_COLS,
     COLUMN,
@@ -113,10 +113,10 @@ class VerificationReport:
     ue_reports: tuple[SubspaceReport, ...]
     rn_reports: tuple[SubspaceReport, ...]
     decode_max_error: float
-    ndt: Rational
-    per_ue_dof: Rational
-    rn_dof: Rational
-    sum_dof: Rational
+    ndt: Fraction
+    per_ue_dof: Fraction
+    rn_dof: Fraction
+    sum_dof: Fraction
     trials: int
     failures: int
     redraws: int
@@ -286,9 +286,9 @@ def _rank_gap(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _full_rank(A: np.ndarray, tol: float) -> np.ndarray:
-    """The ranks ``_rank_gap(svd(A), tol)[0]`` counts for a stack A (..., m, n),
+    """The ranks ``rank_with_gap(A, tol)[0]`` counts for a stack A (..., m, n),
     proved full, p = min(m, n), by a shifted Cholesky factorization where it
-    can be, and counted by the SVD where it cannot.
+    can be, and counted by rank_with_gap where it cannot.
 
     G is each matrix's p x p Gram matrix (A^H A if m >= n, else A A^H) and
     t its real trace, so t = ||A||_F^2 = s_0^2 + ... + s_min^2 >= s_0^2.
@@ -331,7 +331,7 @@ def _full_rank(A: np.ndarray, tol: float) -> np.ndarray:
                 return np.full(A.shape[:-2], p)
         except np.linalg.LinAlgError:
             pass  # some matrix is not proved full: the SVD decides
-    return _rank_gap(np.linalg.svd(A, compute_uv=False), tol)[0]
+    return rank_with_gap(A, tol)[0]
 
 
 def _project_out(basis: np.ndarray, arr: np.ndarray) -> np.ndarray:
@@ -539,12 +539,10 @@ def verify_m1k3(seed, trials: int, tol: float = DEGENERACY_TOL) -> VerificationR
     run = _TrialRun(seed, trials, (T_SLOTS, 1, 3), _solve_m1k3(tol), (len(TRANSMITTED_SYMBOLS),),
                     ("ue1", "ue2", "ue3", "rn1"))
     for start, (f, g, H), (nu, beta), (syms,) in run.blocks():
-        receive = lambda r: effective_channel_matrix(nu, beta, f, g, H[..., 0], r)
+        *users, rn = effective_channel_matrix(nu, beta, f, g, H[..., 0])
         checks: list = []
-        ranks, res, errs = zip(
-            *[_check_ue(k, receive(f"ue{k}"), syms, checks) for k in (1, 2, 3)],
-            _check_rn(receive("rn"), syms, checks),
-        )
+        ranks, res, errs = zip(*[_check_ue(k, E, syms, checks) for k, E in enumerate(users, 1)],
+                               _check_rn(rn, syms, checks))
         run.fold(start, errs, checks, residuals=res, ranks=ranks)
     return run.report(
         # each user decodes its desired columns, the relay eta_{4,5} alone,
@@ -585,14 +583,13 @@ def _verify_miso(seed, trials: int, cfg: NetworkConfig, tol: float):
 
     run = _TrialRun(seed, trials, (len(groups), cfg.M, cfg.K), solve, tuple(map(len, groups)),
                     tuple(f"ue{k}" for k in range(1, cfg.K + 1)), ranks=(1, 0, 1))
-    for start, (_, g, H), solution, symbols in run.blocks():
-        cross = solution[-1]
+    for start, (_, g, H), (*beamformers, cross), symbols in run.blocks():
         nulling = np.fmax.reduce(cross, axis=-1)
         checks: list = [
             (nulling > ZF_RESIDUAL_MAX, lambda i: f"nulling residual {nulling[i]:.3e}")
         ]
         errors = []
-        for t, (group, W, s) in enumerate(zip(groups, solution, symbols)):
+        for t, (group, W, s) in enumerate(zip(groups, beamformers, symbols)):
             rows = user_rows(g[:, t], H[:, t], group)
             direct = np.diagonal(rows @ W, axis1=-2, axis2=-1)
             err = (np.abs((rows @ (W @ s[..., None]))[..., 0] / direct - s).max(axis=-1)
@@ -665,14 +662,14 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
     with np.errstate(over="ignore", invalid="ignore"):
         for _, (f, g, H), (nu, beta), _ in run.blocks():
             rates = np.empty((len(nu), len(receivers), len(snrs)))
-            for k in (1, 2, 3):
-                E = effective_channel_matrix(nu, beta, f, g, H[..., 0], f"ue{k}")
-                u = np.linalg.svd(E[..., INTERFERENCE_COLS[k - 1]], full_matrices=False)[0]
-                geff = u[..., n_groups:].conj().swapaxes(-1, -2) @ E[..., DESIRED_COLS[k - 1]]
+            *users, rn = effective_channel_matrix(nu, beta, f, g, H[..., 0])
+            for k, E in enumerate(users):
+                u = np.linalg.svd(E[..., INTERFERENCE_COLS[k]], full_matrices=False)[0]
+                geff = u[..., n_groups:].conj().swapaxes(-1, -2) @ E[..., DESIRED_COLS[k]]
                 gram = geff @ geff.conj().swapaxes(-1, -2)
                 _, logdet = np.linalg.slogdet(np.eye(n_desired) + np.multiply.outer(powers, gram))
-                rates[:, k - 1] = logdet.T / math.log(2) / T_SLOTS
-            cancelled = rn_cache_cancel(effective_channel_matrix(nu, beta, f, g, H[..., 0], "rn"))
+                rates[:, k] = logdet.T / math.log(2) / T_SLOTS
+            cancelled = rn_cache_cancel(rn)
             u = np.linalg.svd(cancelled[..., others])[0]
             geff = u[..., len(others):].conj().swapaxes(-1, -2) @ cancelled[..., ETA45, None]
             gains = np.real(geff.conj().swapaxes(-1, -2) @ geff)[:, 0, 0]

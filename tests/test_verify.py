@@ -522,16 +522,16 @@ class TestStackedKernels:
         f, g, H = (np.stack([getattr(ch, a) for ch in chans]) for a in ("f", "g", "H"))
         stacked = solve_precoders(g, H[..., 0])
         assert not stacked[-1].any()
-        nu, beta = stacked[:2]
-        receive = lambda r: effective_channel_matrix(nu, beta, f, g, H[..., 0], r)
+        received = effective_channel_matrix(*stacked[:2], f, g, H[..., 0])
+        assert [E.shape[1:] for E in received] == [(T_SLOTS, 16)] * 3 + [(T_SLOTS, 13)]
         for i, ch in enumerate(chans):
             one = solve_precoders(ch.g, ch.H[..., 0])
             for single, batch in zip(one, stacked):
                 assert single.shape == batch.shape[1:]
                 np.testing.assert_array_equal(single, batch[i])
-            for r in ("ue1", "ue2", "ue3", "rn"):
-                np.testing.assert_array_equal(
-                    effective_channel_matrix(*one[:2], ch.f, ch.g, ch.H[..., 0], r), receive(r)[i])
+            singles = effective_channel_matrix(*one[:2], ch.f, ch.g, ch.H[..., 0])
+            for single, batch in zip(singles, received, strict=True):
+                np.testing.assert_array_equal(single, batch[i])
 
     def test_miso_kernel_matches_wrapper_bitwise(self):
         # one call on a stack of draws gives the bits of one call per draw
@@ -637,11 +637,14 @@ class TestFullRankCertificate:
 
         # a clean block proves its desired, total and relay ranks full, so it
         # runs per user the interference SVD and the three alignment groups'
-        # (pinv's own SVD is not np.linalg.svd); a cut of 0.3 proves none
-        calls = []
-        svd = np.linalg.svd
+        # (pinv's own SVD is not np.linalg.svd); a cut of 0.3 proves none, so
+        # rank_with_gap counts the desired and total ranks per user and the relay's
+        calls, fallbacks = [], []
+        svd, rank_with_gap = np.linalg.svd, V.rank_with_gap
         monkeypatch.setattr(np.linalg, "svd",
                             lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+        monkeypatch.setattr(V, "rank_with_gap",
+                            lambda *args: fallbacks.append(1) or rank_with_gap(*args))
         if tol is None:
             report = verify_m1k3(seed=0, trials=64)
             assert (report.trials, report.failures, report.redraws) == (64, 0, 0)
@@ -650,3 +653,4 @@ class TestFullRankCertificate:
             with pytest.raises(VerificationFailure):
                 verify_m1k3(seed=0, trials=64)
         assert len(calls) == svds
+        assert len(fallbacks) == (0 if tol is None else 7)
