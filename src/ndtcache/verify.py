@@ -7,12 +7,17 @@ DoF/NDT. verify_m1k3, both branches of verify_corner (unicasting at
 mu = 0, MISO zero-forcing at mu = 1) and finite_snr_rates share one trial
 runner, ``_TrialRun``. Trial t at attempt a draws its channels, then its
 symbols, from one generator in the state ``default_rng((seed, t, a))``
-would have; the run checks its seed once. Trials run in blocks of
-BLOCK_TRIALS, stacked on a leading axis and checked by stacked
-np.linalg calls (decoding included, by pinv) and array ops, which give
-the same bits as one call per matrix; rate totals add up in trial order.
-So results do not depend on the block size, and memory is one block's
-arrays whatever the trial count. A block's draws come from one drawer,
+would have; the run checks its seed once. Trials run in blocks,
+stacked on a leading axis and checked by stacked np.linalg calls
+(decoding included, by pinv) and array ops, which give the same bits as
+one call per matrix; rate totals add up in trial order. So results do not
+depend on the block size. A block holds as many trials as fit in
+BLOCK_BYTES (at least one, at most the run), each verifier counting a
+trial's bytes from its own shapes: the drawn values and their float
+buffer, the solution arrays and, for verify_m1k3 and finite_snr_rates,
+the four receive matrices. So memory is about one block's arrays
+whatever the trial count, and a trial too large for the budget runs
+alone. A block's draws come from one drawer,
 ``_draw_cn``: one array pass computes every key's PCG64 state, one
 generator set to each state in turn fills its key's row of a float
 buffer, and one array expression per part turns its (real, imaginary)
@@ -70,7 +75,12 @@ DECODE_ERROR_MAX = 1e-6
 MIN_SV_GAP = 1e6
 RANK_REL_TOL = 1e-12
 _MAX_REDRAWS = 8
-BLOCK_TRIALS = 64  # memory is one block's arrays; larger blocks were not faster
+# Bytes a block's arrays may hold: a 64-trial verify_m1k3 block, 14,208
+# bytes a trial (see _M1K3_HELD). Fewer, larger blocks pay the per-block
+# costs (seeding, checks, stacked calls) less often.
+BLOCK_BYTES = 64 * 14_208
+# A drawn complex value and its (real, imaginary) pair in the float buffer.
+_DRAWN_BYTES = 2 * np.dtype(complex).itemsize
 
 # Signs that turn "lowest desired rank, highest interference rank, lowest
 # total rank" into one elementwise minimum.
@@ -365,16 +375,20 @@ class _TrialRun:
     after its channels.
     ``receivers`` names the report's receivers in order; ``ranks``, if
     given, are the (desired, interference, total) ranks all of them report
-    instead of folded ones."""
+    instead of folded ones. ``held`` is the bytes a trial's solution and
+    receive matrices hold; with its draws they make ``trial_bytes``, which
+    sizes the blocks against BLOCK_BYTES."""
 
     def __init__(self, seed, trials: int, shape: tuple[int, int, int], solve,
                  sym_sizes: tuple[int, ...] = (), receivers: tuple[str, ...] = (),
-                 ranks: tuple[int, int, int] | None = None):
+                 ranks: tuple[int, int, int] | None = None, held: int = 0):
         trials = as_count("trials", trials)
         if trials < 1:
             raise ValueError(f"trials must be positive, got {trials}")
         self.prefix, self.n, self.shape, self.solve, self.sym_sizes = (
             _key(seed), trials, shape, solve, sym_sizes)
+        T, M, K = shape
+        self.trial_bytes = _DRAWN_BYTES * (T * M + T * K + T * K * M + sum(sym_sizes)) + held
         self.trials = self.failures = self.redraws = 0
         self.first_failure: str | None = None
         self.receivers = receivers
@@ -396,8 +410,9 @@ class _TrialRun:
     def blocks(self):
         """Yield (first trial, (f, g, H), solution, symbol groups) per solved
         block; redraw exhaustion yields the trials before and stops."""
-        for start in range(0, self.n, BLOCK_TRIALS):
-            n = min(BLOCK_TRIALS, self.n - start)
+        size = max(1, min(self.n, BLOCK_BYTES // self.trial_bytes))
+        for start in range(0, self.n, size):
+            n = min(size, self.n - start)
             attempts = np.zeros(n, dtype=int)
             drawn = self._draw(range(start, start + n), attempts)
             solution, degenerate = self.solve(*drawn[:3])
@@ -458,6 +473,12 @@ class _TrialRun:
         if self.failures:
             raise VerificationFailure(self.first_failure, report)
         return report
+
+
+# Per trial: nu and beta (8 x 16 each), the users' 8 x 16 receive matrices
+# and the relay's 8 x 13, all complex.
+_M1K3_HELD = (np.dtype(complex).itemsize * T_SLOTS
+              * (5 * len(TRANSMITTED_SYMBOLS) + len(DENB_COLS)))
 
 
 def _solve_m1k3(tol: float):
@@ -537,7 +558,7 @@ def verify_m1k3(seed, trials: int, tol: float = DEGENERACY_TOL) -> VerificationR
     (report attached) if any trial fails.
     """
     run = _TrialRun(seed, trials, (T_SLOTS, 1, 3), _solve_m1k3(tol), (len(TRANSMITTED_SYMBOLS),),
-                    ("ue1", "ue2", "ue3", "rn1"))
+                    ("ue1", "ue2", "ue3", "rn1"), held=_M1K3_HELD)
     for start, (f, g, H), (nu, beta), (syms,) in run.blocks():
         *users, rn = effective_channel_matrix(nu, beta, f, g, H[..., 0])
         checks: list = []
@@ -581,8 +602,11 @@ def _verify_miso(seed, trials: int, cfg: NetworkConfig, tol: float):
         beamformers, cross, degenerate = miso_zf_plan(g, H, tol)
         return (*beamformers, cross), degenerate
 
+    # the complex (M + 1) x |group| beamformers and the K real cross gains
+    held = (np.dtype(complex).itemsize * (cfg.M + 1) * cfg.K
+            + np.dtype(float).itemsize * cfg.K)
     run = _TrialRun(seed, trials, (len(groups), cfg.M, cfg.K), solve, tuple(map(len, groups)),
-                    tuple(f"ue{k}" for k in range(1, cfg.K + 1)), ranks=(1, 0, 1))
+                    tuple(f"ue{k}" for k in range(1, cfg.K + 1)), ranks=(1, 0, 1), held=held)
     for start, (_, g, H), (*beamformers, cross), symbols in run.blocks():
         nulling = np.fmax.reduce(cross, axis=-1)
         checks: list = [
@@ -656,7 +680,7 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
     others = [n for n in range(len(UNCACHED)) if n != ETA45]
     n_desired, n_groups = DESIRED_COLS.shape[1], len(ALIGNED_COLS[0])
 
-    run = _TrialRun(seed, trials, (T_SLOTS, 1, 3), _solve_m1k3(DEGENERACY_TOL))
+    run = _TrialRun(seed, trials, (T_SLOTS, 1, 3), _solve_m1k3(DEGENERACY_TOL), held=_M1K3_HELD)
     done = 0
     # a power near the float limit overflows the rates: rejected below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):

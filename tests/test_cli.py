@@ -29,6 +29,7 @@ from ndtcache.cli import (
 )
 from ndtcache.bounds import achievable_catalog, lower_bound, memory_sharing_envelope
 from ndtcache.model import NetworkConfig
+from ndtcache import verify
 from ndtcache.verify import SubspaceReport, VerificationReport, finite_snr_rates, verify_m1k3
 from test_bounds import scan_evaluate
 
@@ -428,7 +429,8 @@ class TestInputHardening:
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--m", "3000", "--k", "4000"],  # millions of bound components
-        ["verify-corner", "--m", "100", "--k", "100", "--mu", "0", "--trials", "64"],  # 2 GB block
+        # one trial's draw is about 1 GB: its float buffer and its complex values
+        ["verify-corner", "--m", "250", "--k", "250", "--mu", "0", "--trials", "64"],
     ])
     def test_out_of_memory_is_one_json_line(self, argv):
         proc = subprocess.run([sys.executable, "-m", "ndtcache", *argv], capture_output=True,
@@ -436,6 +438,16 @@ class TestInputHardening:
         assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
         assert proc.stderr == json.dumps({
             "error": "out-of-memory", "detail": f"{argv[0]} ran out of memory"}) + "\n"
+
+    def test_large_corner_run_fits_under_the_cap(self, capsys, monkeypatch):
+        # a (60, 60) unicast trial draws 14.3 MB: blocks are sized by bytes, not 64 trials
+        argv = ["verify-corner", "--m", "60", "--k", "60", "--mu", "0", "--trials", "64"]
+        proc = subprocess.run([sys.executable, "-m", "ndtcache", *argv], capture_output=True,
+                              text=True, timeout=60, preexec_fn=cap_address_space)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert json.loads(proc.stdout)["data"][0]["failures"] == 0
+        monkeypatch.setattr(verify, "BLOCK_BYTES", 1)  # one trial a block
+        assert run_cli(capsys, *argv) == (EXIT_OK, proc.stdout, "")
 
     def test_grid_limit_is_one_constant(self):
         # the limit itself is accepted; one more is a usage error (TestTradeoff)

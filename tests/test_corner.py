@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndtcache.bounds import lower_bound
-from ndtcache.corner import miso_ndt_and_dof, miso_zf_plan, unicast_schedule, user_groups
+from ndtcache.corner import (miso_ndt_and_dof, miso_zf_plan, unicast_schedule, user_groups,
+                             user_rows)
 from ndtcache.model import NetworkConfig
 from ndtcache.verify import draw_channels, verify_corner
+from test_verify import _prescribed
 
 
 def cfg(M, K, mu):
@@ -125,3 +129,85 @@ class TestMisoZfPlan:
         H = np.array([[[2.0 + 0j], [2.0 + 0j]]])
         degenerate = miso_zf_plan(g, H)[-1]
         assert degenerate.shape == () and degenerate
+
+
+def miso_draws(seed, M, K, batch, ratio=None, offset=0):
+    """A batch of Gaussian (g, H) for the groups of (M, K). With ``ratio``,
+    one group's rows in one draw are U diag(s) V^H with s_max = 1 and
+    s_min = ratio * (1 + offset)."""
+    rng = np.random.default_rng(seed)
+    groups = user_groups(M, K)
+    cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g, H = cn(batch, len(groups), K), cn(batch, len(groups), K, M)
+    if ratio is not None:
+        t = int(rng.integers(len(groups)))
+        rows = [k - 1 for k in groups[t]]
+        s_min = ratio * (1 + offset)
+        s = np.concatenate([[1.0], s_min ** rng.uniform(0, 1, max(len(rows) - 2, 0)), [s_min]])
+        C = _prescribed(rng, (len(rows), M + 1), s[:len(rows)])
+        b = int(rng.integers(batch))
+        g[b, t, rows], H[b, t, rows] = C[:, 0], C[:, 1:]
+    return g, H
+
+
+def values_only_mask(g, H, tol):
+    """The degenerate mask of a values-only SVD per group, a second SVD
+    beside pinv's, which miso_zf_plan's one SVD must reproduce."""
+    mask = np.zeros(g.shape[:-2], dtype=bool)
+    for t, group in enumerate(user_groups(H.shape[-1], g.shape[-1])):
+        sv = np.linalg.svd(user_rows(g[..., t, :], H[..., t, :, :], group), compute_uv=False)
+        mask |= sv[..., -1] < tol * sv[..., 0]
+    return mask
+
+
+def count_svds(monkeypatch, fn):
+    """fn's result and its SVDs: np.linalg.svd calls plus np.linalg.pinv
+    calls, each of which runs one."""
+    calls = []
+    with monkeypatch.context() as patch:
+        for name in ("svd", "pinv"):
+            def counting(*args, _real=getattr(np.linalg, name), **kwargs):
+                calls.append(_real)
+                return _real(*args, **kwargs)
+            patch.setattr(np.linalg, name, counting)
+        return fn(), len(calls)
+
+
+# s_min / s_max at tol (1 +- 10^-e), e <= 15, or a Gaussian draw (None)
+NEAR = st.none() | st.tuples(st.sampled_from([-1, 1]), st.integers(0, 15)).map(
+    lambda near: near[0] * 10.0 ** -near[1])
+
+
+class TestMisoOneSvd:
+    """miso_zf_plan's one SVD per group against pinv and a values-only SVD."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 3), K=st.integers(1, 4),
+           batch=st.integers(1, 6), tol=st.sampled_from([1e-9, 0.1, 0.5]), offset=NEAR)
+    def test_mask_equals_the_values_only_svd(self, seed, M, K, batch, tol, offset):
+        ratio = None if offset is None else tol
+        g, H = miso_draws(seed, M, K, batch, ratio, offset or 0)
+        np.testing.assert_array_equal(miso_zf_plan(g, H, tol)[2], values_only_mask(g, H, tol))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 3), K=st.integers(1, 4),
+           batch=st.integers(1, 6), ratio=st.sampled_from([None, 1e-15, 1e-9, 0.5]),
+           offset=NEAR)
+    def test_beamformers_are_pinv_bit_for_bit(self, seed, M, K, batch, ratio, offset):
+        # ratio 1e-15 puts s_min at pinv's own cut
+        g, H = miso_draws(seed, M, K, batch, ratio, offset or 0)
+        for t, (group, W) in enumerate(zip(user_groups(M, K), miso_zf_plan(g, H)[0])):
+            pinv = np.linalg.pinv(user_rows(g[:, t], H[:, t], group))
+            assert W.dtype == pinv.dtype and W.tobytes() == pinv.tobytes()
+
+    def test_one_svd_per_group(self, monkeypatch):
+        g, H = miso_draws(10, 1, 4, 64)  # groups (1, 2) and (3, 4)
+        (_, _, degenerate), svds = count_svds(monkeypatch, lambda: miso_zf_plan(g, H))
+        assert svds == 2 and not degenerate.any()
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.5])
+    def test_a_draw_near_tol_reruns_the_values_only_svd(self, monkeypatch, tol):
+        g, H = miso_draws(11, 1, 4, 64, ratio=tol)
+        (_, _, degenerate), svds = count_svds(monkeypatch, lambda: miso_zf_plan(g, H, tol))
+        assert svds == 3
+        np.testing.assert_array_equal(degenerate, values_only_mask(g, H, tol))

@@ -10,6 +10,8 @@ from ndtcache.model import NetworkConfig
 
 SETTINGS = settings(max_examples=15, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+# trials per block, None for the whole run
+BLOCKS = st.none() | st.integers(2, 16)
 
 
 def outcome(fn):
@@ -21,15 +23,38 @@ def outcome(fn):
 
 
 def with_block_size(monkeypatch, size, fn):
-    monkeypatch.setattr(V, "BLOCK_TRIALS", size)
-    return outcome(fn)
+    """fn's outcome with the byte budget set to ``size`` of its run's trials,
+    or to the whole run if ``size`` is None."""
+    init = V._TrialRun.__init__
+    with monkeypatch.context() as patch:
+        def init_and_budget(run, *args, **kwargs):
+            init(run, *args, **kwargs)
+            patch.setattr(V, "BLOCK_BYTES", (size or run.n) * run.trial_bytes)
+
+        patch.setattr(V._TrialRun, "__init__", init_and_budget)
+        return outcome(fn)
+
+
+def block_sizes(monkeypatch, fn):
+    """The trials of each block fn's run draws (redraws included)."""
+    sizes = []
+    draw = V._draw_cn
+
+    def counting(prefix, extra, shapes):
+        sizes.append(len(extra))
+        return draw(prefix, extra, shapes)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(V, "_draw_cn", counting)
+        outcome(fn)
+    return sizes
 
 
 @SETTINGS
 @given(
     seed=st.integers(0, 2**31 - 1),
     trials=st.integers(1, 40),
-    block=st.integers(2, 16),
+    block=BLOCKS,
     # 3e-2 redraws about 18% of draws; 8e-2 often exhausts the redraws
     tol=st.sampled_from([1e-9, 3e-2, 8e-2]),
 )
@@ -42,7 +67,7 @@ def test_m1k3_block_size_does_not_change_the_report(monkeypatch, seed, trials, b
 @given(
     seed=st.integers(0, 2**31 - 1),
     trials=st.integers(1, 30),
-    block=st.integers(2, 16),
+    block=BLOCKS,
     m=st.integers(1, 3),
     k=st.integers(1, 4),
     # mu = 0 unicasts, mu = 1 zero-forces
@@ -56,7 +81,7 @@ def test_miso_block_size_does_not_change_the_report(monkeypatch, seed, trials, b
 
 
 @SETTINGS
-@given(seed=st.integers(0, 2**31 - 1), trials=st.integers(1, 30), block=st.integers(2, 16))
+@given(seed=st.integers(0, 2**31 - 1), trials=st.integers(1, 30), block=BLOCKS)
 def test_rates_block_size_does_not_change_the_estimates(monkeypatch, seed, trials, block):
     run = lambda: V.finite_snr_rates(seed, [40.0, 50.0, 60.0], trials)
     assert with_block_size(monkeypatch, block, run) == with_block_size(monkeypatch, 1, run)
@@ -70,7 +95,20 @@ def test_redraws_straddle_a_block_boundary(monkeypatch):
     assert small == with_block_size(monkeypatch, 1, run)
 
 
-@pytest.mark.parametrize("trials", [V.BLOCK_TRIALS - 1, V.BLOCK_TRIALS + 1])
+# verify_m1k3's default block is 64 trials (test_byte_budget_sizes_the_blocks)
+@pytest.mark.parametrize("trials", [63, 65])
 def test_default_block_size_matches_single_trial_blocks(monkeypatch, trials):
     run = lambda: V.verify_m1k3(4, trials, 3e-2)
     assert outcome(run) == with_block_size(monkeypatch, 1, run)
+
+
+def test_byte_budget_sizes_the_blocks(monkeypatch):
+    # a 64-trial verify_m1k3 block is the budget; rates, with no symbols, fits a few more
+    assert block_sizes(monkeypatch, lambda: V.verify_m1k3(5, 200)) == [64, 64, 64, 8]
+    assert block_sizes(monkeypatch, lambda: V.finite_snr_rates(5, [0.0, 10.0, 20.0], 70)) \
+        == [66, 4]
+    # the benchmark's largest corner command runs as one block
+    corner = lambda m, k, trials: V.verify_corner(5, trials, NetworkConfig(m, k, m + k, 0))
+    assert block_sizes(monkeypatch, lambda: corner(3, 4, 200)) == [200]
+    # a (60, 60) unicast trial draws 14.3 MB, more than the budget: one trial a block
+    assert block_sizes(monkeypatch, lambda: corner(60, 60, 3)) == [1, 1, 1]
