@@ -6,7 +6,8 @@ unicasts every demand in turn (NDT K + M). mu = 1: every relay holds the
 whole library, so base station plus relays act as one (M+1)-antenna
 transmitter and zero-forcing beamforming serves user groups of size up to
 M + 1 (NDT max{K/(M+1), 1}; relays need no delivery). The beamformers
-and the degeneracy mask of each group come from one stacked SVD.
+and the degeneracy mask of each group come from one stacked SVD; only a
+block with a draw near the degeneracy cut adds a values-only SVD.
 """
 from __future__ import annotations
 
@@ -65,29 +66,14 @@ def miso_zf_plan(g: np.ndarray, H: np.ndarray, tol: float = DEGENERACY_TOL):
     full matrices. The beamformers follow pinv's own steps (its default
     cut 1e-15 of the largest singular value, reciprocals of the kept ones,
     V diag(1/s) U^T of the conjugate's factors), so they are pinv(C) bit
-    for bit. The mask comes from the same singular values s. A draw with
-    s_max = s[0], s_min = s[-1] and margin m = sqrt(eps) is decided by
-    s_min < tol * s_max only where m * s_max is a finite normal float and
-    |s_min - tol * s_max| > m * s_max; if any draw of the block is not,
-    the block runs ``svd(C, compute_uv=False)`` and that decides. A
-    decided draw gets the mask the values-only SVD gives, because:
-
-    1. C and C.conj() have the same exact singular values, and zgesdd's
-       computed ones, with or without the vectors, lie within q eps s_0
-       of them, with q a modest multiple of the matrix size (backward
-       stability); as m * s_max is normal, underflow adds less.
-    2. So with tol < 1 the two computed differences s_min - tol * s_max,
-       each product rounded once, differ by at most (4 q + 2) eps s_0,
-       which is far below m * s_max for any size this program can hold,
-       and a difference larger than m * s_max in magnitude has the same
-       sign in both.
-    3. Each decision compares s_min with the rounded tol * s_max, and a
-       float subtraction has the exact sign of its operands' difference,
-       so s_min < tol * s_max is true for one SVD exactly when it is for
-       the other.
-
-    NaN singular values and all-zero rows fail the guard too, so they take
-    the fallback, as does any draw within the margin of the cut.
+    for bit. The mask comes from the same singular values s wherever the
+    block's every draw is clear of the cut: |s_min - tol s_max| > m s_max
+    with m = sqrt(eps) and m s_max a normal float. The two SVDs round
+    differently (a draw at s_min / s_max = tol (1 - 1e-15) can be decided
+    apart), but each lies within a modest multiple of eps s_max of the
+    exact values, far inside m s_max, so a draw clear of the cut is on the
+    same side for both. A block with any draw inside the band, NaN
+    values or all-zero rows runs ``svd(C, compute_uv=False)`` instead.
     """
     check_tol(tol)
     g, H = np.asarray(g), np.asarray(H)
@@ -106,11 +92,8 @@ def miso_zf_plan(g: np.ndarray, H: np.ndarray, tol: float = DEGENERACY_TOL):
         s_max, s_min = s[..., 0], s[..., -1]
         band = np.sqrt(finfo.eps) * s_max
         decided = (band >= finfo.tiny) & (np.abs(s_min - tol * s_max) > band)
-        if decided.all():
-            degenerate |= s_min < tol * s_max
-        else:
-            sv = np.linalg.svd(C, compute_uv=False)
-            degenerate |= sv[..., -1] < tol * sv[..., 0]
+        sv = s if decided.all() else np.linalg.svd(C, compute_uv=False)
+        degenerate |= sv[..., -1] < tol * sv[..., 0]
         large = s > 1e-15 * s.max(axis=-1, keepdims=True)  # pinv's default cut
         inv = np.divide(1, s, where=large, out=np.zeros_like(s))
         W = vt.swapaxes(-1, -2) @ (inv[..., None] * u.swapaxes(-1, -2))

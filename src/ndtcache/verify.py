@@ -75,10 +75,6 @@ DECODE_ERROR_MAX = 1e-6
 MIN_SV_GAP = 1e6
 RANK_REL_TOL = 1e-12
 _MAX_REDRAWS = 8
-# Bytes a block's arrays may hold: a 64-trial verify_m1k3 block, 14,208
-# bytes a trial (see _M1K3_HELD). Fewer, larger blocks pay the per-block
-# costs (seeding, checks, stacked calls) less often.
-BLOCK_BYTES = 64 * 14_208
 # A drawn complex value and its (real, imaginary) pair in the float buffer.
 _DRAWN_BYTES = 2 * np.dtype(complex).itemsize
 
@@ -367,6 +363,14 @@ def _key(seed, *extra: int) -> tuple[int, ...]:
     return base + extra
 
 
+def _trial_bytes(shape: tuple[int, int, int], sym_sizes: tuple[int, ...], held: int) -> int:
+    """Bytes a block holds per trial: the drawn f (T x M), g (T x K),
+    H (T x K x M) and symbols, each value with its float-buffer pair, plus
+    the ``held`` bytes of its solution and receive matrices."""
+    T, M, K = shape
+    return _DRAWN_BYTES * (T * M + T * K + T * K * M + sum(sym_sizes)) + held
+
+
 class _TrialRun:
     """Trials 0 .. trials - 1 of one run, in blocks, and their report.
     ``shape`` is (T, M, K) of a draw; ``solve(f, g, H)`` maps stacked
@@ -387,8 +391,7 @@ class _TrialRun:
             raise ValueError(f"trials must be positive, got {trials}")
         self.prefix, self.n, self.shape, self.solve, self.sym_sizes = (
             _key(seed), trials, shape, solve, sym_sizes)
-        T, M, K = shape
-        self.trial_bytes = _DRAWN_BYTES * (T * M + T * K + T * K * M + sum(sym_sizes)) + held
+        self.trial_bytes = _trial_bytes(shape, sym_sizes, held)
         self.trials = self.failures = self.redraws = 0
         self.first_failure: str | None = None
         self.receivers = receivers
@@ -479,6 +482,10 @@ class _TrialRun:
 # and the relay's 8 x 13, all complex.
 _M1K3_HELD = (np.dtype(complex).itemsize * T_SLOTS
               * (5 * len(TRANSMITTED_SYMBOLS) + len(DENB_COLS)))
+# Bytes a block's arrays may hold: a 64-trial verify_m1k3 block (909,312
+# bytes). Fewer, larger blocks pay the per-block costs (seeding, checks,
+# stacked calls) less often.
+BLOCK_BYTES = 64 * _trial_bytes((T_SLOTS, 1, 3), (len(TRANSMITTED_SYMBOLS),), _M1K3_HELD)
 
 
 def _solve_m1k3(tol: float):

@@ -44,9 +44,9 @@ def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
-def cap_address_space():
-    # 1 GB: a run that would use more fails fast, where a hang can time out
-    resource.setrlimit(resource.RLIMIT_AS, (1024**3,) * 2)
+def cap_address_space(limit=1024**3):
+    # 1 GB by default: a run that would use more fails fast, where a hang can time out
+    resource.setrlimit(resource.RLIMIT_AS, (limit,) * 2)
 
 
 class TestTradeoff:
@@ -440,13 +440,15 @@ class TestInputHardening:
             "error": "out-of-memory", "detail": f"{argv[0]} ran out of memory"}) + "\n"
 
     def test_large_corner_run_fits_under_the_cap(self, capsys, monkeypatch):
-        # a (60, 60) unicast trial draws 14.3 MB: blocks are sized by bytes, not 64 trials
+        # a (60, 60) unicast trial draws 14.3 MB and runs alone in its block;
+        # 64 trials in one block would hold about 0.9 GB
         argv = ["verify-corner", "--m", "60", "--k", "60", "--mu", "0", "--trials", "64"]
         proc = subprocess.run([sys.executable, "-m", "ndtcache", *argv], capture_output=True,
-                              text=True, timeout=60, preexec_fn=cap_address_space)
+                              text=True, timeout=60,
+                              preexec_fn=lambda: cap_address_space(512 * 1024**2))
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         assert json.loads(proc.stdout)["data"][0]["failures"] == 0
-        monkeypatch.setattr(verify, "BLOCK_BYTES", 1)  # one trial a block
+        monkeypatch.setattr(verify, "BLOCK_BYTES", 60 * 10**6)  # four trials a block
         assert run_cli(capsys, *argv) == (EXIT_OK, proc.stdout, "")
 
     def test_grid_limit_is_one_constant(self):

@@ -205,9 +205,19 @@ class TestMisoOneSvd:
         (_, _, degenerate), svds = count_svds(monkeypatch, lambda: miso_zf_plan(g, H))
         assert svds == 2 and not degenerate.any()
 
-    @pytest.mark.parametrize("tol", [1e-9, 0.5])
-    def test_a_draw_near_tol_reruns_the_values_only_svd(self, monkeypatch, tol):
-        g, H = miso_draws(11, 1, 4, 64, ratio=tol)
+    # (M, K, tol, seed, offset) of one-draw miso_draws whose singular values
+    # from pinv's SVD and from the values-only SVD fall on opposite sides of
+    # the cut; with K <= M + 1 the draw's one group is the planted one
+    APART = [(1, 2, 0.1, 33, -1e-15), (2, 3, 0.5, 41, -1e-15), (3, 4, 0.1, 24, 1e-15)]
+
+    @pytest.mark.parametrize("M, K, tol, seed, offset", APART)
+    def test_a_draw_near_tol_reruns_the_values_only_svd(self, monkeypatch, M, K, tol, seed,
+                                                         offset):
+        g, H = miso_draws(seed, M, K, 1, tol, offset)
+        expected = values_only_mask(g, H, tol)
+        s = np.linalg.svd(user_rows(g[:, 0], H[:, 0], user_groups(M, K)[0]).conj(),
+                          full_matrices=False)[1]
+        np.testing.assert_array_equal(s[:, -1] < tol * s[:, 0], ~expected)
         (_, _, degenerate), svds = count_svds(monkeypatch, lambda: miso_zf_plan(g, H, tol))
-        assert svds == 3
-        np.testing.assert_array_equal(degenerate, values_only_mask(g, H, tol))
+        assert svds == 2
+        np.testing.assert_array_equal(degenerate, expected)
