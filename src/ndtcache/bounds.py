@@ -2,8 +2,9 @@
 
 Everything here is exact: curves are piecewise-linear functions of the
 fractional cache size mu with rational breakpoints, built from the affine
-bound components and from cataloged achievable corner points. No floating
-point enters any comparison. No optimal curve is written down: it is the
+bound components and from cataloged achievable points, an implemented
+scheme's read off its layout (``layout.accounting``). No floating point
+enters any comparison. No optimal curve is written down: it is the
 lower-bound curve once that meets the achievable envelope.
 
 The exact work runs on Python integers, and a Fraction is built only for
@@ -28,6 +29,7 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 
+from .layout import accounting
 from .model import NetworkConfig, as_count, as_rational
 
 # The pairs whose optimal tradeoff the paper characterizes (M + K <= 4);
@@ -217,22 +219,19 @@ def lower_bound_curve(M: int, K: int) -> NdtCurve:
 def achievable_catalog(M: int, K: int) -> list[AchievablePoint]:
     """All cataloged achievable corner points for (M, K), sorted by mu.
 
-    Always: unicasting at mu = 0 and MISO zero-forcing at mu = 1. The
-    combined ZF / subspace-alignment point (4/5, 8/5) exists for
+    The implemented points come from their schemes' layouts
+    (``layout.accounting``): unicasting at mu = 0 and MISO zero-forcing at
+    mu = 1 always, and the combined ZF / subspace-alignment point for
     (M, K) = (1, 3). The X-channel point (1/2, (K+2)/2) for M = 1,
     K >= 3, and the M = 2 interior breakpoints are cataloged by value
     only (their constructions are not implemented here). Every point is
     checked against the lower bound; one below it raises RuntimeError.
     """
     M, K = _network_size(M, K)
-    points = [
-        AchievablePoint(Fraction(0), Fraction(K + M), "unicast"),
-        AchievablePoint(Fraction(1), max(Fraction(K, M + 1), Fraction(1)), "miso-zf"),
-    ]
+    points = [AchievablePoint(mu, ndt, label)
+              for label, (mu, ndt, *_) in accounting(M, K).items()]
     if M == 1 and K >= 3:
         points.append(AchievablePoint(Fraction(1, 2), Fraction(K + 2, 2), "x-channel-catalog"))
-    if (M, K) == (1, 3):
-        points.append(AchievablePoint(Fraction(4, 5), Fraction(8, 5), "zf-ia-m1k3"))
     if (M, K) == (2, 1):
         points.append(AchievablePoint(Fraction(1, 2), Fraction(1), "m2-catalog"))
     if (M, K) == (2, 2):

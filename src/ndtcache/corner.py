@@ -5,27 +5,17 @@ antenna broadcast channel with K + M receivers and the base station
 unicasts every demand in turn (NDT K + M). mu = 1: every relay holds the
 whole library, so base station plus relays act as one (M+1)-antenna
 transmitter and zero-forcing beamforming serves user groups of size up to
-M + 1 (NDT max{K/(M+1), 1}; relays need no delivery). The beamformers
-and the degeneracy mask of each group come from one stacked SVD; only a
-block with a draw near the degeneracy cut adds a values-only SVD.
+M + 1 (NDT max{K/(M+1), 1}; relays need no delivery). The schedule and
+the groups live in ``layout``, bound here too. Each group's beamformers
+and degeneracy mask come from one stacked SVD; only a block with a draw
+near the degeneracy cut adds a values-only SVD.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from .model import DEGENERACY_TOL, NetworkConfig, check_tol
-
-
-def unicast_schedule(cfg: NetworkConfig) -> tuple[str, ...]:
-    """The receivers served one per slot, users then relays (ue1..ueK,
-    rn1..rnM): each of the K + M worst-case demands is a distinct file, so
-    the NDT is the slot count. Only valid at mu = 0."""
-    if cfg.mu != 0:
-        raise ValueError(f"unicast schedule applies at mu = 0 only, got mu = {cfg.mu}")
-    return tuple(f"ue{u}" for u in range(1, cfg.K + 1)) + tuple(
-        f"rn{r}" for r in range(1, cfg.M + 1))
+from .layout import miso_ndt_and_dof, unicast_schedule, user_groups
+from .model import DEGENERACY_TOL, check_tol
 
 
 def user_rows(g: np.ndarray, H: np.ndarray, group: tuple[int, ...]) -> np.ndarray:
@@ -33,19 +23,6 @@ def user_rows(g: np.ndarray, H: np.ndarray, group: tuple[int, ...]) -> np.ndarra
     (base station, relay 1..M) in one slot; g is (..., K), H is (..., K, M)."""
     cols = [k - 1 for k in group]
     return np.concatenate([g[..., cols, None], H[..., cols, :]], axis=-1)
-
-
-def user_groups(M: int, K: int) -> tuple[tuple[int, ...], ...]:
-    """Users 1..K in consecutive groups of at most M + 1, one per slot."""
-    return tuple(tuple(range(u, min(u + M + 1, K + 1))) for u in range(1, K + 1, M + 1))
-
-
-def miso_ndt_and_dof(groups: tuple[tuple[int, ...], ...]) -> tuple[Fraction, int]:
-    """NDT and sum DoF of zero-forcing over ``groups`` (user_groups'
-    output). The largest group, min(M + 1, K) users, is served at once: the
-    sum DoF is its size and the NDT is K over it, which is max{K/(M+1), 1}."""
-    served = max(map(len, groups))
-    return Fraction(sum(map(len, groups)), served), served
 
 
 def miso_zf_plan(g: np.ndarray, H: np.ndarray, tol: float = DEGENERACY_TOL):

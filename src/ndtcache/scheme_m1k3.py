@@ -13,74 +13,19 @@ each user
     groups (one per chain layer), i.e. three receive dimensions,
 
 leaving 5 clean dimensions for the 5 desired symbols inside T = 8 slots.
-This module states that fixed layout once, as module tables with their
-integer column forms, solves the per-slot precoders, and
+Its SymbolId tables live in ``layout`` and are bound here too; this module
+adds their integer column forms, solves the per-slot precoders, and
 ``effective_channel_matrix(nu, beta, f, g, h)`` returns the four receive
 matrices (ue1, ue2, ue3, rn).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .layout import (ALIGNMENT_GROUPS, DENB_SYMBOLS, NUM_FILES, RN_CACHED,
+                     RN_SYMBOLS, SYMBOLS_PER_FILE, T_SLOTS, TRANSMITTED_SYMBOLS, UNCACHED,
+                     ZERO_FORCED, SymbolId, _mbar3)
 from .model import DEGENERACY_TOL, check_tol
-
-T_SLOTS = 8
-NUM_FILES = 4
-SYMBOLS_PER_FILE = 5
-
-
-def _mbar3(a: int) -> int:
-    """User or file index a (always 2..5 here) wrapped into [1:3]."""
-    return a if a <= 3 else a - 3
-
-
-@dataclass(frozen=True, order=True)
-class SymbolId:
-    """Symbol j of file i, written eta_{i,j}."""
-
-    file: int
-    index: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.file <= NUM_FILES:
-            raise ValueError(f"file must be in [1:{NUM_FILES}], got {self.file}")
-        if not 1 <= self.index <= SYMBOLS_PER_FILE:
-            raise ValueError(f"index must be in [1:{SYMBOLS_PER_FILE}], got {self.index}")
-
-
-# The scheme's layout, stated once. Users 1..3 request files 1..3, the
-# relay file 4, and the relay caches indices 1..4 of every file (4/5 of
-# it). TRANSMITTED_SYMBOLS, the column order of every matrix, are the 15
-# symbols of files 1..3 and the relay's one uncached symbol eta_{4,5}. The
-# base station sends all but index 4; the relay sends what it has cached.
-RN_CACHED: frozenset[SymbolId] = frozenset(
-    SymbolId(i, j) for i in range(1, NUM_FILES + 1) for j in range(1, 5)
-)
-TRANSMITTED_SYMBOLS: tuple[SymbolId, ...] = tuple(
-    SymbolId(i, j) for i in range(1, 4) for j in range(1, 6)
-) + (SymbolId(4, 5),)
-DENB_SYMBOLS: tuple[SymbolId, ...] = tuple(s for s in TRANSMITTED_SYMBOLS if s.index != 4)
-RN_SYMBOLS: tuple[SymbolId, ...] = tuple(s for s in TRANSMITTED_SYMBOLS if s in RN_CACHED)
-# the relay's unknowns once it cancels what it has cached
-UNCACHED: tuple[SymbolId, ...] = tuple(s for s in DENB_SYMBOLS if s not in RN_CACHED)
-# At user k (file indices wrapped into [1:3]): three zero-forced symbols,
-# and the other eight interfering symbols in three alignment groups, one
-# per chain layer. The index-4 symbols link layers 1 and 2 across users,
-# the index-5 symbols layers 2 and 3.
-ZERO_FORCED: dict[int, tuple[SymbolId, ...]] = {
-    k: (SymbolId(_mbar3(k + 1), 1), SymbolId(_mbar3(k + 1), 2), SymbolId(_mbar3(k + 2), 3))
-    for k in (1, 2, 3)
-}
-ALIGNMENT_GROUPS: dict[int, tuple[tuple[SymbolId, ...], ...]] = {
-    k: (
-        (SymbolId(4, 5), SymbolId(_mbar3(k + 1), 4)),
-        (SymbolId(_mbar3(k + 2), 4), SymbolId(_mbar3(k + 2), 2), SymbolId(_mbar3(k + 1), 5)),
-        (SymbolId(_mbar3(k + 2), 5), SymbolId(_mbar3(k + 2), 1), SymbolId(_mbar3(k + 1), 3)),
-    )
-    for k in (1, 2, 3)
-}
 
 # Integer forms of the layout, so the checks index arrays instead of
 # hashing SymbolIds. Row k - 1 belongs to user k; the relay's positions

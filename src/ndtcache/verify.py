@@ -2,10 +2,10 @@
 
 Seeded Monte Carlo over i.i.d. complex Gaussian channels: solve the
 precoders, assemble effective receive matrices, check zero-forcing and
-alignment residuals plus subspace ranks, decode noiselessly, and account
-DoF/NDT. verify_m1k3, both branches of verify_corner (unicasting at
-mu = 0, MISO zero-forcing at mu = 1) and finite_snr_rates share one trial
-runner, ``_TrialRun``. Trial t at attempt a draws its channels, then its
+alignment residuals plus subspace ranks, and decode noiselessly; the NDT
+and DoF reported are layout.accounting's. verify_m1k3, both branches of
+verify_corner (unicasting at mu = 0, MISO zero-forcing at mu = 1) and
+finite_snr_rates share one trial runner, ``_TrialRun``. Trial t at attempt a draws its channels, then its
 symbols, from one generator in the state ``default_rng((seed, t, a))``
 would have; the run checks its seed once. Trials run in blocks,
 stacked on a leading axis and checked by stacked np.linalg calls
@@ -43,7 +43,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .corner import miso_ndt_and_dof, miso_zf_plan, unicast_schedule, user_groups, user_rows
+from .corner import miso_zf_plan, unicast_schedule, user_groups, user_rows
+from .layout import accounting, receivers
 from .model import (DEGENERACY_TOL, ChannelSet, NetworkConfig, as_count, check_coefficients,
                     check_tol)
 from .scheme_m1k3 import (
@@ -54,7 +55,6 @@ from .scheme_m1k3 import (
     ETA45,
     INTERFERENCE_COLS,
     RN_CACHED_POS,
-    SYMBOLS_PER_FILE,
     T_SLOTS,
     TRANSMITTED_SYMBOLS,
     UNCACHED,
@@ -377,14 +377,14 @@ class _TrialRun:
     channels to (arrays with the batch axis first, degenerate mask); a
     trial's symbols are CN(0,1) vectors of ``sym_sizes``, drawn in turn
     after its channels.
-    ``receivers`` names the report's receivers in order; ``ranks``, if
-    given, are the (desired, interference, total) ranks all of them report
-    instead of folded ones. ``held`` is the bytes a trial's solution and
-    receive matrices hold; with its draws they make ``trial_bytes``, which
-    sizes the blocks against BLOCK_BYTES."""
+    ``receivers`` are the report's (kind, index) receivers in order;
+    ``ranks``, if given, are the (desired, interference, total) ranks all of
+    them report instead of folded ones. ``held`` is the bytes a trial's
+    solution and receive matrices hold; with its draws they make
+    ``trial_bytes``, which sizes the blocks against BLOCK_BYTES."""
 
     def __init__(self, seed, trials: int, shape: tuple[int, int, int], solve,
-                 sym_sizes: tuple[int, ...] = (), receivers: tuple[str, ...] = (),
+                 sym_sizes: tuple[int, ...] = (), receivers: tuple[tuple[str, int], ...] = (),
                  ranks: tuple[int, int, int] | None = None, held: int = 0):
         trials = as_count("trials", trials)
         if trials < 1:
@@ -463,16 +463,17 @@ class _TrialRun:
             worst = (_WORST * np.asarray(ranks)).min(axis=1)
             self.worst = worst if self.worst is None else np.minimum(self.worst, worst)
 
-    def report(self, **fields) -> VerificationReport:
-        """The report; raised in VerificationFailure if any trial failed."""
+    def report(self, point: tuple[Fraction, ...]) -> VerificationReport:
+        """The report, with the NDT and DoF of ``point``, a scheme's exact
+        layout.accounting; raised in VerificationFailure if any trial failed."""
         worst = np.zeros((len(self.receivers), 3), int) if self.worst is None else self.worst
-        subs = [SubspaceReport(name, *(int(r) for r in _WORST * w), float(zf), float(align))
-                for name, w, (zf, align) in zip(self.receivers, worst, self.residuals)]
-        report = VerificationReport(
-            ue_reports=tuple(sub for sub in subs if sub.receiver.startswith("ue")),
-            rn_reports=tuple(sub for sub in subs if not sub.receiver.startswith("ue")),
-            decode_max_error=self.decode_max, **fields,
-            trials=self.trials, failures=self.failures, redraws=self.redraws)
+        subs: dict[str, list] = {"ue": [], "rn": []}
+        for (kind, i), w, (zf, align) in zip(self.receivers, worst, self.residuals):
+            subs[kind].append(SubspaceReport(
+                f"{kind}{i}", *(int(r) for r in _WORST * w), float(zf), float(align)))
+        report = VerificationReport(  # point[1:] is (ndt, per_ue_dof, rn_dof, sum_dof)
+            tuple(subs["ue"]), tuple(subs["rn"]), self.decode_max, *point[1:],
+            self.trials, self.failures, self.redraws)
         if self.failures:
             raise VerificationFailure(self.first_failure, report)
         return report
@@ -565,41 +566,29 @@ def verify_m1k3(seed, trials: int, tol: float = DEGENERACY_TOL) -> VerificationR
     (report attached) if any trial fails.
     """
     run = _TrialRun(seed, trials, (T_SLOTS, 1, 3), _solve_m1k3(tol), (len(TRANSMITTED_SYMBOLS),),
-                    ("ue1", "ue2", "ue3", "rn1"), held=_M1K3_HELD)
+                    receivers(1, 3), held=_M1K3_HELD)
     for start, (f, g, H), (nu, beta), (syms,) in run.blocks():
         *users, rn = effective_channel_matrix(nu, beta, f, g, H[..., 0])
         checks: list = []
         ranks, res, errs = zip(*[_check_ue(k, E, syms, checks) for k, E in enumerate(users, 1)],
                                _check_rn(rn, syms, checks))
         run.fold(start, errs, checks, residuals=res, ranks=ranks)
-    return run.report(
-        # each user decodes its desired columns, the relay eta_{4,5} alone,
-        # all in T_SLOTS slots; a file is SYMBOLS_PER_FILE symbols
-        ndt=Fraction(T_SLOTS, SYMBOLS_PER_FILE),
-        per_ue_dof=Fraction(DESIRED_COLS.shape[1], T_SLOTS),
-        rn_dof=Fraction(1, T_SLOTS),
-        sum_dof=Fraction(DESIRED_COLS.size + 1, T_SLOTS),
-    )
+    return run.report(accounting(1, 3)["zf-ia-m1k3"])
 
 
 def _verify_unicast(seed, trials: int, cfg: NetworkConfig) -> VerificationReport:
-    receivers = unicast_schedule(cfg)  # slot t serves receiver t
+    schedule = unicast_schedule(cfg)  # slot t serves receiver t
     never_degenerate = lambda f, g, H: ((), np.zeros(len(g), dtype=bool))
-    run = _TrialRun(seed, trials, (len(receivers), cfg.M, cfg.K), never_degenerate,
-                    (len(receivers),), receivers, ranks=(1, 0, 1))
+    run = _TrialRun(seed, trials, (len(schedule), cfg.M, cfg.K), never_degenerate,
+                    (len(schedule),), schedule, ranks=(1, 0, 1))
     for start, (f, g, _), _, (syms,) in run.blocks():
-        coeff = np.stack([(g if r.startswith("ue") else f)[:, t, int(r[2:]) - 1]
-                          for t, r in enumerate(receivers)], axis=-1)
+        coeff = np.stack([{"ue": g, "rn": f}[kind][:, t, i - 1]
+                          for t, (kind, i) in enumerate(schedule)], axis=-1)
         # each trial's worst receiver
         errors = (np.abs((coeff * syms) / coeff - syms) / np.abs(syms)).max(axis=1)
         run.fold(start, [errors],
                  [(errors > DECODE_ERROR_MAX, lambda i: f"decode error {errors[i]:.3e}")])
-    return run.report(
-        ndt=Fraction(len(receivers)),  # one slot per file
-        per_ue_dof=Fraction(1, len(receivers)),
-        rn_dof=Fraction(1, len(receivers)),
-        sum_dof=Fraction(1),
-    )
+    return run.report(accounting(cfg.M, cfg.K)["unicast"])
 
 
 def _verify_miso(seed, trials: int, cfg: NetworkConfig, tol: float):
@@ -613,7 +602,7 @@ def _verify_miso(seed, trials: int, cfg: NetworkConfig, tol: float):
     held = (np.dtype(complex).itemsize * (cfg.M + 1) * cfg.K
             + np.dtype(float).itemsize * cfg.K)
     run = _TrialRun(seed, trials, (len(groups), cfg.M, cfg.K), solve, tuple(map(len, groups)),
-                    tuple(f"ue{k}" for k in range(1, cfg.K + 1)), ranks=(1, 0, 1), held=held)
+                    receivers(0, cfg.K), ranks=(1, 0, 1), held=held)  # the users alone
     for start, (_, g, H), (*beamformers, cross), symbols in run.blocks():
         nulling = np.fmax.reduce(cross, axis=-1)
         checks: list = [
@@ -630,14 +619,7 @@ def _verify_miso(seed, trials: int, cfg: NetworkConfig, tol: float):
                            f"group {group} decode error {err[i]:.3e}"))
         run.fold(start, errors, checks,
                  residuals=np.stack([cross.T, np.zeros_like(cross.T)], axis=-1))
-
-    ndt, served = miso_ndt_and_dof(groups)
-    return run.report(
-        ndt=ndt,
-        per_ue_dof=Fraction(served, cfg.K),
-        rn_dof=Fraction(0),
-        sum_dof=Fraction(served),
-    )
+    return run.report(accounting(cfg.M, cfg.K)["miso-zf"])
 
 
 def verify_corner(seed, trials: int, cfg: NetworkConfig,
@@ -645,7 +627,8 @@ def verify_corner(seed, trials: int, cfg: NetworkConfig,
     """Verify the extremal-cache schemes: unicasting at mu = 0 (one slot
     per receiver of unicast_schedule, so NDT K + M; decoding is a scalar
     division) or MISO zero-forcing at mu = 1 (NDT max{K/(M+1), 1},
-    cross-user gains must vanish to tolerance)."""
+    cross-user gains must vanish to tolerance). The report's NDT and DoF
+    are the scheme's point in layout.accounting, as the catalog's are."""
     check_tol(tol)
     if cfg.mu == 0:
         return _verify_unicast(seed, trials, cfg)
@@ -682,8 +665,8 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
 
     snrs = np.array(snr_db_list, dtype=float)
     powers = 10.0 ** (snrs / 10.0)
-    receivers = ["ue1", "ue2", "ue3", "rn"]
-    totals = np.zeros((len(receivers), len(snrs)))
+    labels = ["ue1", "ue2", "ue3", "rn"]
+    totals = np.zeros((len(labels), len(snrs)))
     others = [n for n in range(len(UNCACHED)) if n != ETA45]
     n_desired, n_groups = DESIRED_COLS.shape[1], len(ALIGNED_COLS[0])
 
@@ -692,7 +675,7 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
     # a power near the float limit overflows the rates: rejected below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for _, (f, g, H), (nu, beta), _ in run.blocks():
-            rates = np.empty((len(nu), len(receivers), len(snrs)))
+            rates = np.empty((len(nu), len(labels), len(snrs)))
             *users, rn = effective_channel_matrix(nu, beta, f, g, H[..., 0])
             for k, E in enumerate(users):
                 u = np.linalg.svd(E[..., INTERFERENCE_COLS[k]], full_matrices=False)[0]
@@ -716,7 +699,7 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
     if not (np.isfinite(y).all() and np.isfinite(slopes).all()):
         raise ValueError(f"SNR points must give finite rates, got {list(snr_db_list)}")
     estimates = [RateEstimate(r, float(snr), float(rate), float(slope))
-                 for r, row, slope in zip(receivers, y, slopes) if done
+                 for r, row, slope in zip(labels, y, slopes) if done
                  for snr, rate in zip(snrs, row)]
     if run.first_failure:
         raise VerificationFailure(run.first_failure, estimates)

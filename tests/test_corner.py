@@ -25,7 +25,8 @@ class TestUnicastSchedule:
         assert verify_corner(0, 1, cfg(M, K, 0)).ndt == K + M
 
     def test_each_demand_served_once(self):
-        assert unicast_schedule(cfg(2, 3, 0)) == ("ue1", "ue2", "ue3", "rn1", "rn2")
+        assert unicast_schedule(cfg(2, 3, 0)) == (
+            ("ue", 1), ("ue", 2), ("ue", 3), ("rn", 1), ("rn", 2))
 
     def test_rejects_nonzero_cache(self):
         with pytest.raises(ValueError):
