@@ -7,8 +7,7 @@ whole library, so base station plus relays act as one (M+1)-antenna
 transmitter and zero-forcing beamforming serves user groups of size up to
 M + 1 (NDT max{K/(M+1), 1}; relays need no delivery). The schedule and
 the groups live in ``layout``, bound here too. Each group's beamformers
-and degeneracy mask come from one stacked SVD; only a block with a draw
-near the degeneracy cut adds a values-only SVD.
+and degeneracy mask come from one stacked SVD.
 """
 from __future__ import annotations
 
@@ -36,21 +35,15 @@ def miso_zf_plan(g: np.ndarray, H: np.ndarray, tol: float = DEGENERACY_TOL):
     at column k - 1 its largest cross gain over its group's weakest direct
     gain (the nulling residual is their maximum); and the mask of
     degenerate draws, those where a group's rows have a singular value
-    below tol relative to the largest, as ``svd(C, compute_uv=False)``
-    counts them.
+    below tol relative to the largest, or none above zero.
 
     Each group's one SVD is ``np.linalg.pinv``'s: of C.conj(), without
     full matrices. The beamformers follow pinv's own steps (its default
     cut 1e-15 of the largest singular value, reciprocals of the kept ones,
     V diag(1/s) U^T of the conjugate's factors), so they are pinv(C) bit
-    for bit. The mask comes from the same singular values s wherever the
-    block's every draw is clear of the cut: |s_min - tol s_max| > m s_max
-    with m = sqrt(eps) and m s_max a normal float. The two SVDs round
-    differently (a draw at s_min / s_max = tol (1 - 1e-15) can be decided
-    apart), but each lies within a modest multiple of eps s_max of the
-    exact values, far inside m s_max, so a draw clear of the cut is on the
-    same side for both. A block with any draw inside the band, NaN
-    values or all-zero rows runs ``svd(C, compute_uv=False)`` instead.
+    for bit, and the mask reads the same singular values. Rows with a NaN
+    make that SVD raise ``LinAlgError``; infinite rows give NaN singular
+    values, which the mask flags.
     """
     check_tol(tol)
     g, H = np.asarray(g), np.asarray(H)
@@ -65,12 +58,7 @@ def miso_zf_plan(g: np.ndarray, H: np.ndarray, tol: float = DEGENERACY_TOL):
     for t, group in enumerate(groups):
         C = user_rows(g[..., t, :], H[..., t, :, :], group)
         u, s, vt = np.linalg.svd(C.conj(), full_matrices=False)
-        finfo = np.finfo(s.dtype)
-        s_max, s_min = s[..., 0], s[..., -1]
-        band = np.sqrt(finfo.eps) * s_max
-        decided = (band >= finfo.tiny) & (np.abs(s_min - tol * s_max) > band)
-        sv = s if decided.all() else np.linalg.svd(C, compute_uv=False)
-        degenerate |= sv[..., -1] < tol * sv[..., 0]
+        degenerate |= (s[..., -1] < tol * s[..., 0]) | ~(s[..., 0] > 0)
         large = s > 1e-15 * s.max(axis=-1, keepdims=True)  # pinv's default cut
         inv = np.divide(1, s, where=large, out=np.zeros_like(s))
         W = vt.swapaxes(-1, -2) @ (inv[..., None] * u.swapaxes(-1, -2))

@@ -14,9 +14,11 @@ each user
 
 leaving 5 clean dimensions for the 5 desired symbols inside T = 8 slots.
 Its SymbolId tables live in ``layout`` and are bound here too; this module
-adds their integer column forms, solves the per-slot precoders, and
-``effective_channel_matrix(nu, beta, f, g, h)`` returns the four receive
-matrices (ue1, ue2, ue3, rn).
+adds their integer column forms and solves the per-slot precoders: the
+raw chain once, in field operations only (``_chain``, exact on Fraction
+or sympy object arrays), then the float mask and normalization
+(``solve_precoders``). ``effective_channel_matrix(nu, beta, f, g, h)``
+returns the four receive matrices (ue1, ue2, ue3, rn).
 """
 from __future__ import annotations
 
@@ -55,18 +57,45 @@ _CHAIN = tuple(
 _ETA45_COL = COLUMN[SymbolId(4, 5)]  # the chain's seed
 
 
+def _chain(g, h):
+    """The raw chain of solve_precoders: nu and beta (..., 16) for g and h
+    (..., 3), and the j terms (j13, j23, j33). Field operations only, so
+    object arrays of Fraction or sympy symbols give it exactly."""
+    (g1, g2, g3), (h1, h2, h3) = np.moveaxis(g, -1, 0), np.moveaxis(h, -1, 0)
+    j13 = g2 * h3 - g3 * h2
+    j23 = g3 * h1 - g1 * h3
+    j33 = g1 * h2 - g2 * h1
+    nu = np.zeros(g.shape[:-1] + (len(TRANSMITTED_SYMBOLS),), dtype=np.result_type(g, h, complex))
+    beta = np.zeros_like(nu)
+    nu[..., _ETA45_COL] = j13 * j23 * j33 * g1 * g2 * g3 * h1 * h2 * h3
+    for k, anchor, anchor_on_bs, members in _CHAIN:
+        gk, hk = g[..., k], h[..., k]
+        target = nu[..., anchor] * gk if anchor_on_bs else beta[..., anchor] * hk
+        for c, on_bs, b in members:
+            if b >= 0:
+                gb, hb = g[..., b], h[..., b]
+                det = gk * hb - gb * hk
+                nu[..., c] = target * hb / det
+                beta[..., c] = -target * gb / det
+            elif on_bs:
+                nu[..., c] = target / gk
+            else:
+                beta[..., c] = target / hk
+    return nu, beta, (j13, j23, j33)
+
+
 def solve_precoders(g: np.ndarray, h: np.ndarray, tol: float = DEGENERACY_TOL):
     """Solve all per-slot precoders of the mu = 4/5 scheme.
 
     g and h (..., T_SLOTS, 3) hold the users' base-station and relay
     coefficients; leading axes are a batch of draws, and one draw has
-    none. Returns (nu, beta, scale, slot_scale, degenerate) with the batch
-    axes in front: column c of nu and beta (..., T_SLOTS, 16) holds the
-    precoders of TRANSMITTED_SYMBOLS[c]. nu is zero for relay-only symbols
-    (index 4), beta for base-station-only ones (index 5).
+    none. Returns (nu, beta, degenerate) with the batch axes in front:
+    column c of nu and beta (..., T_SLOTS, 16) holds the precoders of
+    TRANSMITTED_SYMBOLS[c]. nu is zero for relay-only symbols (index 4),
+    beta for base-station-only ones (index 5).
 
     Each slot is independent. Writing g_k, h_k for the slot's user-k
-    coefficients from base station and relay:
+    coefficients from base station and relay, the raw chain (``_chain``):
 
     1. nu of eta_{4,5} is fixed to the product
        j13*j23*j33 * g1*g2*g3 * h1*h2*h3 with
@@ -79,68 +108,43 @@ def solve_precoders(g: np.ndarray, h: np.ndarray, tol: float = DEGENERACY_TOL):
        both send is zero-forced at its ZERO_FORCED user b too, so
        nu = target h_b / det and beta = -target g_b / det, where
        det = g_k h_b - g_b h_k is a +-j term.
-    3. Normalize. The raw chain inherits the product nu_{4,5}, whose
-       magnitude swings over many orders across slots, so first every
-       slot is multiplied by slot_scale, a common positive factor (the
-       whole chain is linear in nu_{4,5}[t], hence all per-slot ZF and
-       alignment equalities survive verbatim), then each symbol by scale,
-       one positive factor uniform across slots, so its peak precoder
-       magnitude is 1. The per-symbol step keeps zero-forced entries
-       exactly zero and alignment groups colinear, though the literal
-       per-slot equalities then only hold for the raw chain,
-       nu / (slot_scale[..., None] * scale[..., None, :]), and for beta.
+
+    Then normalize. The raw chain inherits the product nu_{4,5}, whose
+    magnitude swings over many orders across slots, so first every slot
+    is multiplied by one over its peak precoder magnitude (the chain is
+    linear in nu_{4,5}[t], so every per-slot ZF and alignment equality
+    survives verbatim), then every symbol by one over its peak across
+    slots, so that peak is 1. This step keeps zero-forced entries exactly
+    zero and alignment groups colinear; the literal per-slot equalities
+    are those of ``_chain``.
 
     A draw is degenerate if step 2 divides by a j term of magnitude below
     tol (relative to the squared slot channel scale) or by a coefficient
-    below tol relative to the slot scale. ``degenerate`` (the batch
-    shape) flags those draws; their other outputs are meaningless.
+    below tol relative to the slot scale, or if a slot or a symbol is
+    identically zero. ``degenerate`` (the batch shape) flags those draws;
+    their other outputs are meaningless.
     """
     check_tol(tol)
     g, h = np.asarray(g), np.asarray(h)
     if g.shape[-2:] != (T_SLOTS, 3) or g.shape != h.shape:
         raise ValueError(f"g and h must both have shape (..., {T_SLOTS}, 3), "
                          f"got {g.shape} and {h.shape}")
-    (g1, g2, g3), (h1, h2, h3) = np.moveaxis(g, -1, 0), np.moveaxis(h, -1, 0)
-    j13 = g2 * h3 - g3 * h2
-    j23 = g3 * h1 - g1 * h3
-    j33 = g1 * h2 - g2 * h1
-
-    chan_scale = np.max(np.abs(np.concatenate([g, h], axis=-1)), axis=-1)
-    degenerate = np.zeros(g.shape[:-2], dtype=bool)
-    for j in (j13, j23, j33):
-        degenerate |= np.any(np.abs(j) < tol * chan_scale**2, axis=-1)
-    small = tol * chan_scale[..., None]
-    degenerate |= np.any((np.abs(g) < small) | (np.abs(h) < small), axis=(-2, -1))
-
-    nu = np.zeros(g.shape[:-1] + (len(TRANSMITTED_SYMBOLS),), dtype=complex)
-    beta = np.zeros_like(nu)
     with np.errstate(all="ignore"):  # degenerate draws may divide by ~0
-        nu[..., _ETA45_COL] = j13 * j23 * j33 * g1 * g2 * g3 * h1 * h2 * h3
-        for k, anchor, anchor_on_bs, members in _CHAIN:
-            gk, hk = g[..., k], h[..., k]
-            target = nu[..., anchor] * gk if anchor_on_bs else beta[..., anchor] * hk
-            for c, on_bs, b in members:
-                if b >= 0:
-                    gb, hb = g[..., b], h[..., b]
-                    det = gk * hb - gb * hk
-                    nu[..., c] = target * hb / det
-                    beta[..., c] = -target * gb / det
-                elif on_bs:
-                    nu[..., c] = target / gk
-                else:
-                    beta[..., c] = target / hk
+        nu, beta, j_terms = _chain(g, h)
+        chan_scale = np.max(np.abs(np.concatenate([g, h], axis=-1)), axis=-1)
+        degenerate = np.zeros(g.shape[:-2], dtype=bool)
+        for j in j_terms:
+            degenerate |= np.any(np.abs(j) < tol * chan_scale**2, axis=-1)
+        small = tol * chan_scale[..., None]
+        degenerate |= np.any((np.abs(g) < small) | (np.abs(h) < small), axis=(-2, -1))
 
-        slot_peak = np.maximum(np.abs(nu), np.abs(beta)).max(axis=-1)
-        degenerate |= np.any(slot_peak == 0, axis=-1)  # identically zero slot
-        slot_scale = 1.0 / slot_peak
-        nu *= slot_scale[..., None]
-        beta *= slot_scale[..., None]
-        peak = np.maximum(np.abs(nu), np.abs(beta)).max(axis=-2)
-        degenerate |= np.any(peak == 0, axis=-1)  # identically zero symbol
-        scale = 1.0 / peak
-        nu *= scale[..., None, :]
-        beta *= scale[..., None, :]
-        return nu, beta, scale, slot_scale, degenerate
+        for axis in (-1, -2):  # each slot's peak, then each symbol's
+            peak = np.maximum(np.abs(nu), np.abs(beta)).max(axis=axis, keepdims=True)
+            degenerate |= np.any(peak == 0, axis=(-2, -1))  # identically zero
+            inv = 1.0 / peak
+            nu *= inv
+            beta *= inv
+        return nu, beta, degenerate
 
 
 def effective_channel_matrix(nu, beta, f, g, h):

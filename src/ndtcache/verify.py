@@ -491,7 +491,7 @@ BLOCK_BYTES = 64 * _trial_bytes((T_SLOTS, 1, 3), (len(TRANSMITTED_SYMBOLS),), _M
 
 def _solve_m1k3(tol: float):
     def solve(f, g, H):
-        nu, beta, _, _, degenerate = solve_precoders(g, H[..., 0], tol)
+        nu, beta, degenerate = solve_precoders(g, H[..., 0], tol)
         return (nu, beta), degenerate
     return solve
 

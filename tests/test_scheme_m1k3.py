@@ -1,7 +1,9 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from ndtcache.model import DEGENERACY_TOL, ChannelSet
 from ndtcache.scheme_m1k3 import (
@@ -23,6 +25,7 @@ from ndtcache.scheme_m1k3 import (
     ZERO_FORCED,
     ZERO_FORCED_COLS,
     SymbolId,
+    _chain,
     effective_channel_matrix,
     rn_cache_cancel,
     solve_precoders,
@@ -38,7 +41,7 @@ def constant_channels(g_row, h_col, f_val=1.0):
 
 
 def solve(ch):
-    """solve_precoders on one draw: (nu, beta, scale, slot_scale, degenerate)."""
+    """solve_precoders on one draw: (nu, beta, degenerate)."""
     return solve_precoders(ch.g, ch.H[..., 0])
 
 
@@ -50,12 +53,15 @@ def receive(nu, beta, ch, receiver):
     return effective_channel_matrix(nu, beta, ch.f, ch.g, ch.H[..., 0])[RECEIVERS.index(receiver)]
 
 
-def raw_chain(ch):
-    """The chain's nu and beta before normalization, columns by COLUMN."""
-    nu, beta, scale, slot_scale, degenerate = solve(ch)
-    assert not degenerate
-    undo = slot_scale[..., None] * scale[..., None, :]
-    return nu / undo, beta / undo
+def rational_channels(seed, shape=(T_SLOTS, 3)):
+    """g and h as object arrays of random nonzero Fractions, for _chain."""
+    rng = np.random.default_rng(seed)
+    def draw():
+        p = rng.integers(1, 10**6, shape) * rng.choice([-1, 1], shape)
+        q = rng.integers(1, 10**6, shape)
+        return np.array([Fraction(int(a), int(b)) for a, b in zip(p.flat, q.flat)],
+                        dtype=object).reshape(shape)
+    return draw(), draw()
 
 
 def zero_plan():
@@ -117,11 +123,11 @@ def hand_precoders(g, h, tol=DEGENERACY_TOL):
         scale = 1.0 / peak
         nu *= scale[..., None, :]
         beta *= scale[..., None, :]
-        return nu, beta, scale, slot_scale, degenerate
+        return nu, beta, degenerate
 
 
 def assert_bitwise_equal(got, want):
-    assert len(got) == len(want) == 5
+    assert len(got) == len(want) == 3
     for one, other in zip(got, want):
         assert one.dtype == other.dtype and one.shape == other.shape
         assert np.array_equal(one, other, equal_nan=True)
@@ -239,11 +245,12 @@ class TestSolvePrecoders:
     def test_fixed_slot_raw_values(self):
         # g = (1,1,1), h = (1,2,3): j13 = 1, j23 = -2, j33 = 1, so the
         # chain seed is 1*(-2)*1 * 1*1*1 * 1*2*3 = -12
-        nu, beta = raw_chain(constant_channels([1, 1, 1], [1, 2, 3]))
-        assert np.allclose(nu[:, COLUMN[SymbolId(4, 5)]], -12.0)
-        assert np.allclose(beta[:, COLUMN[SymbolId(2, 4)]], -12.0)
-        assert np.allclose(beta[:, COLUMN[SymbolId(3, 4)]], -12.0 / 2.0)
-        assert np.allclose(beta[:, COLUMN[SymbolId(1, 4)]], -12.0 / 3.0)
+        exact = lambda values: np.array([Fraction(v) for v in values], dtype=object)
+        nu, beta, _ = _chain(exact([1, 1, 1]), exact([1, 2, 3]))
+        assert nu[COLUMN[SymbolId(4, 5)]] == -12
+        assert beta[COLUMN[SymbolId(2, 4)]] == -12
+        assert beta[COLUMN[SymbolId(3, 4)]] == Fraction(-12, 2)
+        assert beta[COLUMN[SymbolId(1, 4)]] == Fraction(-12, 3)
 
     def test_zero_pattern(self):
         nu, beta, *_ = solve(draw_channels(5, T_SLOTS, 1, 3))
@@ -266,27 +273,43 @@ class TestSolvePrecoders:
 
     def test_unscaled_per_slot_equalities(self):
         # stricter check than colinearity: before normalization both sides
-        # of every alignment equality agree slot by slot
-        ch = draw_channels(7, T_SLOTS, 1, 3)
-        raw_nu, raw_beta = raw_chain(ch)
+        # of every alignment equality agree slot by slot, exactly
+        all_g, all_h = rational_channels(7)
+        raw_nu, raw_beta, _ = _chain(all_g, all_h)
         nxt = lambda k, d: (k + d - 1) % 3 + 1  # k + d wrapped into [1:3]
         for k in (1, 2, 3):
-            g, h = ch.g[:, k - 1], ch.H[:, k - 1, 0]
+            g, h = all_g[:, k - 1], all_h[:, k - 1]
             nu = lambda s: raw_nu[:, COLUMN[s]]
             beta = lambda s: raw_beta[:, COLUMN[s]]
             lhs1 = nu(SymbolId(4, 5)) * g
             rhs1 = beta(SymbolId(nxt(k, 1), 4)) * h
-            np.testing.assert_allclose(lhs1, rhs1, rtol=1e-10)
+            np.testing.assert_array_equal(lhs1, rhs1)
             l2a = beta(SymbolId(nxt(k, 2), 4)) * h
             l2b = beta(SymbolId(nxt(k, 2), 2)) * h + nu(SymbolId(nxt(k, 2), 2)) * g
             l2c = nu(SymbolId(nxt(k, 1), 5)) * g
-            np.testing.assert_allclose(l2a, l2b, rtol=1e-10)
-            np.testing.assert_allclose(l2a, l2c, rtol=1e-10)
+            np.testing.assert_array_equal(l2a, l2b)
+            np.testing.assert_array_equal(l2a, l2c)
             l3a = nu(SymbolId(nxt(k, 2), 5)) * g
             l3b = beta(SymbolId(nxt(k, 2), 1)) * h + nu(SymbolId(nxt(k, 2), 1)) * g
             l3c = beta(SymbolId(nxt(k, 1), 3)) * h + nu(SymbolId(nxt(k, 1), 3)) * g
-            np.testing.assert_allclose(l3a, l3b, rtol=1e-10)
-            np.testing.assert_allclose(l3a, l3c, rtol=1e-10)
+            np.testing.assert_array_equal(l3a, l3b)
+            np.testing.assert_array_equal(l3a, l3c)
+
+    def test_identities_hold_for_symbolic_channels(self):
+        # one slot's six coefficients as symbols: at every user the
+        # zero-forced symbols cancel and each alignment group collapses
+        # onto its anchor as rational functions, so for every channel
+        # off the zero sets of the chain's divisors
+        g = np.array(sympy.symbols("g1:4"), dtype=object)
+        h = np.array(sympy.symbols("h1:4"), dtype=object)
+        nu, beta, _ = _chain(g, h)
+        for k in (1, 2, 3):
+            received = lambda s: g[k - 1] * nu[COLUMN[s]] + h[k - 1] * beta[COLUMN[s]]
+            for s in ZERO_FORCED[k]:
+                assert sympy.cancel(received(s)) == 0
+            for anchor, *members in ALIGNMENT_GROUPS[k]:
+                for s in members:
+                    assert sympy.cancel(received(s) - received(anchor)) == 0
 
     def test_degenerate_j_term_is_masked(self):
         # g2*h3 = g3*h2 kills the first j term; a clean draw is not flagged
@@ -295,17 +318,13 @@ class TestSolvePrecoders:
         assert not solve(constant_channels([1, 1, 1], [1, 2, 3]))[-1]
 
     def test_per_slot_determinism(self):
-        ch1 = draw_channels(8, T_SLOTS, 1, 3)
-        ch2 = draw_channels(9, T_SLOTS, 1, 3)
-        # splice slot 0 of ch1 into ch2: slot-0 raw precoders must agree
-        f = ch2.f.copy()
-        g = ch2.g.copy()
-        H = ch2.H.copy()
-        f[0], g[0], H[0] = ch1.f[0], ch1.g[0], ch1.H[0]
-        spliced = ChannelSet(T=T_SLOTS, f=f, g=g, H=H)
-        # equality up to the rounding of undoing the two normalizations
-        for one, other in zip(raw_chain(ch1), raw_chain(spliced)):
-            np.testing.assert_allclose(one[0], other[0], rtol=1e-12)
+        g1, h1 = rational_channels(8)
+        g2, h2 = rational_channels(9)
+        # splice slot 0 of draw 1 into draw 2: slot-0 raw precoders must agree
+        g, h = g2.copy(), h2.copy()
+        g[0], h[0] = g1[0], h1[0]
+        for one, other in zip(_chain(g1, h1)[:2], _chain(g, h)[:2]):
+            np.testing.assert_array_equal(one[0], other[0])
 
     def test_scaled_peak_magnitude_is_one(self):
         nu, beta, *_ = solve(draw_channels(10, T_SLOTS, 1, 3))
