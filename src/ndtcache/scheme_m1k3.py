@@ -120,8 +120,9 @@ def solve_precoders(g: np.ndarray, h: np.ndarray, tol: float = DEGENERACY_TOL):
 
     A draw is degenerate if step 2 divides by a j term of magnitude below
     tol (relative to the squared slot channel scale) or by a coefficient
-    below tol relative to the slot scale, or if a slot or a symbol is
-    identically zero. ``degenerate`` (the batch shape) flags those draws;
+    below tol relative to the slot scale, if a slot's scale is not above
+    zero (a slot of zeros, or a NaN coefficient), or if a slot or a symbol
+    is identically zero. ``degenerate`` (the batch shape) flags those draws;
     their other outputs are meaningless.
     """
     check_tol(tol)
@@ -132,7 +133,7 @@ def solve_precoders(g: np.ndarray, h: np.ndarray, tol: float = DEGENERACY_TOL):
     with np.errstate(all="ignore"):  # degenerate draws may divide by ~0
         nu, beta, j_terms = _chain(g, h)
         chan_scale = np.max(np.abs(np.concatenate([g, h], axis=-1)), axis=-1)
-        degenerate = np.zeros(g.shape[:-2], dtype=bool)
+        degenerate = ~np.all(chan_scale > 0, axis=-1)  # a NaN makes its slot's scale NaN
         for j in j_terms:
             degenerate |= np.any(np.abs(j) < tol * chan_scale**2, axis=-1)
         small = tol * chan_scale[..., None]

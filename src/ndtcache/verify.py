@@ -13,16 +13,19 @@ stacked on a leading axis and checked by stacked np.linalg calls
 one call per matrix; rate totals add up in trial order. So results do not
 depend on the block size. A block holds as many trials as fit in
 BLOCK_BYTES (at least one, at most the run), each verifier counting a
-trial's bytes from its own shapes: the drawn values and their float
-buffer, the solution arrays and, for verify_m1k3 and finite_snr_rates,
-the four receive matrices. So memory is about one block's arrays
-whatever the trial count, and a trial too large for the budget runs
-alone. A block's draws come from one drawer,
-``_draw_cn``: one array pass computes every key's PCG64 state, one
-generator set to each state in turn fills its key's row of a float
-buffer, and one array expression per part turns its (real, imaginary)
-column pairs into the block's complex values. The drawn channels are
-checked finite and nonzero once per block, with ChannelSet's messages.
+trial's bytes from its own shapes: the drawn values it holds, each with
+its pair of floats, the solution arrays and, for verify_m1k3 and
+finite_snr_rates, the four receive matrices. Unicasting reads no H, so
+its runs draw H without holding it. So memory is about one block's
+arrays and a float scratch of at most BLOCK_BYTES, whatever the trial
+count, and a trial too large for the budget runs alone. A block's draws
+come from one drawer, ``_draw_cn``: one array pass computes every key's
+PCG64 state, and one generator, set to each state in turn, fills its
+key's row of floats in the scratch, as whole rows or, for a row larger
+than the scratch, in segments of one stream. Each window of floats is
+scaled into the complex values of the parts held; a part not held is
+checked as it passes. The drawn channels are checked finite and nonzero
+once per block, with ChannelSet's messages.
 Each user's interference SVD runs once and gives its rank, its gap and
 the projection basis. The rank-only decisions (desired, total and relay
 ranks) are certified full by a shifted Cholesky factorization of the
@@ -75,7 +78,7 @@ DECODE_ERROR_MAX = 1e-6
 MIN_SV_GAP = 1e6
 RANK_REL_TOL = 1e-12
 _MAX_REDRAWS = 8
-# A drawn complex value and its (real, imaginary) pair in the float buffer.
+# A held complex value and its (real, imaginary) pair of floats.
 _DRAWN_BYTES = 2 * np.dtype(complex).itemsize
 
 # Signs that turn "lowest desired rank, highest interference rank, lowest
@@ -219,31 +222,83 @@ def _pcg64_states(words: np.ndarray, counts: np.ndarray) -> list[tuple[int, int]
     return seeds
 
 
-def _draw_cn(prefix: tuple[int, ...], extra: np.ndarray, shapes) -> list[np.ndarray]:
+class _Unheld:
+    """check_coefficients' view of a drawn part that is never held. Fed
+    the part's real parts, then its imaginary parts, in windows (key rows,
+    columns, floats), it notes whether a coefficient is non-finite and
+    whether one is zero, that is, both of its parts are; a zero real part
+    (almost never seen) waits for its imaginary part."""
+
+    def __init__(self):
+        self.finite, self.zero, self.zero_re = True, False, []
+
+    def real(self, keys: slice, cols: slice, x: np.ndarray) -> None:
+        self.finite &= bool(np.isfinite(x).all())
+        self.zero_re += [(keys.start + i, cols.start + j) for i, j in zip(*np.nonzero(x == 0))]
+
+    def imag(self, keys: slice, cols: slice, x: np.ndarray) -> None:
+        self.finite &= bool(np.isfinite(x).all())
+        self.zero |= any(x[i - keys.start, j - cols.start] == 0 for i, j in self.zero_re
+                         if keys.start <= i < keys.stop and cols.start <= j < cols.stop)
+
+    def stand_in(self) -> np.ndarray:
+        """One coefficient that check_coefficients judges as it would the part."""
+        return np.array([np.nan if not self.finite else 0 if self.zero else 1], complex)
+
+
+def _draw_cn(prefix: tuple[int, ...], extra: np.ndarray, shapes, unheld=()) -> list[np.ndarray]:
     """I.i.d. CN(0,1) arrays, per shape one of shape (len(extra), *shape),
     row i drawn as ``default_rng(prefix + tuple(extra[i]))`` would draw it.
 
     One array pass computes every key's PCG64 state (_pcg64_states). One
-    Generator, set to each state in turn, fills its key's row of one float
-    buffer: per shape in order, its real parts, then its imaginary parts,
-    as one generator drawing each part in turn would. One array expression
-    per shape then makes the whole block's complex values.
+    Generator, set to each state in turn, draws its key's row of floats:
+    per shape in order, its real parts, then its imaginary parts, as one
+    generator drawing each part in turn would. The rows pass through a
+    scratch of at most BLOCK_BYTES: as many whole rows as fit, one fill per
+    key, or a row larger than that in segments, which continue the same
+    stream. Each window of floats is scaled by 1 / sqrt(2) into the real or
+    imaginary parts of its shape's complex values, the bits of
+    ``(re + 1j * im) / sqrt(2)``. The shapes at the indices ``unheld`` are
+    drawn but not held: each comes back as _Unheld.stand_in.
     """
-    sizes = [math.prod(shape) for shape in shapes]
-    normals = np.empty((len(extra), 2 * sum(sizes)))
+    n, sizes = len(extra), [math.prod(shape) for shape in shapes]
+    width = 2 * sum(sizes)  # the floats of a key's row
+    floats = max(BLOCK_BYTES // np.dtype(float).itemsize, 1)
+    rows = min(n, floats // width)  # whole rows a window holds; none: one row in segments
+    per, seg = (rows, width) if rows else (1, floats)
+    scratch = np.empty((per, seg))
+    parts = [_Unheld() if i in unheld else np.empty((n, size), complex)
+             for i, size in enumerate(sizes)]
+    scale = 1 / np.sqrt(2)
+    halves, start = [], 0  # per half of a part: (its first float in a row, length, sink)
+    for part, size in zip(parts, sizes):
+        if isinstance(part, _Unheld):
+            sinks = part.real, part.imag
+        else:
+            sinks = [lambda keys, cols, x, out=out: np.multiply(x, scale, out=out[keys, cols])
+                     for out in (part.real, part.imag)]
+        for sink in sinks:
+            halves.append((start, size, sink))
+            start += size
+
     bits = np.random.PCG64(0)
     fill = np.random.Generator(bits).standard_normal
     state = bits.state  # a fresh generator's, given each key's (state, inc)
-    for (state["state"]["state"], state["state"]["inc"]), row in zip(
-            _pcg64_states(*_key_words(prefix, extra)), normals):
-        bits.state = state
-        fill(out=row)
-    parts, start = [], 0
-    for shape, size in zip(shapes, sizes):
-        re, im = normals[:, start:start + size], normals[:, start + size:start + 2 * size]
-        parts.append(((re + 1j * im) / np.sqrt(2)).reshape(len(extra), *shape))
-        start += 2 * size
-    return parts
+    seeds = _pcg64_states(*_key_words(prefix, extra))
+    for lo in range(0, n, per):
+        keys = slice(lo, min(lo + per, n))
+        for a in range(0, width, seg):  # a segment starts where the last one stopped
+            window = scratch[:keys.stop - lo, :width - a]
+            for (state["state"]["state"], state["state"]["inc"]), row in zip(seeds[keys], window):
+                if not a:
+                    bits.state = state
+                fill(out=row)
+            for first, size, sink in halves:
+                cols = slice(max(a - first, 0), min(a + window.shape[1] - first, size))
+                if cols.start < cols.stop:
+                    sink(keys, cols, window[:, first + cols.start - a:first + cols.stop - a])
+    return [part.stand_in() if isinstance(part, _Unheld) else part.reshape(n, *shape)
+            for part, shape in zip(parts, shapes)]
 
 
 def draw_channels(seed, T: int, M: int, K: int) -> ChannelSet:
@@ -363,12 +418,19 @@ def _key(seed, *extra: int) -> tuple[int, ...]:
     return base + extra
 
 
-def _trial_bytes(shape: tuple[int, int, int], sym_sizes: tuple[int, ...], held: int) -> int:
+def _trial_bytes(shape: tuple[int, int, int], sym_sizes: tuple[int, ...], held: int,
+                 reads_H: bool = True) -> int:
     """Bytes a block holds per trial: the drawn f (T x M), g (T x K),
-    H (T x K x M) and symbols, each value with its float-buffer pair, plus
-    the ``held`` bytes of its solution and receive matrices."""
+    H (T x K x M) if the run reads it, and symbols, each value with its
+    pair of floats, plus the ``held`` bytes of its solution and receive
+    matrices."""
     T, M, K = shape
-    return _DRAWN_BYTES * (T * M + T * K + T * K * M + sum(sym_sizes)) + held
+    return _DRAWN_BYTES * (T * M + T * K + reads_H * T * K * M + sum(sym_sizes)) + held
+
+
+def _rows(arr: np.ndarray | None, index):
+    # a drawn part's rows; a part the run does not hold stays None
+    return None if arr is None else arr[index]
 
 
 class _TrialRun:
@@ -381,17 +443,20 @@ class _TrialRun:
     ``ranks``, if given, are the (desired, interference, total) ranks all of
     them report instead of folded ones. ``held`` is the bytes a trial's
     solution and receive matrices hold; with its draws they make
-    ``trial_bytes``, which sizes the blocks against BLOCK_BYTES."""
+    ``trial_bytes``, which sizes the blocks against BLOCK_BYTES. A run
+    that does not read H (``reads_H=False``) draws it, checks it and
+    carries None in its place."""
 
     def __init__(self, seed, trials: int, shape: tuple[int, int, int], solve,
                  sym_sizes: tuple[int, ...] = (), receivers: tuple[tuple[str, int], ...] = (),
-                 ranks: tuple[int, int, int] | None = None, held: int = 0):
+                 ranks: tuple[int, int, int] | None = None, held: int = 0,
+                 reads_H: bool = True):
         trials = as_count("trials", trials)
         if trials < 1:
             raise ValueError(f"trials must be positive, got {trials}")
-        self.prefix, self.n, self.shape, self.solve, self.sym_sizes = (
-            _key(seed), trials, shape, solve, sym_sizes)
-        self.trial_bytes = _trial_bytes(shape, sym_sizes, held)
+        self.prefix, self.n, self.shape, self.solve, self.sym_sizes, self.reads_H = (
+            _key(seed), trials, shape, solve, sym_sizes, reads_H)
+        self.trial_bytes = _trial_bytes(shape, sym_sizes, held, reads_H)
         self.trials = self.failures = self.redraws = 0
         self.first_failure: str | None = None
         self.receivers = receivers
@@ -400,14 +465,18 @@ class _TrialRun:
         self.residuals = np.zeros((len(receivers), 2))
         self.decode_max = 0.0
 
-    def _draw(self, trials, attempts) -> list[np.ndarray]:
-        """Stacked f, g, H and symbol groups of one draw per (trial, attempt),
-        with ChannelSet's check on the channels."""
+    def _draw(self, trials, attempts) -> list[np.ndarray | None]:
+        """Stacked f, g, H (None if the run does not read it) and symbol
+        groups of one draw per (trial, attempt), with ChannelSet's check on
+        the channels."""
         T, M, K = self.shape
         drawn = _draw_cn(self.prefix, np.column_stack([np.asarray(trials), attempts]),
-                         ((T, M), (T, K), (T, K, M), *((n,) for n in self.sym_sizes)))
+                         ((T, M), (T, K), (T, K, M), *((n,) for n in self.sym_sizes)),
+                         () if self.reads_H else (2,))
         f, g, H = drawn[:3]
         check_coefficients(f=f, g=g, H=H)
+        if not self.reads_H:
+            drawn[2] = None
         return drawn
 
     def blocks(self):
@@ -426,14 +495,15 @@ class _TrialRun:
                     n = int(redo[0])  # every trial before it is solved
                     break
                 for arr, new in zip(drawn, self._draw(start + redo, attempts[redo])):
-                    arr[redo] = new
-                redone, degenerate[redo] = self.solve(*(arr[redo] for arr in drawn[:3]))
+                    if arr is not None:
+                        arr[redo] = new
+                redone, degenerate[redo] = self.solve(*(_rows(arr, redo) for arr in drawn[:3]))
                 for arr, new in zip(solution, redone):
                     arr[redo] = new
             self.trials += n
             self.redraws += int(attempts[:n].sum())
             if n:
-                drawn = [arr[:n] for arr in drawn]
+                drawn = [_rows(arr, slice(n)) for arr in drawn]
                 yield start, tuple(drawn[:3]), tuple(arr[:n] for arr in solution), drawn[3:]
             if degenerate.any():
                 self.trials += 1
@@ -580,7 +650,7 @@ def _verify_unicast(seed, trials: int, cfg: NetworkConfig) -> VerificationReport
     schedule = unicast_schedule(cfg)  # slot t serves receiver t
     never_degenerate = lambda f, g, H: ((), np.zeros(len(g), dtype=bool))
     run = _TrialRun(seed, trials, (len(schedule), cfg.M, cfg.K), never_degenerate,
-                    (len(schedule),), schedule, ranks=(1, 0, 1))
+                    (len(schedule),), schedule, ranks=(1, 0, 1), reads_H=False)
     for start, (f, g, _), _, (syms,) in run.blocks():
         coeff = np.stack([{"ue": g, "rn": f}[kind][:, t, i - 1]
                           for t, (kind, i) in enumerate(schedule)], axis=-1)

@@ -429,8 +429,8 @@ class TestInputHardening:
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--m", "3000", "--k", "4000"],  # millions of bound components
-        # one trial's draw is about 1 GB: its float buffer and its complex values
-        ["verify-corner", "--m", "250", "--k", "250", "--mu", "0", "--trials", "64"],
+        # a unicast trial holds f and g, 1.6 GB at (5000, 5000); H is never held
+        ["verify-corner", "--m", "5000", "--k", "5000", "--mu", "0", "--trials", "1"],
     ])
     def test_out_of_memory_is_one_json_line(self, argv):
         proc = subprocess.run([sys.executable, "-m", "ndtcache", *argv], capture_output=True,
@@ -440,16 +440,27 @@ class TestInputHardening:
             "error": "out-of-memory", "detail": f"{argv[0]} ran out of memory"}) + "\n"
 
     def test_large_corner_run_fits_under_the_cap(self, capsys, monkeypatch):
-        # a (60, 60) unicast trial draws 14.3 MB and runs alone in its block;
-        # 64 trials in one block would hold about 0.9 GB
+        # a (60, 60) unicast trial holds 0.46 MB of f, g and symbols and runs
+        # alone in its block; its 7.1 MB row of floats streams through the scratch
         argv = ["verify-corner", "--m", "60", "--k", "60", "--mu", "0", "--trials", "64"]
         proc = subprocess.run([sys.executable, "-m", "ndtcache", *argv], capture_output=True,
                               text=True, timeout=60,
                               preexec_fn=lambda: cap_address_space(512 * 1024**2))
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         assert json.loads(proc.stdout)["data"][0]["failures"] == 0
-        monkeypatch.setattr(verify, "BLOCK_BYTES", 60 * 10**6)  # four trials a block
+        # 34 trials a block, and whole rows, two a fill, in the scratch
+        monkeypatch.setattr(verify, "BLOCK_BYTES", 16 * 10**6)
         assert run_cli(capsys, *argv) == (EXIT_OK, proc.stdout, "")
+
+    def test_unicast_trial_larger_than_the_cap_runs(self):
+        # (250, 250): H is 31.25 million coefficients, 0.5 GB as floats and
+        # 0.5 GB more as complex values; the trial holds only f, g and the
+        # symbols, 4 MB
+        argv = ["verify-corner", "--m", "250", "--k", "250", "--mu", "0", "--trials", "1"]
+        proc = subprocess.run([sys.executable, "-m", "ndtcache", *argv], capture_output=True,
+                              text=True, timeout=60, preexec_fn=cap_address_space)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert json.loads(proc.stdout)["data"][0]["failures"] == 0
 
     def test_grid_limit_is_one_constant(self):
         # the limit itself is accepted; one more is a usage error (TestTradeoff)

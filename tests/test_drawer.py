@@ -104,34 +104,137 @@ def test_trials_on_both_sides_of_two_to_the_32_share_a_block(seed):
             assert_bit_equal(new[i], old)
 
 
-class _OneBadCoefficient:
-    """Stands in for np.random.Generator, which the drawer sets to each
-    key's state in turn: fills every row with ones, except that
-    coefficient 0 of one part gets ``value`` in its real and imaginary
-    parts."""
+# T, M, K = 3, 2, 2 with one symbol group of 5: a key's row is f's 12 floats,
+# g's 12, H's 24, then the symbols' 10 (58 floats in all)
+SMALL = ((3, 2), (3, 2), (3, 2, 2), (5,))
 
-    def __init__(self, shape, part, value):
+
+@pytest.mark.parametrize("unheld", [(), (2,)])
+@pytest.mark.parametrize("floats, keys", [
+    (7, 3),  # fills end at 7 (in f), 14, 21 (in g), 28, 35, 42 (in H), 49, 56 (in the symbols)
+    (1, 2),  # one float a fill
+    (2 * 58 + 1, 5),  # whole rows, two a fill, the last fill one row
+])
+def test_a_small_scratch_keeps_the_bits(monkeypatch, unheld, floats, keys):
+    monkeypatch.setattr(V, "BLOCK_BYTES", 8 * floats)
+    extra = np.column_stack([np.arange(keys), np.arange(keys) % 3])
+    drawn = V._draw_cn(V._key(9), extra, SMALL, unheld)
+    for i, (t, a) in enumerate(extra):
+        recipe = per_part_channels(V._key(9, t, a), 3, 2, 2, (5,))
+        for p, (new, old) in enumerate(zip(drawn, recipe)):
+            if p in unheld:
+                assert_bit_equal(new, np.array([1 + 0j]))  # finite and nonzero
+            else:
+                assert_bit_equal(new[i], old)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, T=st.integers(1, 4), M=st.integers(1, 4), K=st.integers(1, 4),
+       sizes=st.lists(st.integers(1, 6), max_size=3).map(tuple), keys=st.integers(1, 5),
+       budget=st.integers(8, 3000), reads_H=st.booleans())
+def test_any_scratch_size_keeps_the_bits(seed, T, M, K, sizes, keys, budget, reads_H):
+    run = V._TrialRun(seed, 1, (T, M, K), solve=None, sym_sizes=sizes, reads_H=reads_H)
+    trials, attempts = range(keys), [t % 2 for t in range(keys)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(V, "BLOCK_BYTES", budget)
+        block = run._draw(trials, attempts)
+    assert (block[2] is None) == (not reads_H)
+    for i, (t, a) in enumerate(zip(trials, attempts)):
+        for new, old in zip(block, per_part_channels(V._key(seed, t, a), T, M, K, sizes)):
+            if new is not None:
+                assert_bit_equal(new[i], old)
+
+
+class _BadCoefficients:
+    """Stands in for np.random.Generator, which the drawer sets to each
+    key's state in turn: every key's row of floats is ones, except that
+    each (part, coefficient, value) of ``faults`` puts its value in that
+    coefficient's real part (half 0) and imaginary part (half 1), or in
+    the ``halves`` given.
+    A row larger than the drawer's scratch comes in several fills, so the
+    double counts the floats of the current key, starting again when the
+    drawer sets the bit generator to the next key's state."""
+
+    def __init__(self, shape, faults, halves=(0, 1)):
         T, M, K = shape
         sizes = {"f": T * M, "g": T * K, "H": T * K * M}
-        start = {"f": 0, "g": 2 * sizes["f"], "H": 2 * (sizes["f"] + sizes["g"])}[part]
-        self.spots = (start, start + sizes[part])
-        self.value = value
+        start = {"f": 0, "g": 2 * sizes["f"], "H": 2 * (sizes["f"] + sizes["g"])}
+        self.spots = {start[part] + c + half * sizes[part]: value for part, c, value in faults
+                      for half in halves}
 
     def __call__(self, bit_generator):
+        self.bits, self.key, self.at = bit_generator, None, 0
         return self
 
     def standard_normal(self, out):
+        key = self.bits.state["state"]
+        if key != self.key:  # the next key's row
+            self.key, self.at = key, 0
         out[:] = 1.0
-        out[list(self.spots)] = self.value
+        for spot, value in self.spots.items():
+            if self.at <= spot < self.at + len(out):
+                out[spot - self.at] = value
+        self.at += len(out)
+
+
+UNICAST = (3, 1, 2)  # unicast at M = 1, K = 2: one slot per receiver
+# 5 floats a fill: H's first coefficient has its real part in one fill, its
+# imaginary part in the next
+SEGMENTED = 5 * 8
+
+
+def raises_on_both_paths(monkeypatch, faults, message, budget=None, halves=(0, 1)):
+    """draw_channels (every part held) and verify_corner at mu = 0 (H not
+    held) raise ``message`` on ``faults``, or nothing if it is None."""
+    if budget:
+        monkeypatch.setattr(V, "BLOCK_BYTES", budget)
+    monkeypatch.setattr(np.random, "Generator", _BadCoefficients(UNICAST, faults, halves))
+    for run in (lambda: V.draw_channels(0, *UNICAST),
+                lambda: V.verify_corner(0, 5, NetworkConfig(M=1, K=2, N=3, mu=0))):
+        if message is None:
+            run()
+        else:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                run()
 
 
 @pytest.mark.parametrize("value, problem", [(0.0, "zero"), (np.nan, "non-finite")])
 @pytest.mark.parametrize("part", ["f", "g", "H"])
 def test_bad_draws_raise_channel_set_messages(monkeypatch, part, value, problem):
-    message = f"{part} contains {problem} coefficients"
-    shape = (3, 1, 2)  # unicast at M = 1, K = 2: one slot per receiver
-    monkeypatch.setattr(np.random, "Generator", _OneBadCoefficient(shape, part, value))
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        V.draw_channels(0, *shape)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        V.verify_corner(0, 5, NetworkConfig(M=1, K=2, N=3, mu=0))
+    raises_on_both_paths(monkeypatch, [(part, 0, value)], f"{part} contains {problem} coefficients")
+
+
+@pytest.mark.parametrize("value, problem", [(0.0, "zero"), (np.nan, "non-finite"),
+                                            (-np.inf, "non-finite")])
+@pytest.mark.parametrize("part", ["f", "g", "H"])
+def test_bad_draws_in_segmented_rows_raise_the_same_messages(monkeypatch, part, value, problem):
+    raises_on_both_paths(monkeypatch, [(part, 0, value)], f"{part} contains {problem} coefficients",
+                         SEGMENTED)
+
+
+@pytest.mark.parametrize("budget", [None, SEGMENTED])
+@pytest.mark.parametrize("faults, message", [
+    ([("f", 1, 0.0), ("H", 0, np.nan)], "f contains zero coefficients"),
+    ([("g", 2, np.nan), ("H", 3, 0.0)], "g contains non-finite coefficients"),
+    ([("H", 0, 0.0), ("H", 5, np.nan)], "H contains non-finite coefficients"),
+    ([("H", 1, 0.0), ("H", 4, 0.0)], "H contains zero coefficients"),
+])
+def test_a_block_with_several_faults_raises_what_channel_set_would(monkeypatch, budget, faults,
+                                                                  message):
+    # f, then g, then H, and within a part non-finite before zero
+    raises_on_both_paths(monkeypatch, faults, message, budget)
+
+
+@pytest.mark.parametrize("budget", [None, SEGMENTED])
+@pytest.mark.parametrize("part", ["f", "g", "H"])
+@pytest.mark.parametrize("half", [0, 1])
+def test_a_zero_part_alone_is_not_a_zero_coefficient(monkeypatch, budget, part, half):
+    raises_on_both_paths(monkeypatch, [(part, 0, 0.0), (part, 1, 0.0)], None, budget, (half,))
+
+
+@pytest.mark.parametrize("budget", [None, SEGMENTED])
+@pytest.mark.parametrize("part", ["f", "g", "H"])
+@pytest.mark.parametrize("half", [0, 1])
+def test_one_non_finite_part_makes_a_non_finite_coefficient(monkeypatch, budget, part, half):
+    raises_on_both_paths(monkeypatch, [(part, 2, np.inf)],
+                         f"{part} contains non-finite coefficients", budget, (half,))

@@ -317,6 +317,16 @@ class TestSolvePrecoders:
         assert degenerate.shape == () and degenerate
         assert not solve(constant_channels([1, 1, 1], [1, 2, 3]))[-1]
 
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_a_nan_coefficient_is_masked(self, which):
+        # a NaN makes its slot's channel scale NaN, which no "<" test flags;
+        # the other draw of the batch keeps its mask
+        rng = np.random.default_rng(22)
+        g, h = (rng.standard_normal((2, T_SLOTS, 3)) + 1j * rng.standard_normal((2, T_SLOTS, 3))
+                for _ in range(2))
+        (g, h)[which][0, 2, 1] = np.nan
+        assert solve_precoders(g, h)[-1].tolist() == [True, False]
+
     def test_per_slot_determinism(self):
         g1, h1 = rational_channels(8)
         g2, h2 = rational_channels(9)

@@ -1,6 +1,9 @@
 """The blocked trial runner gives the same reports as one trial per block,
 whatever the trial count and wherever redraws fall relative to block
 boundaries."""
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -40,9 +43,9 @@ def block_sizes(monkeypatch, fn):
     sizes = []
     draw = V._draw_cn
 
-    def counting(prefix, extra, shapes):
+    def counting(prefix, extra, *rest):
         sizes.append(len(extra))
-        return draw(prefix, extra, shapes)
+        return draw(prefix, extra, *rest)
 
     with monkeypatch.context() as patch:
         patch.setattr(V, "_draw_cn", counting)
@@ -110,5 +113,22 @@ def test_byte_budget_sizes_the_blocks(monkeypatch):
     # the benchmark's largest corner command runs as one block
     corner = lambda m, k, trials: V.verify_corner(5, trials, NetworkConfig(m, k, m + k, 0))
     assert block_sizes(monkeypatch, lambda: corner(3, 4, 200)) == [200]
-    # a (60, 60) unicast trial draws 14.3 MB, more than the budget: one trial a block
+    # a (3, 4) unicast trial holds 1,792 bytes, no H: 507 trials a block
+    assert block_sizes(monkeypatch, lambda: corner(3, 4, 600)) == [507, 93]
+    # a (60, 60) unicast trial holds 0.46 MB, more than half the budget: one trial a block
     assert block_sizes(monkeypatch, lambda: corner(60, 60, 3)) == [1, 1, 1]
+
+
+def test_a_unicast_run_holds_no_h():
+    # a (60, 60) unicast trial holds f, g and symbols, 14,520 complex values;
+    # its H (432,000 values) streams through a scratch of at most BLOCK_BYTES
+    T, M, K = 120, 60, 60
+    held = np.dtype(complex).itemsize * (T * M + T * K + T)
+    V.verify_corner(1, 1, NetworkConfig(M=1, K=1, N=2, mu=0))  # imports and caches first
+    tracemalloc.start()
+    try:
+        V.verify_corner(1, 1, NetworkConfig(M=M, K=K, N=M + K, mu=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * V.BLOCK_BYTES + held
