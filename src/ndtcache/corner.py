@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layout import miso_ndt_and_dof, unicast_schedule, user_groups
+from .layout import unicast_schedule, user_groups
 from .model import DEGENERACY_TOL, check_tol
 
 

@@ -94,13 +94,14 @@ class NetworkConfig:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
 
 
-def check_coefficients(**arrays: np.ndarray) -> None:
-    """Require every coefficient finite and nonzero, checking the named
-    arrays in order; a stack of channel sets is checked in one pass."""
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
+def check_coefficients(*parts: tuple[str, bool, bool]) -> None:
+    """Require every coefficient finite and nonzero, given each part as
+    (name, all finite, some zero) in order: ChannelSet's own arrays, or
+    verify's drawer's tallies of a block. Non-finite is raised before zero."""
+    for name, finite, zero in parts:
+        if not finite:
             raise ValueError(f"{name} contains non-finite coefficients")
-        if np.any(arr == 0):
+        if zero:
             raise ValueError(f"{name} contains zero coefficients")
 
 
@@ -133,7 +134,8 @@ class ChannelSet:
             raise ValueError(f"g must be T x K, got shape {g.shape}")
         if H.shape != (self.T, g.shape[1], f.shape[1]):
             raise ValueError(f"H must be T x K x M, got shape {H.shape}")
-        check_coefficients(f=f, g=g, H=H)
+        check_coefficients(*((name, np.isfinite(a).all(), (a == 0).any())
+                             for name, a in zip("fgH", (f, g, H))))
         for arr in (f, g, H):
             arr.setflags(write=False)
         object.__setattr__(self, "f", f)

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layout import (ALIGNMENT_GROUPS, DENB_SYMBOLS, NUM_FILES, RN_CACHED,
-                     RN_SYMBOLS, SYMBOLS_PER_FILE, T_SLOTS, TRANSMITTED_SYMBOLS, UNCACHED,
-                     ZERO_FORCED, SymbolId, _mbar3)
+from .layout import (ALIGNMENT_GROUPS, DENB_SYMBOLS, RN_CACHED, SYMBOLS_PER_FILE, T_SLOTS,
+                     TRANSMITTED_SYMBOLS, UNCACHED, ZERO_FORCED, SymbolId)
 from .model import DEGENERACY_TOL, check_tol
 
 # Integer forms of the layout, so the checks index arrays instead of

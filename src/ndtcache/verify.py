@@ -23,9 +23,9 @@ come from one drawer, ``_draw_cn``: one array pass computes every key's
 PCG64 state, and one generator, set to each state in turn, fills its
 key's row of floats in the scratch, as whole rows or, for a row larger
 than the scratch, in segments of one stream. Each window of floats is
-scaled into the complex values of the parts held; a part not held is
-checked as it passes. The drawn channels are checked finite and nonzero
-once per block, with ChannelSet's messages.
+scaled into the complex values of the parts held. The drawer tallies every
+float of f, g and H, held or not, as it leaves the scratch, and raises
+ChannelSet's message for a block's first non-finite or zero part.
 Each user's interference SVD runs once and gives its rank, its gap and
 the projection basis. The rank-only decisions (desired, total and relay
 ranks) are certified full by a shifted Cholesky factorization of the
@@ -222,63 +222,67 @@ def _pcg64_states(words: np.ndarray, counts: np.ndarray) -> list[tuple[int, int]
     return seeds
 
 
-class _Unheld:
-    """check_coefficients' view of a drawn part that is never held. Fed
-    the part's real parts, then its imaginary parts, in windows (key rows,
-    columns, floats), it notes whether a coefficient is non-finite and
-    whether one is zero, that is, both of its parts are; a zero real part
-    (almost never seen) waits for its imaginary part."""
+class _Tally:
+    """Whether a drawn channel part has a non-finite coefficient and whether
+    one is zero, that is, both of its parts are. Fed the real parts, then
+    the imaginary parts, in windows (key rows, columns, floats) not yet
+    scaled, as scaling keeps a double finite or not and zero or not."""
 
     def __init__(self):
         self.finite, self.zero, self.zero_re = True, False, []
 
     def real(self, keys: slice, cols: slice, x: np.ndarray) -> None:
         self.finite &= bool(np.isfinite(x).all())
-        self.zero_re += [(keys.start + i, cols.start + j) for i, j in zip(*np.nonzero(x == 0))]
+        if not x.all():  # a zero real part (almost never seen) waits for its imaginary part
+            self.zero_re += [(keys.start + i, cols.start + j) for i, j in zip(*np.nonzero(x == 0))]
 
     def imag(self, keys: slice, cols: slice, x: np.ndarray) -> None:
         self.finite &= bool(np.isfinite(x).all())
         self.zero |= any(x[i - keys.start, j - cols.start] == 0 for i, j in self.zero_re
                          if keys.start <= i < keys.stop and cols.start <= j < cols.stop)
 
-    def stand_in(self) -> np.ndarray:
-        """One coefficient that check_coefficients judges as it would the part."""
-        return np.array([np.nan if not self.finite else 0 if self.zero else 1], complex)
+
+def _parts(shape: tuple[int, int, int], sym_sizes: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
+    """A draw's parts in order: f (T x M), g (T x K), H (T x K x M), symbols."""
+    T, M, K = shape
+    return [(T, M), (T, K), (T, K, M), *((n,) for n in sym_sizes)]
 
 
-def _draw_cn(prefix: tuple[int, ...], extra: np.ndarray, shapes, unheld=()) -> list[np.ndarray]:
-    """I.i.d. CN(0,1) arrays, per shape one of shape (len(extra), *shape),
-    row i drawn as ``default_rng(prefix + tuple(extra[i]))`` would draw it.
+def _draw_cn(prefix: tuple[int, ...], extra: np.ndarray, shape: tuple[int, int, int],
+             sym_sizes: tuple[int, ...] = (), reads_H: bool = True) -> list[np.ndarray | None]:
+    """I.i.d. CN(0,1) draws of the parts of ``_parts(shape, sym_sizes)``, per
+    part one array (len(extra), *part), row i drawn as ``default_rng(prefix +
+    tuple(extra[i]))`` would draw it; H comes back None unless ``reads_H``.
 
     One array pass computes every key's PCG64 state (_pcg64_states). One
     Generator, set to each state in turn, draws its key's row of floats:
-    per shape in order, its real parts, then its imaginary parts, as one
+    per part in order, its real parts, then its imaginary parts, as one
     generator drawing each part in turn would. The rows pass through a
     scratch of at most BLOCK_BYTES: as many whole rows as fit, one fill per
     key, or a row larger than that in segments, which continue the same
     stream. Each window of floats is scaled by 1 / sqrt(2) into the real or
-    imaginary parts of its shape's complex values, the bits of
-    ``(re + 1j * im) / sqrt(2)``. The shapes at the indices ``unheld`` are
-    drawn but not held: each comes back as _Unheld.stand_in.
+    imaginary parts of its part's complex values, the bits of
+    ``(re + 1j * im) / sqrt(2)``; an H not held is drawn and dropped. Every
+    float of f, g and H, held or not, is tallied (_Tally) as it leaves the
+    scratch, and after the block check_coefficients raises ChannelSet's
+    message for the first bad part.
     """
-    n, sizes = len(extra), [math.prod(shape) for shape in shapes]
+    shapes = _parts(shape, sym_sizes)
+    n, sizes = len(extra), [math.prod(part) for part in shapes]
     width = 2 * sum(sizes)  # the floats of a key's row
     floats = max(BLOCK_BYTES // np.dtype(float).itemsize, 1)
     rows = min(n, floats // width)  # whole rows a window holds; none: one row in segments
     per, seg = (rows, width) if rows else (1, floats)
     scratch = np.empty((per, seg))
-    parts = [_Unheld() if i in unheld else np.empty((n, size), complex)
+    parts = [None if i == 2 and not reads_H else np.empty((n, size), complex)
              for i, size in enumerate(sizes)]
+    tallies = [_Tally() for _ in "fgH"] + [None] * len(sym_sizes)  # symbols are not checked
     scale = 1 / np.sqrt(2)
-    halves, start = [], 0  # per half of a part: (its first float in a row, length, sink)
-    for part, size in zip(parts, sizes):
-        if isinstance(part, _Unheld):
-            sinks = part.real, part.imag
-        else:
-            sinks = [lambda keys, cols, x, out=out: np.multiply(x, scale, out=out[keys, cols])
-                     for out in (part.real, part.imag)]
-        for sink in sinks:
-            halves.append((start, size, sink))
+    halves, start = [], 0  # per half of a part: (its first float in a row, length, out, tally)
+    for part, size, tally in zip(parts, sizes, tallies):
+        for half in ("real", "imag"):
+            halves.append((start, size, None if part is None else getattr(part, half),
+                           None if tally is None else getattr(tally, half)))
             start += size
 
     bits = np.random.PCG64(0)
@@ -293,12 +297,16 @@ def _draw_cn(prefix: tuple[int, ...], extra: np.ndarray, shapes, unheld=()) -> l
                 if not a:
                     bits.state = state
                 fill(out=row)
-            for first, size, sink in halves:
+            for first, size, out, tally in halves:
                 cols = slice(max(a - first, 0), min(a + window.shape[1] - first, size))
                 if cols.start < cols.stop:
-                    sink(keys, cols, window[:, first + cols.start - a:first + cols.stop - a])
-    return [part.stand_in() if isinstance(part, _Unheld) else part.reshape(n, *shape)
-            for part, shape in zip(parts, shapes)]
+                    x = window[:, first + cols.start - a:first + cols.stop - a]
+                    if out is not None:
+                        np.multiply(x, scale, out=out[keys, cols])
+                    if tally is not None:
+                        tally(keys, cols, x)
+    check_coefficients(*((name, t.finite, t.zero) for name, t in zip("fgH", tallies)))
+    return [part if part is None else part.reshape(n, *s) for part, s in zip(parts, shapes)]
 
 
 def draw_channels(seed, T: int, M: int, K: int) -> ChannelSet:
@@ -313,7 +321,7 @@ def draw_channels(seed, T: int, M: int, K: int) -> ChannelSet:
     T, M, K = as_count("T", T), as_count("M", M), as_count("K", K)
     if T < 1 or M < 1 or K < 1:
         raise ValueError("T, M and K must be positive")
-    f, g, H = _draw_cn(_key(seed), np.empty((1, 0), int), ((T, M), (T, K), (T, K, M)))
+    f, g, H = _draw_cn(_key(seed), np.empty((1, 0), int), (T, M, K))
     return ChannelSet(T=T, f=f[0], g=g[0], H=H[0])
 
 
@@ -420,12 +428,11 @@ def _key(seed, *extra: int) -> tuple[int, ...]:
 
 def _trial_bytes(shape: tuple[int, int, int], sym_sizes: tuple[int, ...], held: int,
                  reads_H: bool = True) -> int:
-    """Bytes a block holds per trial: the drawn f (T x M), g (T x K),
-    H (T x K x M) if the run reads it, and symbols, each value with its
-    pair of floats, plus the ``held`` bytes of its solution and receive
-    matrices."""
-    T, M, K = shape
-    return _DRAWN_BYTES * (T * M + T * K + reads_H * T * K * M + sum(sym_sizes)) + held
+    """Bytes a block holds per trial: the drawn parts of _parts, H only if
+    the run reads it, each value with its pair of floats, plus the ``held``
+    bytes of its solution and receive matrices."""
+    sizes = [math.prod(part) for part in _parts(shape, sym_sizes)]
+    return _DRAWN_BYTES * (sum(sizes) - (not reads_H) * sizes[2]) + held
 
 
 def _rows(arr: np.ndarray | None, index):
@@ -444,8 +451,7 @@ class _TrialRun:
     them report instead of folded ones. ``held`` is the bytes a trial's
     solution and receive matrices hold; with its draws they make
     ``trial_bytes``, which sizes the blocks against BLOCK_BYTES. A run
-    that does not read H (``reads_H=False``) draws it, checks it and
-    carries None in its place."""
+    that does not read H (``reads_H=False``) carries None in its place."""
 
     def __init__(self, seed, trials: int, shape: tuple[int, int, int], solve,
                  sym_sizes: tuple[int, ...] = (), receivers: tuple[tuple[str, int], ...] = (),
@@ -467,17 +473,9 @@ class _TrialRun:
 
     def _draw(self, trials, attempts) -> list[np.ndarray | None]:
         """Stacked f, g, H (None if the run does not read it) and symbol
-        groups of one draw per (trial, attempt), with ChannelSet's check on
-        the channels."""
-        T, M, K = self.shape
-        drawn = _draw_cn(self.prefix, np.column_stack([np.asarray(trials), attempts]),
-                         ((T, M), (T, K), (T, K, M), *((n,) for n in self.sym_sizes)),
-                         () if self.reads_H else (2,))
-        f, g, H = drawn[:3]
-        check_coefficients(f=f, g=g, H=H)
-        if not self.reads_H:
-            drawn[2] = None
-        return drawn
+        groups of one draw per (trial, attempt)."""
+        return _draw_cn(self.prefix, np.column_stack([np.asarray(trials), attempts]),
+                        self.shape, self.sym_sizes, self.reads_H)
 
     def blocks(self):
         """Yield (first trial, (f, g, H), solution, symbol groups) per solved

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndtcache.bounds import lower_bound
-from ndtcache.corner import (miso_ndt_and_dof, miso_zf_plan, unicast_schedule, user_groups,
-                             user_rows)
+from ndtcache.corner import miso_zf_plan, unicast_schedule, user_groups, user_rows
+from ndtcache.layout import miso_ndt_and_dof
 from ndtcache.model import NetworkConfig
 from ndtcache.verify import draw_channels, verify_corner
 from test_verify import _prescribed

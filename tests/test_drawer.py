@@ -106,10 +106,10 @@ def test_trials_on_both_sides_of_two_to_the_32_share_a_block(seed):
 
 # T, M, K = 3, 2, 2 with one symbol group of 5: a key's row is f's 12 floats,
 # g's 12, H's 24, then the symbols' 10 (58 floats in all)
-SMALL = ((3, 2), (3, 2), (3, 2, 2), (5,))
+SMALL, SMALL_SYMBOLS = (3, 2, 2), (5,)
 
 
-@pytest.mark.parametrize("unheld", [(), (2,)])
+@pytest.mark.parametrize("unheld", [(), (2,)])  # the parts not held: none, or H
 @pytest.mark.parametrize("floats, keys", [
     (7, 3),  # fills end at 7 (in f), 14, 21 (in g), 28, 35, 42 (in H), 49, 56 (in the symbols)
     (1, 2),  # one float a fill
@@ -118,12 +118,12 @@ SMALL = ((3, 2), (3, 2), (3, 2, 2), (5,))
 def test_a_small_scratch_keeps_the_bits(monkeypatch, unheld, floats, keys):
     monkeypatch.setattr(V, "BLOCK_BYTES", 8 * floats)
     extra = np.column_stack([np.arange(keys), np.arange(keys) % 3])
-    drawn = V._draw_cn(V._key(9), extra, SMALL, unheld)
+    drawn = V._draw_cn(V._key(9), extra, SMALL, SMALL_SYMBOLS, reads_H=not unheld)
     for i, (t, a) in enumerate(extra):
-        recipe = per_part_channels(V._key(9, t, a), 3, 2, 2, (5,))
+        recipe = per_part_channels(V._key(9, t, a), *SMALL, SMALL_SYMBOLS)
         for p, (new, old) in enumerate(zip(drawn, recipe)):
             if p in unheld:
-                assert_bit_equal(new, np.array([1 + 0j]))  # finite and nonzero
+                assert new is None
             else:
                 assert_bit_equal(new[i], old)
 
@@ -150,7 +150,8 @@ class _BadCoefficients:
     key's state in turn: every key's row of floats is ones, except that
     each (part, coefficient, value) of ``faults`` puts its value in that
     coefficient's real part (half 0) and imaginary part (half 1), or in
-    the ``halves`` given.
+    the ``halves`` given. A fault (part, coefficient, value, keys) is in
+    the keys of that collection alone, counted from 0 in each drawer call.
     A row larger than the drawer's scratch comes in several fills, so the
     double counts the floats of the current key, starting again when the
     drawer sets the bit generator to the next key's state."""
@@ -159,20 +160,20 @@ class _BadCoefficients:
         T, M, K = shape
         sizes = {"f": T * M, "g": T * K, "H": T * K * M}
         start = {"f": 0, "g": 2 * sizes["f"], "H": 2 * (sizes["f"] + sizes["g"])}
-        self.spots = {start[part] + c + half * sizes[part]: value for part, c, value in faults
-                      for half in halves}
+        self.spots = [(start[part] + c + half * sizes[part], value, keys[0] if keys else None)
+                      for part, c, value, *keys in faults for half in halves]
 
     def __call__(self, bit_generator):
-        self.bits, self.key, self.at = bit_generator, None, 0
+        self.bits, self.key, self.index, self.at = bit_generator, None, -1, 0
         return self
 
     def standard_normal(self, out):
         key = self.bits.state["state"]
         if key != self.key:  # the next key's row
-            self.key, self.at = key, 0
+            self.key, self.index, self.at = key, self.index + 1, 0
         out[:] = 1.0
-        for spot, value in self.spots.items():
-            if self.at <= spot < self.at + len(out):
+        for spot, value, keys in self.spots:
+            if self.at <= spot < self.at + len(out) and (keys is None or self.index in keys):
                 out[spot - self.at] = value
         self.at += len(out)
 
@@ -238,3 +239,17 @@ def test_a_zero_part_alone_is_not_a_zero_coefficient(monkeypatch, budget, part, 
 def test_one_non_finite_part_makes_a_non_finite_coefficient(monkeypatch, budget, part, half):
     raises_on_both_paths(monkeypatch, [(part, 2, np.inf)],
                          f"{part} contains non-finite coefficients", budget, (half,))
+
+
+@pytest.mark.parametrize("budget", [None, SEGMENTED])
+@pytest.mark.parametrize("reads_H", [True, False])
+def test_a_block_raises_the_first_bad_part_whichever_key_holds_it(monkeypatch, budget, reads_H):
+    # H is bad in the first key, f only in the last: the block still raises f's message
+    keys = 5
+    if budget:
+        monkeypatch.setattr(V, "BLOCK_BYTES", budget)
+    monkeypatch.setattr(np.random, "Generator", _BadCoefficients(
+        UNICAST, [("H", 0, np.nan, {0}), ("f", 1, 0.0, {keys - 1})]))
+    run = V._TrialRun(0, keys, UNICAST, solve=None, sym_sizes=(3,), reads_H=reads_H)
+    with pytest.raises(ValueError, match="^f contains zero coefficients$"):
+        run._draw(range(keys), np.zeros(keys, int))

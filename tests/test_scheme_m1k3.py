@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import sympy
 
+from ndtcache.layout import RN_SYMBOLS
 from ndtcache.model import DEGENERACY_TOL, ChannelSet
 from ndtcache.scheme_m1k3 import (
     ALIGNED_COLS,
@@ -17,7 +18,6 @@ from ndtcache.scheme_m1k3 import (
     INTERFERENCE_COLS,
     RN_CACHED,
     RN_CACHED_POS,
-    RN_SYMBOLS,
     T_SLOTS,
     TRANSMITTED_SYMBOLS,
     UNCACHED,
