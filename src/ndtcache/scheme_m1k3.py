@@ -18,7 +18,7 @@ adds their integer column forms and solves the per-slot precoders: the
 raw chain once, in field operations only (``_chain``, exact on Fraction
 or sympy object arrays), then the float mask and normalization
 (``solve_precoders``). ``effective_channel_matrix(nu, beta, f, g, h)``
-returns the four receive matrices (ue1, ue2, ue3, rn).
+yields the four receive matrices (ue1, ue2, ue3, rn) one at a time.
 """
 from __future__ import annotations
 
@@ -148,17 +148,19 @@ def solve_precoders(g: np.ndarray, h: np.ndarray, tol: float = DEGENERACY_TOL):
 
 
 def effective_channel_matrix(nu, beta, f, g, h):
-    """Effective receive matrices (ue1, ue2, ue3, rn) over the T = 8 slots,
-    with any leading batch axes: nu and beta as solve_precoders returns
-    them, f (..., T_SLOTS, 1), g and h (..., T_SLOTS, 3).
+    """Yield the effective receive matrices ue1, ue2, ue3, rn over the T = 8
+    slots, each built when asked for (``tuple(...)`` gives all four), with any
+    leading batch axes: nu and beta as solve_precoders returns them, f
+    (..., T_SLOTS, 1), g and h (..., T_SLOTS, 3).
 
     User k's is 8 x 16, its column for symbol x g_k[t] nu_x[t] +
     h_k[t] beta_x[t], columns in TRANSMITTED_SYMBOLS order. The relay's is
     the 8 x 13 matrix f_1[t] nu_x[t] over DENB_SYMBOLS (the relay hears
     only the base station).
     """
-    users = tuple(g[..., k : k + 1] * nu + h[..., k : k + 1] * beta for k in range(3))
-    return (*users, f * nu[..., DENB_COLS])
+    for k in range(3):
+        yield g[..., k : k + 1] * nu + h[..., k : k + 1] * beta
+    yield f * nu[..., DENB_COLS]
 
 
 def rn_cache_cancel(matrix: np.ndarray) -> np.ndarray:

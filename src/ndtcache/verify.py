@@ -15,14 +15,16 @@ depend on the block size. A block holds as many trials as fit in
 BLOCK_BYTES (at least one, at most the run), each verifier counting a
 trial's bytes from its own shapes: the drawn values it holds, each with
 its pair of floats, the solution arrays and, for verify_m1k3 and
-finite_snr_rates, the four receive matrices. Unicasting reads no H, so
-its runs draw H without holding it. So memory is about one block's
-arrays and a float scratch of at most BLOCK_BYTES, whatever the trial
-count, and a trial too large for the budget runs alone. A block's draws
-come from one drawer, ``_draw_cn``: one array pass computes every key's
-PCG64 state, and one generator, set to each state in turn, fills its
-key's row of floats in the scratch, as whole rows or, for a row larger
-than the scratch, in segments of one stream. Each window of floats is
+finite_snr_rates, the one receive matrix a check holds at a time. The
+runner calls a verifier's check on each block and frees the block before
+drawing the next. Unicasting reads no H, so its runs draw H without
+holding it. So memory is about one block's arrays and a float scratch of
+at most BLOCK_BYTES, whatever the trial count, and a trial too large for
+the budget runs alone. A block's draws come from one drawer,
+``_draw_cn``: one array pass computes every key's PCG64 state, and one
+generator, set to each state in turn, fills its key's row of floats in
+the scratch, as whole rows or, for a row larger than the scratch, in
+segments of one stream. Each window of floats is
 scaled into the complex values of the parts held. The drawer tallies every
 float of f, g and H, held or not, as it leaves the scratch, and raises
 ChannelSet's message for a block's first non-finite or zero part.
@@ -449,8 +451,8 @@ class _TrialRun:
     ``receivers`` are the report's (kind, index) receivers in order;
     ``ranks``, if given, are the (desired, interference, total) ranks all of
     them report instead of folded ones. ``held`` is the bytes a trial's
-    solution and receive matrices hold; with its draws they make
-    ``trial_bytes``, which sizes the blocks against BLOCK_BYTES. A run
+    solution and the matrices its check holds at once; with its draws they
+    make ``trial_bytes``, which sizes the blocks against BLOCK_BYTES. A run
     that does not read H (``reads_H=False``) carries None in its place."""
 
     def __init__(self, seed, trials: int, shape: tuple[int, int, int], solve,
@@ -477,39 +479,44 @@ class _TrialRun:
         return _draw_cn(self.prefix, np.column_stack([np.asarray(trials), attempts]),
                         self.shape, self.sym_sizes, self.reads_H)
 
-    def blocks(self):
-        """Yield (first trial, (f, g, H), solution, symbol groups) per solved
-        block; redraw exhaustion yields the trials before and stops."""
+    def each_block(self, check) -> None:
+        """Call ``check(first trial, f, g, H, *symbol groups, *solution)`` on each
+        solved block in turn; redraw exhaustion checks the trials before and stops."""
         size = max(1, min(self.n, BLOCK_BYTES // self.trial_bytes))
         for start in range(0, self.n, size):
-            n = min(size, self.n - start)
-            attempts = np.zeros(n, dtype=int)
-            drawn = self._draw(range(start, start + n), attempts)
-            solution, degenerate = self.solve(*drawn[:3])
-            while degenerate.any():
-                redo = np.flatnonzero(degenerate)
-                attempts[redo] += 1
-                if attempts[redo[0]] > _MAX_REDRAWS:
-                    n = int(redo[0])  # every trial before it is solved
-                    break
-                for arr, new in zip(drawn, self._draw(start + redo, attempts[redo])):
-                    if arr is not None:
-                        arr[redo] = new
-                redone, degenerate[redo] = self.solve(*(_rows(arr, redo) for arr in drawn[:3]))
-                for arr, new in zip(solution, redone):
-                    arr[redo] = new
-            self.trials += n
-            self.redraws += int(attempts[:n].sum())
-            if n:
-                drawn = [_rows(arr, slice(n)) for arr in drawn]
-                yield start, tuple(drawn[:3]), tuple(arr[:n] for arr in solution), drawn[3:]
-            if degenerate.any():
-                self.trials += 1
-                self.failures += 1
-                self.redraws += _MAX_REDRAWS
-                self.first_failure = (f"trial {start + n}: {_MAX_REDRAWS + 1} "
-                                      "consecutive degenerate channel draws")
+            if not self._block(start, min(size, self.n - start), check):
                 return
+
+    def _block(self, start: int, n: int, check) -> bool:
+        """Draw, solve and check trials start .. start + n - 1; False if one ran
+        out of redraws. The block's arrays die with this call, before the next draw."""
+        attempts = np.zeros(n, dtype=int)
+        drawn = self._draw(range(start, start + n), attempts)
+        solution, degenerate = self.solve(*drawn[:3])
+        while degenerate.any():
+            redo = np.flatnonzero(degenerate)
+            attempts[redo] += 1
+            if attempts[redo[0]] > _MAX_REDRAWS:
+                n = int(redo[0])  # every trial before it is solved
+                break
+            for arr, new in zip(drawn, self._draw(start + redo, attempts[redo])):
+                if arr is not None:
+                    arr[redo] = new
+            redone, degenerate[redo] = self.solve(*(_rows(arr, redo) for arr in drawn[:3]))
+            for arr, new in zip(solution, redone):
+                arr[redo] = new
+        self.trials += n
+        self.redraws += int(attempts[:n].sum())
+        if n:
+            check(start, *(_rows(arr, slice(n)) for arr in (*drawn, *solution)))
+        if degenerate.any():
+            self.trials += 1
+            self.failures += 1
+            self.redraws += _MAX_REDRAWS
+            self.first_failure = (f"trial {start + n}: {_MAX_REDRAWS + 1} "
+                                  "consecutive degenerate channel draws")
+            return False
+        return True
 
     def fold(self, start: int, errors, checks=(), residuals=None, ranks=None) -> None:
         """Tally a block. ``errors`` are its decode error arrays and
@@ -547,11 +554,10 @@ class _TrialRun:
         return report
 
 
-# Per trial: nu and beta (8 x 16 each), the users' 8 x 16 receive matrices
-# and the relay's 8 x 13, all complex.
-_M1K3_HELD = (np.dtype(complex).itemsize * T_SLOTS
-              * (5 * len(TRANSMITTED_SYMBOLS) + len(DENB_COLS)))
-# Bytes a block's arrays may hold: a 64-trial verify_m1k3 block (909,312
+# Per trial at its peak: nu and beta (8 x 16 each) and the one receive
+# matrix being checked (the users' are 8 x 16, the relay's 8 x 13), all complex.
+_M1K3_HELD = np.dtype(complex).itemsize * T_SLOTS * 3 * len(TRANSMITTED_SYMBOLS)
+# Bytes a block's arrays may hold: a 64-trial verify_m1k3 block (540,672
 # bytes). Fewer, larger blocks pay the per-block costs (seeding, checks,
 # stacked calls) less often.
 BLOCK_BYTES = 64 * _trial_bytes((T_SLOTS, 1, 3), (len(TRANSMITTED_SYMBOLS),), _M1K3_HELD)
@@ -621,6 +627,15 @@ def _check_rn(rn: np.ndarray, syms: np.ndarray, checks: list):
     return ranks, np.zeros((len(rn), 2)), err
 
 
+def _ue_rates(k: int, E: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """User k + 1's log-det rates (trials, powers) per slot on stacked 8 x 16 matrices E."""
+    u = np.linalg.svd(E[..., INTERFERENCE_COLS[k]], full_matrices=False)[0]
+    geff = u[..., len(ALIGNED_COLS[k]):].conj().swapaxes(-1, -2) @ E[..., DESIRED_COLS[k]]
+    gram = geff @ geff.conj().swapaxes(-1, -2)
+    _, logdet = np.linalg.slogdet(np.eye(len(DESIRED_COLS[k])) + np.multiply.outer(powers, gram))
+    return logdet.T / math.log(2) / T_SLOTS
+
+
 def verify_m1k3(seed, trials: int, tol: float = DEGENERACY_TOL) -> VerificationReport:
     """Monte Carlo verification of the mu = 4/5, M = 1, K = 3 scheme.
 
@@ -635,12 +650,14 @@ def verify_m1k3(seed, trials: int, tol: float = DEGENERACY_TOL) -> VerificationR
     """
     run = _TrialRun(seed, trials, (T_SLOTS, 1, 3), _solve_m1k3(tol), (len(TRANSMITTED_SYMBOLS),),
                     receivers(1, 3), held=_M1K3_HELD)
-    for start, (f, g, H), (nu, beta), (syms,) in run.blocks():
-        *users, rn = effective_channel_matrix(nu, beta, f, g, H[..., 0])
+    def check(start, f, g, H, syms, nu, beta):
+        # one receive matrix at a time: a check's argument is its only reference
+        received = effective_channel_matrix(nu, beta, f, g, H[..., 0])
         checks: list = []
-        ranks, res, errs = zip(*[_check_ue(k, E, syms, checks) for k, E in enumerate(users, 1)],
-                               _check_rn(rn, syms, checks))
+        ranks, res, errs = zip(*[_check_ue(k, next(received), syms, checks) for k in (1, 2, 3)],
+                               _check_rn(next(received), syms, checks))
         run.fold(start, errs, checks, residuals=res, ranks=ranks)
+    run.each_block(check)
     return run.report(accounting(1, 3)["zf-ia-m1k3"])
 
 
@@ -649,13 +666,14 @@ def _verify_unicast(seed, trials: int, cfg: NetworkConfig) -> VerificationReport
     never_degenerate = lambda f, g, H: ((), np.zeros(len(g), dtype=bool))
     run = _TrialRun(seed, trials, (len(schedule), cfg.M, cfg.K), never_degenerate,
                     (len(schedule),), schedule, ranks=(1, 0, 1), reads_H=False)
-    for start, (f, g, _), _, (syms,) in run.blocks():
+    def check(start, f, g, _, syms):
         coeff = np.stack([{"ue": g, "rn": f}[kind][:, t, i - 1]
                           for t, (kind, i) in enumerate(schedule)], axis=-1)
         # each trial's worst receiver
         errors = (np.abs((coeff * syms) / coeff - syms) / np.abs(syms)).max(axis=1)
         run.fold(start, [errors],
                  [(errors > DECODE_ERROR_MAX, lambda i: f"decode error {errors[i]:.3e}")])
+    run.each_block(check)
     return run.report(accounting(cfg.M, cfg.K)["unicast"])
 
 
@@ -671,7 +689,8 @@ def _verify_miso(seed, trials: int, cfg: NetworkConfig, tol: float):
             + np.dtype(float).itemsize * cfg.K)
     run = _TrialRun(seed, trials, (len(groups), cfg.M, cfg.K), solve, tuple(map(len, groups)),
                     receivers(0, cfg.K), ranks=(1, 0, 1), held=held)  # the users alone
-    for start, (_, g, H), (*beamformers, cross), symbols in run.blocks():
+    def check(start, _, g, H, *rest):  # rest: the symbol groups, the beamformers, cross
+        symbols, beamformers, cross = rest[:len(groups)], rest[len(groups):-1], rest[-1]
         nulling = np.fmax.reduce(cross, axis=-1)
         checks: list = [
             (nulling > ZF_RESIDUAL_MAX, lambda i: f"nulling residual {nulling[i]:.3e}")
@@ -687,6 +706,7 @@ def _verify_miso(seed, trials: int, cfg: NetworkConfig, tol: float):
                            f"group {group} decode error {err[i]:.3e}"))
         run.fold(start, errors, checks,
                  residuals=np.stack([cross.T, np.zeros_like(cross.T)], axis=-1))
+    run.each_block(check)
     return run.report(accounting(cfg.M, cfg.K)["miso-zf"])
 
 
@@ -736,30 +756,27 @@ def finite_snr_rates(seed, snr_db_list: list[float], trials: int) -> list[RateEs
     labels = ["ue1", "ue2", "ue3", "rn"]
     totals = np.zeros((len(labels), len(snrs)))
     others = [n for n in range(len(UNCACHED)) if n != ETA45]
-    n_desired, n_groups = DESIRED_COLS.shape[1], len(ALIGNED_COLS[0])
 
     run = _TrialRun(seed, trials, (T_SLOTS, 1, 3), _solve_m1k3(DEGENERACY_TOL), held=_M1K3_HELD)
     done = 0
+    def check(start, f, g, H, nu, beta):
+        nonlocal done
+        received = effective_channel_matrix(nu, beta, f, g, H[..., 0])
+        rates = np.empty((len(nu), len(labels), len(snrs)))
+        for k in range(3):  # as in verify_m1k3, _ue_rates' argument is the matrix's only reference
+            rates[:, k] = _ue_rates(k, next(received), powers)
+        cancelled = rn_cache_cancel(next(received))
+        u = np.linalg.svd(cancelled[..., others])[0]
+        geff = u[..., len(others):].conj().swapaxes(-1, -2) @ cancelled[..., ETA45, None]
+        gains = np.real(geff.conj().swapaxes(-1, -2) @ geff)[:, 0, 0]
+        rates[:, 3] = np.log2(1.0 + np.multiply.outer(gains, powers)) / T_SLOTS
+        # sequential over trials, as np.sum's pairwise order would depend on the block size
+        totals[:] = np.add.accumulate(np.concatenate([totals[None], rates]), axis=0)[-1]
+        done += len(nu)
+
     # a power near the float limit overflows the rates: rejected below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, (f, g, H), (nu, beta), _ in run.blocks():
-            rates = np.empty((len(nu), len(labels), len(snrs)))
-            *users, rn = effective_channel_matrix(nu, beta, f, g, H[..., 0])
-            for k, E in enumerate(users):
-                u = np.linalg.svd(E[..., INTERFERENCE_COLS[k]], full_matrices=False)[0]
-                geff = u[..., n_groups:].conj().swapaxes(-1, -2) @ E[..., DESIRED_COLS[k]]
-                gram = geff @ geff.conj().swapaxes(-1, -2)
-                _, logdet = np.linalg.slogdet(np.eye(n_desired) + np.multiply.outer(powers, gram))
-                rates[:, k] = logdet.T / math.log(2) / T_SLOTS
-            cancelled = rn_cache_cancel(rn)
-            u = np.linalg.svd(cancelled[..., others])[0]
-            geff = u[..., len(others):].conj().swapaxes(-1, -2) @ cancelled[..., ETA45, None]
-            gains = np.real(geff.conj().swapaxes(-1, -2) @ geff)[:, 0, 0]
-            rates[:, 3] = np.log2(1.0 + np.multiply.outer(gains, powers)) / T_SLOTS
-            # sequential over trials, as np.sum's pairwise order would depend on the block size
-            totals = np.add.accumulate(np.concatenate([totals[None], rates]), axis=0)[-1]
-            done += len(nu)
-
+        run.each_block(check)
         x = np.log2(powers)
         x -= x.mean()
         y = totals / max(done, 1)

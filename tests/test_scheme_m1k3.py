@@ -49,8 +49,9 @@ RECEIVERS = ("ue1", "ue2", "ue3", "rn")
 
 
 def receive(nu, beta, ch, receiver):
-    """One receiver's matrix, picked from effective_channel_matrix's tuple by name."""
-    return effective_channel_matrix(nu, beta, ch.f, ch.g, ch.H[..., 0])[RECEIVERS.index(receiver)]
+    """One receiver's matrix, picked from effective_channel_matrix's four by name."""
+    matrices = tuple(effective_channel_matrix(nu, beta, ch.f, ch.g, ch.H[..., 0]))
+    return matrices[RECEIVERS.index(receiver)]
 
 
 def rational_channels(seed, shape=(T_SLOTS, 3)):
@@ -425,6 +426,20 @@ class TestEffectiveChannelMatrix:
                 assert (sv_i >= 1e-12 * sv_i[0]).sum() == 3
                 assert (sv_t >= 1e-12 * sv_t[0]).sum() == 8
                 assert sv_i[2] / sv_i[3] > 1e6
+
+    def test_yields_the_formulas_bitwise_one_at_a_time(self):
+        # a 64-trial block: each matrix comes when asked for, with the bits of
+        # the expressions that built all four at once
+        chans = [draw_channels((16, i), T_SLOTS, 1, 3) for i in range(64)]
+        f, g, H = (np.stack([getattr(ch, a) for ch in chans]) for a in ("f", "g", "H"))
+        h = H[..., 0]
+        nu, beta, degenerate = solve_precoders(g, h)
+        assert not degenerate.any()
+        received = effective_channel_matrix(nu, beta, f, g, h)
+        for k in range(3):
+            assert np.array_equal(next(received), g[..., k : k + 1] * nu + h[..., k : k + 1] * beta)
+        assert np.array_equal(next(received), f * nu[..., DENB_COLS])
+        assert next(received, None) is None
 
     def test_dimension_accounting(self):
         # per user: 5 desired + 8 aligned + 3 zero-forced symbols; the

@@ -522,14 +522,14 @@ class TestStackedKernels:
         f, g, H = (np.stack([getattr(ch, a) for ch in chans]) for a in ("f", "g", "H"))
         stacked = solve_precoders(g, H[..., 0])
         assert not stacked[-1].any()
-        received = effective_channel_matrix(*stacked[:2], f, g, H[..., 0])
+        received = tuple(effective_channel_matrix(*stacked[:2], f, g, H[..., 0]))
         assert [E.shape[1:] for E in received] == [(T_SLOTS, 16)] * 3 + [(T_SLOTS, 13)]
         for i, ch in enumerate(chans):
             one = solve_precoders(ch.g, ch.H[..., 0])
             for single, batch in zip(one, stacked):
                 assert single.shape == batch.shape[1:]
                 np.testing.assert_array_equal(single, batch[i])
-            singles = effective_channel_matrix(*one[:2], ch.f, ch.g, ch.H[..., 0])
+            singles = tuple(effective_channel_matrix(*one[:2], ch.f, ch.g, ch.H[..., 0]))
             for single, batch in zip(singles, received, strict=True):
                 np.testing.assert_array_equal(single, batch[i])
 
