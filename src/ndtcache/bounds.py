@@ -58,7 +58,8 @@ class NdtCurve:
 
     Breakpoints are (mu, ndt) pairs with strictly increasing mu, starting
     at mu = 0 and ending at mu = 1. The curve must be convex,
-    non-increasing and everywhere >= 1.
+    non-increasing and everywhere >= 1, checked on every build (an exact
+    Fraction coordinate is kept, not copied).
     """
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]

@@ -22,8 +22,10 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     Accepts integers, Fractions and strings ("4/5", "0.8"). Decimal
     strings convert exactly from their decimal expansion. Binary floats
     are rejected: they silently misrepresent values like 0.8 and would
-    poison exact breakpoint comparisons.
+    poison exact breakpoint comparisons. A plain Fraction is kept as it is.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             "floats are not accepted for exact quantities; pass a string like '4/5' or '0.8'"

@@ -366,6 +366,10 @@ class TestComponentLine:
                 assert (Fraction(a, 2 * s), Fraction(b, 2 * s)) == (Fraction(K + ell, s), slope)
 
 
+class _Sub(Fraction):
+    """A Fraction subclass: NdtCurve makes it a plain Fraction."""
+
+
 class TestNdtCurve:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -376,6 +380,30 @@ class TestNdtCurve:
             NdtCurve(((0, 4), (Fraction(1, 2), 1), (1, Fraction(1, 2))))  # drops below 1
         with pytest.raises(ValueError):
             NdtCurve(((0, 4), (Fraction(1, 2), 3), (1, 1)))  # concave kink
+
+    @pytest.mark.parametrize("breakpoints, message", [
+        (((0, "4"),), "curve needs at least the mu = 0 and mu = 1 breakpoints"),
+        (((Fraction(0), 4), ("0.5", 3), (_Sub(9, 10), "1.5")), "curve must span mu in [0, 1]"),
+        (((0, "4"), (_Sub(1, 2), 3), ("0.5", Fraction(5, 2)), (1, 1)),
+         "breakpoint mu values must be strictly increasing"),
+        (((0, Fraction(4)), ("0.5", _Sub(1)), (1, "0.5")), "NDT cannot drop below 1"),
+        (((0, "4"), (_Sub(1, 2), 5), ("1", Fraction(1))), "curve must be non-increasing in mu"),
+        (((0, _Sub(4)), ("0.5", 3), (Fraction(1), "1")),
+         "curve must be convex (slopes non-decreasing)"),
+    ])
+    def test_every_check_bites_on_mixed_coordinates(self, breakpoints, message):
+        # Fractions mixed with ints, decimal strings and a Fraction subclass
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NdtCurve(breakpoints)
+
+    def test_exact_fractions_are_kept_and_the_rest_made_exact(self):
+        x, y = Fraction(4, 5), Fraction(8, 5)
+        curve = NdtCurve(((0, "2"), (x, y), (_Sub(1), "1.5")))
+        assert curve.breakpoints[1][0] is x and curve.breakpoints[1][1] is y
+        assert curve.breakpoints == ((0, 2), (x, y), (1, Fraction(3, 2)))
+        assert {type(c) for point in curve.breakpoints for c in point} == {Fraction}
+        # and a curve rebuilt from a curve's breakpoints shares them
+        assert NdtCurve(curve.breakpoints).breakpoints[1][0] is x
 
     def test_evaluate_interpolates_exactly(self):
         curve = NdtCurve(((0, 4), (Fraction(4, 5), Fraction(8, 5)), (1, Fraction(3, 2))))

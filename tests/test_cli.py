@@ -2,12 +2,14 @@ import contextlib
 import csv
 import io
 import json
+import math
 import resource
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import asdict, fields
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -21,17 +23,32 @@ from ndtcache.cli import (
     EXIT_USAGE,
     EXIT_VERIFICATION,
     MAX_GRID,
+    RATES_COLUMNS,
     VERIFY_COLUMNS,
     RunConfig,
+    _result_rows,
     emit,
     main,
     run,
 )
-from ndtcache.bounds import achievable_catalog, lower_bound, memory_sharing_envelope
+from ndtcache import __version__
+from ndtcache.bounds import (
+    achievable_catalog,
+    lower_bound,
+    lower_bound_curve,
+    memory_sharing_envelope,
+)
 from ndtcache.model import NetworkConfig
 from ndtcache import verify
-from ndtcache.verify import SubspaceReport, VerificationReport, finite_snr_rates, verify_m1k3
-from test_bounds import scan_evaluate
+from ndtcache.verify import (
+    SubspaceReport,
+    VerificationReport,
+    finite_snr_rates,
+    verify_corner,
+    verify_m1k3,
+)
+from test_bounds import large_mu, scan_evaluate
+from test_trial_blocks import traced_peak
 
 
 def run_cli(capsys, *args):
@@ -293,16 +310,16 @@ class TestEmitAndDeterminism:
             "data": [{"mu": "4/5", "mu_decimal": "0.8", "ndt": "8/5", "ndt_decimal": "1.6"}],
         }
         path = tmp_path / "out.json"
-        wrote = emit(payload, "json", path, ["mu", "mu_decimal", "ndt", "ndt_decimal"])
+        wrote = emit(payload["meta"], [["4/5", "0.8", "8/5", "1.6"]],
+                     ["mu", "mu_decimal", "ndt", "ndt_decimal"], "json", path)
         raw = path.read_bytes()
         assert wrote == len(raw)
         assert raw.endswith(b"\n")
         assert json.loads(raw.decode("utf-8")) == payload
 
     def test_empty_report_header_only_csv(self, tmp_path):
-        payload = {"meta": {}, "data": []}
         path = tmp_path / "empty.csv"
-        emit(payload, "csv", path, ["mu", "ndt"])
+        emit({}, [], ["mu", "ndt"], "csv", path)
         assert path.read_text() == "mu,ndt\n"
 
     def test_byte_identical_runs(self, capsys):
@@ -330,6 +347,136 @@ class TestEmitAndDeterminism:
         text = path.read_text()
         assert text.endswith("\n")
         assert parse_csv(text)[0]["mu"] == "0"
+
+
+def reference_cells(**values):
+    """The former cells of an exact row: a dict holding each value n/d's
+    str of its Fraction and its .15g decimal, reduced by one gcd."""
+    row = {}
+    for name, (n, d) in values.items():
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        row[name] = f"{n}/{d}" if d != 1 else str(n)
+        row[f"{name}_decimal"] = f"{n / d:.15g}"
+    return row
+
+
+def reference_result_rows(report):
+    """The former dict rows of a Monte Carlo result."""
+    if isinstance(report, list):
+        return [asdict(e) for e in report]
+    overall = {
+        "receiver": "overall", **dict.fromkeys(VERIFY_COLUMNS[1:6], ""),
+        **reference_cells(**{name: getattr(report, name).as_integer_ratio()
+                             for name in ("ndt", "per_ue_dof", "rn_dof", "sum_dof")}),
+        "decode_max_error": report.decode_max_error, "trials": report.trials,
+        "failures": report.failures, "redraws": report.redraws,
+    }
+    return [overall] + [
+        {**{col: getattr(sub, col) for col in VERIFY_COLUMNS[:6]},
+         **dict.fromkeys(VERIFY_COLUMNS[6:], "")}
+        for sub in report.ue_reports + report.rn_reports
+    ]
+
+
+def reference_text(meta, data, columns, output_format):
+    """The former serialization of dict rows: json.dumps of {meta, data},
+    or csv.writer over each row's values through itemgetter."""
+    if output_format == "json":
+        return json.dumps({"meta": meta, "data": data}, indent=2, allow_nan=False) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(map(itemgetter(*columns), data))
+    return buf.getvalue()
+
+
+def emitted(rows, columns, output_format, meta=None):
+    """What emit writes to stdout, and the count it returns."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        size = emit(meta or {}, rows, columns, output_format, None)
+    return out.getvalue(), size
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that counts what it is given and keeps none of it."""
+
+    written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+
+class TestRowWriter:
+    """Rows as lists of cells, joined into CSV, against the former dict
+    rows through csv.writer and json.dumps."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 12), k=st.integers(1, 24),
+           point=st.one_of(st.integers(1, 300), large_mu,
+                           st.sampled_from([Fraction(0), Fraction(1)])),
+           output_format=st.sampled_from(["csv", "json"]))
+    def test_tradeoff_bytes_match_the_reference(self, m, k, point, output_format):
+        option = ["--grid", str(point)] if isinstance(point, int) else ["--mu", str(point)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["tradeoff", "--m", str(m), "--k", str(k), *option,
+                         "--format", output_format]) == EXIT_OK
+        mus = ([(i, point) for i in range(point + 1)] if isinstance(point, int)
+               else [point.as_integer_ratio()])
+        envelope = memory_sharing_envelope(achievable_catalog(m, k))
+        data = [reference_cells(mu=mu, lower_bound=(ln, ld), achievable_envelope=(an, ad),
+                                gap=(an * ld - ln * ad, ad * ld))
+                for mu, (ln, ld), (an, ad) in zip(mus, lower_bound_curve(m, k)._walk(mus),
+                                                  envelope._walk(mus))]
+        meta = {"command": "tradeoff", "M": m, "K": k, "version": __version__}
+        assert out.getvalue() == reference_text(meta, data, list(data[0]), output_format)
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_monte_carlo_bytes_match_the_reference(self, output_format):
+        results = [
+            (verify_m1k3(13, 5), VERIFY_COLUMNS),
+            (verify_corner(13, 5, NetworkConfig(M=2, K=3, N=5, mu=Fraction(1)), 1e-9),
+             VERIFY_COLUMNS),
+            (finite_snr_rates(13, [-10.0, 40.0, 60.0], 5), RATES_COLUMNS),
+        ]
+        meta = {"command": "verify-m1k3", "M": 1, "K": 3, "seed": 13, "tol": 1e-9}
+        for result, columns in results:
+            rows, emitted_columns = _result_rows(result)
+            assert emitted_columns == columns
+            assert emitted(rows, columns, output_format, meta)[0] == reference_text(
+                meta, reference_result_rows(result), columns, output_format)
+
+    def test_empty_table_is_the_header(self):
+        assert emitted([], ["mu", "ndt"], "csv") == ("mu,ndt\n", 7)
+        assert emitted([], ["mu", "ndt"], "csv")[0] == reference_text({}, [], ["mu", "ndt"], "csv")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 15, 16, 17, 100])
+    def test_every_row_count_gives_the_reference(self, n):
+        # the CSV is built in pieces of about sqrt(n) rows
+        rows = [[str(i), f"{i}/7", ""] for i in range(n)]
+        expected = reference_text({}, [dict(zip("abc", row)) for row in rows], list("abc"), "csv")
+        assert emitted(rows, list("abc"), "csv") == (expected, len(expected))
+
+    def test_stdout_count_is_bytes(self):
+        text, size = emitted([["\u00e9"]], ["\u00fc"], "csv")
+        assert text == "\u00fc\n\u00e9\n"
+        assert size == len(text.encode("utf-8")) == 6
+
+    def test_emit_holds_the_csv_text_about_once(self):
+        """A 100,000-row table written to stdout peaks below 1.5x its text:
+        emit makes no bytes copy of it, and holds no list of every line
+        beside it."""
+        rows, columns = COMMANDS["tradeoff"].rows(RunConfig("tradeoff", m=10, k=20, grid=99_999))
+        sink, sizes = _Discard(), []
+        with contextlib.redirect_stdout(sink):
+            peak = traced_peak(lambda: sizes.append(emit({}, rows, columns, "csv", None)),
+                               warm_up=lambda: emitted(rows[:9], columns, "csv"))
+        assert len(rows) == 100_000
+        assert sizes == [sink.written]
+        assert peak < 1.5 * sink.written
 
 
 class TestEntryPoint:
@@ -474,8 +621,7 @@ class TestInputHardening:
 
     def test_json_output_refuses_non_finite_numbers(self, tmp_path):
         with pytest.raises(ValueError):
-            emit({"meta": {}, "data": [{"rate": float("nan")}]}, "json",
-                 tmp_path / "out.json", ["rate"])
+            emit({}, [[float("nan")]], ["rate"], "json", tmp_path / "out.json")
 
 
 class TestRedrawExhaustion:

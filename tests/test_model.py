@@ -25,6 +25,15 @@ class TestRational:
         assert as_rational(" 8/5 ") == Fraction(8, 5)
         assert as_rational(1) == Fraction(1)
 
+    def test_as_rational_keeps_a_plain_fraction_and_converts_a_subclass(self):
+        class Sub(Fraction):
+            pass
+
+        x = Fraction(4, 5)
+        assert as_rational(x) is x
+        y = as_rational(Sub(4, 5))
+        assert type(y) is Fraction and y == x
+
     def test_as_rational_rejects_binary_floats(self):
         with pytest.raises(TypeError):
             as_rational(0.8)
